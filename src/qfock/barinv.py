@@ -45,9 +45,12 @@ from .weightlat import (
     bruhat_leq,
     perm_inv,
     weight,
+    weight_key,
+    window_tuples,
 )
 
 _Q_MINUS_QINV = LaurentPoly({1: 1, -1: -1})
+_MINUS_QINV = LaurentPoly({-1: -1})
 
 
 class NoSolution(Exception):
@@ -93,7 +96,7 @@ class BarContext:
             lead, trail = inner(self._E(v, c)), self._E(inner(v), c)
         else:
             lead, trail = self._E(inner(v), c), inner(self._E(v, c))
-        return lead - trail.scaled(LaurentPoly.q_power(-1))
+        return lead.axpy(trail, _MINUS_QINV)
 
     def transfer_peel_top(
         self, v: FockVector, c: int, d: int, right_dual: bool
@@ -106,7 +109,7 @@ class BarContext:
             lead, trail = self._E(inner(v), d - 1), inner(self._E(v, d - 1))
         else:
             lead, trail = inner(self._E(v, d - 1)), self._E(inner(v), d - 1)
-        return lead - trail.scaled(LaurentPoly.q_power(-1))
+        return lead.axpy(trail, _MINUS_QINV)
 
     # -- the bar map ----------------------------------------------------
 
@@ -136,17 +139,17 @@ class BarContext:
         lo, hi = self.window.lo, self.window.hi
         if k > self.shape.m:
             for c in range(lo, b):
-                out = out + _append(self.transfer(x, c, b, True), c, shape_k)
+                out.axpy(_append(self.transfer(x, c, b, True), c, shape_k))
         else:
             for d in range(b + 1, hi + 1):
-                out = out + _append(self.transfer(x, b, d, False), d, shape_k)
+                out.axpy(_append(self.transfer(x, b, d, False), d, shape_k))
         return out
 
     def bar(self, v: FockVector) -> FockVector:
         """Anti-linear extension of bar_monomial."""
         out = FockVector.zero(self.shape)
         for f, c in v.terms.items():
-            out = out + self.bar_monomial(f).scaled(c.bar())
+            out.axpy(self.bar_monomial(f), c.bar())
         return out
 
     def factorwise_bar(self, v: FockVector) -> FockVector:
@@ -162,9 +165,9 @@ class BarContext:
             sub._memo = self._memo
             barred = sub._bar_entries(prefix) if prefix else None
             if barred is None:
-                out = out + FockVector.monomial(f, c.bar())
+                out.add_term(f, c.bar())
             else:
-                out = out + _append(barred, b, v.shape).scaled(c.bar())
+                out.axpy(_append(barred, b, v.shape), c.bar())
         return out
 
 
@@ -200,7 +203,7 @@ def pure_bar(v: FockVector) -> FockVector:
         f0, tau, _ = antidominant_rep(f, par)
         # f0 = f.act(tau), so f = f0.act(sigma) with sigma the inverse
         h = HeckeElement.basis(shape, perm_inv(tau)).bar()
-        out = out + act(FockVector.monomial(f0), h).scaled(c.bar())
+        out.axpy(act(FockVector.monomial(f0), h), c.bar())
     return out
 
 
@@ -228,11 +231,12 @@ class CouplingOperator:
             if n:
                 raise ValueError("covariant factor cannot follow a dual one")
             self.shape = Shape(m + 1, 0)
-        self.weight = tuple(sorted(wtblock.items()))
+        self.weight = weight_key(wtblock)
         self.ctx = bar_context(self.shape, window)
         self.basis: list[SignedTuple] = []
-        for f in _window_block(self.shape, window, self.weight):
-            self.basis.append(f)
+        for f in window_tuples(self.shape, window):
+            if weight_key(weight(f)) == self.weight:
+                self.basis.append(f)
         self.columns: dict[SignedTuple, FockVector] = {}
         self.components: dict[tuple[int, int], dict[SignedTuple, FockVector]] = {}
         for f in self.basis:
@@ -259,7 +263,7 @@ class CouplingOperator:
             shifted = _append(t, c if self.right_dual else d, self.shape)
             if shifted:
                 self.components.setdefault((c, d), {})[f] = shifted
-                out = out + shifted
+                out.axpy(shifted)
         return out
 
     def apply(self, v: FockVector) -> FockVector:
@@ -268,7 +272,7 @@ class CouplingOperator:
             col = self.columns.get(f)
             if col is None:
                 raise WindowEscape(f"{f} is outside the materialized block")
-            out = out + col.scaled(c)
+            out.axpy(col, c)
         return out
 
     def _theta_anywhere(self, v: FockVector) -> FockVector:
@@ -279,15 +283,14 @@ class CouplingOperator:
             prefix, b = f.entries[:-1], f.entries[-1]
             pshape = _prefix_shape(self.shape, len(prefix))
             x = FockVector.monomial(SignedTuple(pshape, prefix), coeff)
-            term = FockVector.monomial(f, coeff)
+            out.add_term(f, coeff)
             if self.right_dual:
                 pairs = [(c, b) for c in range(lo, b)]
             else:
                 pairs = [(b, d) for d in range(b + 1, hi + 1)]
             for c, d in pairs:
                 t = self.ctx.transfer(x, c, d, self.right_dual)
-                term = term + _append(t, c if self.right_dual else d, self.shape)
-            out = out + term
+                out.axpy(_append(t, c if self.right_dual else d, self.shape))
         return out
 
     def _certify(self):
@@ -313,19 +316,6 @@ class CouplingOperator:
                         f"coupling fails the defining identity at {f} "
                         f"for {kind}_{a}"
                     )
-
-
-def _window_block(shape: Shape, window: Window, wt_key):
-    for f in _all_window_tuples(shape, window):
-        if tuple(sorted(weight(f).items())) == wt_key:
-            yield f
-
-
-def _all_window_tuples(shape: Shape, window: Window):
-    import itertools
-
-    for entries in itertools.product(window.letters(), repeat=shape.size):
-        yield SignedTuple(shape, entries)
 
 
 def coupling(
@@ -397,7 +387,7 @@ def bar_oracle(
     out = FockVector.monomial(f)
     for (g, j), x in zip(unknowns, sol):
         if x:
-            out = out + FockVector.monomial(g, LaurentPoly.q_power(j, x))
+            out.add_term(g, LaurentPoly.q_power(j, x))
     return out
 
 

@@ -9,7 +9,8 @@ once every t_{hf} with h above g is known, the difference
 
 must be killed by t_{gf} - bar(t_{gf}), which pins t_{gf} inside the chosen
 half of the coefficient ring.  Each step asserts that d_g is antisymmetric
-under bar; a violation means the bar map itself is broken.
+under bar; a violation means the bar map itself is broken.  The same
+solver, `triangular_solve`, also runs inside the symmetrized image (qsym).
 
 Dual canonical supports legitimately run into the window floor (their full
 expansions are infinite).  Canonical supports should not; a canonical
@@ -68,31 +69,46 @@ class BasisExpansion:
 _MEMO: dict[tuple, BasisExpansion] = {}
 
 
+def triangular_solve(down, bar_column, part, target) -> dict:
+    """The coefficients t_{g,target} of the bar-fixed element through target.
+
+    `down` lists every index below target in a linear extension of the
+    Bruhat order and ends at target; `bar_column(h)` is the coefficient dict
+    of bar applied to the basis vector at h; `part` is pos_part (canonical)
+    or neg_part (dual).  Only indices with a nonzero coefficient get a bar
+    column.  Raises AntisymmetryViolation if the bar map is broken.
+    """
+    if not down or down[-1] != target:
+        raise AssertionError(f"{target} is not the top of its ordered block")
+    bars = {target: bar_column(target)}
+    t = {target: LaurentPoly.one()}
+    for g in reversed(down[:-1]):
+        d = LaurentPoly.zero()
+        for h, thf in t.items():
+            r = bars[h].get(g)
+            if r is not None:
+                d = d + r * thf.bar()
+        try:
+            val = part(d)
+        except NotAntisymmetric as exc:
+            raise AntisymmetryViolation(
+                f"difference at {g} below {target} is not bar-antisymmetric: {d}"
+            ) from exc
+        if val:
+            t[g] = val
+            bars[g] = bar_column(g)
+    return t
+
+
 def _solve(f: SignedTuple, w: Window, mode: str) -> BasisExpansion:
     key = (f.shape, f.entries, w, mode)
     got = _MEMO.get(key)
     if got is not None:
         return got
     ctx = bar_context(f.shape, w)
-    order = block(f, w)
-    down = [g for g in order if bruhat_leq(g, f)]
-    assert down and down[-1] == f
-    bars = {f: ctx.bar_monomial(f)}
+    down = [g for g in block(f, w) if bruhat_leq(g, f)]
     part = pos_part if mode == "canonical" else neg_part
-    t: dict[SignedTuple, LaurentPoly] = {f: LaurentPoly.one()}
-    for g in reversed(down[:-1]):
-        d = LaurentPoly.zero()
-        for h, thf in t.items():
-            d = d + bars[h].coeff(g) * thf.bar()
-        try:
-            val = part(d)
-        except NotAntisymmetric as exc:
-            raise AntisymmetryViolation(
-                f"difference at {g} below {f} is not bar-antisymmetric: {d}"
-            ) from exc
-        if val:
-            t[g] = val
-            bars[g] = ctx.bar_monomial(g)
+    t = triangular_solve(down, lambda g: ctx.bar_monomial(g).terms, part, f)
     exp = BasisExpansion(f, mode, w, t)
     if mode == "canonical":
         _maybe_warn_floor(exp, down, w)

@@ -27,24 +27,16 @@ The two actions commute; tests pin this down.
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, div_exact, q_fact
+from .laurent import LaurentCombination, LaurentPoly, div_exact, q_fact
 from .weightlat import Shape, SignedTuple, apply_s, reduced_word
 
 _QINV_MINUS_Q = LaurentPoly({-1: 1, 1: -1})
 
 
-class FockVector:
+class FockVector(LaurentCombination):
     """A Z[q, q^-1]-linear combination of standard monomials of one shape."""
 
-    __slots__ = ("shape", "terms")
-
-    def __init__(self, shape: Shape, terms=None):
-        self.shape = shape
-        self.terms: dict[SignedTuple, LaurentPoly] = {}
-        if terms:
-            for f, c in terms.items():
-                if c:
-                    self.terms[f] = c
+    __slots__ = ()
 
     @classmethod
     def zero(cls, shape: Shape) -> "FockVector":
@@ -53,56 +45,6 @@ class FockVector:
     @classmethod
     def monomial(cls, f: SignedTuple, coeff=None) -> "FockVector":
         return cls(f.shape, {f: LaurentPoly.one() if coeff is None else coeff})
-
-    def coeff(self, f: SignedTuple) -> LaurentPoly:
-        return self.terms.get(f, LaurentPoly.zero())
-
-    def support(self) -> set[SignedTuple]:
-        return set(self.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FockVector)
-            and self.shape == other.shape
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        out = dict(self.terms)
-        for f, c in other.terms.items():
-            s = out.get(f, LaurentPoly.zero()) + c
-            if s:
-                out[f] = s
-            else:
-                out.pop(f, None)
-        res = FockVector(self.shape)
-        res.terms = out
-        return res
-
-    def __neg__(self) -> "FockVector":
-        res = FockVector(self.shape)
-        res.terms = {f: -c for f, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + (-other)
-
-    def scaled(self, c) -> "FockVector":
-        if isinstance(c, int):
-            c = LaurentPoly({0: c})
-        res = FockVector(self.shape)
-        if c:
-            res.terms = {f: co * c for f, co in self.terms.items()}
-        return res
-
-    def bar_coeffs(self) -> "FockVector":
-        """q -> q^-1 on every coefficient, monomials untouched."""
-        res = FockVector(self.shape)
-        res.terms = {f: c.bar() for f, c in self.terms.items()}
-        return res
 
     def at_one(self) -> dict[SignedTuple, int]:
         return {f: c.at_one() for f, c in self.terms.items()}
@@ -168,13 +110,13 @@ def apply_chevalley(v: FockVector, kind: str, a: int) -> FockVector:
             exp = sum(1 for b in f.entries[:m] if b == a) - sum(
                 1 for b in f.entries[m:] if b == a
             )
-            res = res + FockVector.monomial(f, c * LaurentPoly.q_power(sign * exp))
+            res.add_term(f, c * LaurentPoly.q_power(sign * exp))
         return res
     if kind not in ("E", "F"):
         raise ValueError(f"unknown generator kind {kind!r}")
     shape = v.shape
     size = shape.size
-    acc: dict[SignedTuple, LaurentPoly] = {}
+    res = FockVector(shape)
     for f, c in v.terms.items():
         sectors = [0] * shape.m + [1] * shape.n
         for j in range(size):
@@ -185,14 +127,7 @@ def apply_chevalley(v: FockVector, kind: str, a: int) -> FockVector:
             rng = range(j + 1, size) if kind == "E" else range(0, j)
             exp = sum(_twist(sectors[i], kind, a, f.entries[i]) for i in rng)
             g = SignedTuple(shape, f.entries[:j] + (img,) + f.entries[j + 1:])
-            add = c * LaurentPoly.q_power(exp)
-            s = acc.get(g, LaurentPoly.zero()) + add
-            if s:
-                acc[g] = s
-            else:
-                acc.pop(g, None)
-    res = FockVector(shape)
-    res.terms = acc
+            res.add_term(g, c * LaurentPoly.q_power(exp))
     return res
 
 
@@ -204,9 +139,7 @@ def apply_divided(v: FockVector, kind: str, a: int, r: int) -> FockVector:
     for _ in range(r):
         cur = apply_chevalley(cur, kind, a)
     fact = q_fact(r)
-    res = FockVector(v.shape)
-    res.terms = {f: div_exact(c, fact) for f, c in cur.terms.items()}
-    return res
+    return FockVector(v.shape, {f: div_exact(c, fact) for f, c in cur.terms.items()})
 
 
 def dual_pair(a: int, b: int) -> LaurentPoly:
@@ -228,30 +161,18 @@ def act_gen(v: FockVector, i: int) -> FockVector:
     shape = v.shape
     if not 1 <= i <= shape.size - 1 or i == shape.m:
         raise ValueError(f"H_{i} is not a generator for shape {shape}")
-    acc: dict[SignedTuple, LaurentPoly] = {}
-
-    def _add(g, c):
-        s = acc.get(g, LaurentPoly.zero()) + c
-        if s:
-            acc[g] = s
-        else:
-            acc.pop(g, None)
-
+    res = FockVector(shape)
     dual = i > shape.m
     for f, c in v.terms.items():
         x, y = f[i], f[i + 1]
         if x == y:
-            _add(f, c * LaurentPoly.q_power(-1))
+            res.add_term(f, c * LaurentPoly.q_power(-1))
             continue
         swapped = SignedTuple(shape, apply_s(f.entries, i))
         ascent = (x < y) if not dual else (x > y)
-        if ascent:
-            _add(swapped, c)
-        else:
-            _add(swapped, c)
-            _add(f, c * _QINV_MINUS_Q)
-    res = FockVector(shape)
-    res.terms = acc
+        res.add_term(swapped, c)
+        if not ascent:
+            res.add_term(f, c * _QINV_MINUS_Q)
     return res
 
 
@@ -264,5 +185,5 @@ def act(v: FockVector, h) -> FockVector:
         cur = v.scaled(c)
         for i in reduced_word(p):
             cur = act_gen(cur, i)
-        total = total + cur
+        total.axpy(cur)
     return total

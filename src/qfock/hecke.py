@@ -16,7 +16,7 @@ S^2 = [|W'|] S.
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly
+from .laurent import LaurentCombination, LaurentPoly
 from .weightlat import (
     Parabolic,
     Shape,
@@ -37,18 +37,10 @@ def _sector_preserving(shape: Shape, perm: tuple[int, ...]) -> bool:
     return all((j < shape.m) == (i < shape.m) for i, j in enumerate(perm))
 
 
-class HeckeElement:
+class HeckeElement(LaurentCombination):
     """A Z[q, q^-1]-linear combination of basis elements H_sigma."""
 
-    __slots__ = ("shape", "terms")
-
-    def __init__(self, shape: Shape, terms=None):
-        self.shape = shape
-        self.terms: dict[tuple[int, ...], LaurentPoly] = {}
-        if terms:
-            for p, c in terms.items():
-                if c:
-                    self.terms[p] = c
+    __slots__ = ()
 
     @classmethod
     def unit(cls, shape: Shape) -> "HeckeElement":
@@ -66,67 +58,13 @@ class HeckeElement:
             raise ValueError(f"{perm} does not preserve the sectors of {shape}")
         return cls(shape, {tuple(perm): LaurentPoly.one()})
 
-    def coeff(self, perm: tuple[int, ...]) -> LaurentPoly:
-        return self.terms.get(tuple(perm), LaurentPoly.zero())
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HeckeElement)
-            and self.shape == other.shape
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            s = out.get(p, LaurentPoly.zero()) + c
-            if s:
-                out[p] = s
-            else:
-                out.pop(p, None)
-        res = HeckeElement(self.shape)
-        res.terms = out
-        return res
-
-    def __neg__(self) -> "HeckeElement":
-        res = HeckeElement(self.shape)
-        res.terms = {p: -c for p, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + (-other)
-
-    def scaled(self, c) -> "HeckeElement":
-        if isinstance(c, int):
-            c = LaurentPoly({0: c})
-        res = HeckeElement(self.shape)
-        if c:
-            res.terms = {p: co * c for p, co in self.terms.items()}
-        return res
-
     def times_gen(self, i: int) -> "HeckeElement":
         """Right multiplication by H_i."""
         out = HeckeElement(self.shape)
-        acc: dict[tuple[int, ...], LaurentPoly] = {}
-
-        def _add(p, c):
-            s = acc.get(p, LaurentPoly.zero()) + c
-            if s:
-                acc[p] = s
-            else:
-                acc.pop(p, None)
-
         for p, c in self.terms.items():
-            ps = apply_s(p, i)
-            if is_right_ascent(p, i):
-                _add(ps, c)
-            else:
-                _add(ps, c)
-                _add(p, c * _QINV_MINUS_Q)
-        out.terms = acc
+            out.add_term(apply_s(p, i), c)
+            if not is_right_ascent(p, i):
+                out.add_term(p, c * _QINV_MINUS_Q)
         return out
 
     def __mul__(self, other):
@@ -141,7 +79,7 @@ class HeckeElement:
             cur = self.scaled(c)
             for i in reduced_word(p):
                 cur = cur.times_gen(i)
-            total = total + cur
+            total.axpy(cur)
         return total
 
     def __rmul__(self, other):
@@ -156,8 +94,8 @@ class HeckeElement:
             cur = HeckeElement.unit(self.shape).scaled(c.bar())
             for i in reduced_word(p):
                 # bar(H_i) = H_i + (q - q^-1), multiplied in word order
-                cur = cur.times_gen(i) + cur.scaled(_Q_MINUS_QINV)
-            total = total + cur
+                cur = cur.times_gen(i).axpy(cur, _Q_MINUS_QINV)
+            total.axpy(cur)
         return total
 
     def __str__(self) -> str:

@@ -280,3 +280,93 @@ def neg_part(d: LaurentPoly) -> LaurentPoly:
     """
     _check_antisymmetric(d)
     return LaurentPoly({e: a for e, a in d.c.items() if e < 0})
+
+
+class LaurentCombination:
+    """A finite Z[q, q^-1]-linear combination of hashable basis keys.
+
+    `terms` is a plain dict key -> nonzero LaurentPoly; no zero coefficient
+    is ever stored.  Binary operators build new combinations; `add_term`
+    and `axpy` accumulate in place and must only be applied to a
+    combination the caller created itself, never to a cached one.
+
+    >>> v = LaurentCombination("s", {"a": Q, "b": ONE})
+    >>> w = v.scaled(-1).axpy(v, Q).add_term("b", ONE)
+    >>> print(w.coeff("a"), "|", w.coeff("b"), "|", sorted(w.support()))
+    q^2 - q | q | ['a', 'b']
+    >>> bool(v - v), (v + v).coeff("b") == 2
+    (False, True)
+    """
+
+    __slots__ = ("shape", "terms")
+
+    def __init__(self, shape, terms=None):
+        self.shape = shape
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
+
+    def _with(self, terms: dict) -> "LaurentCombination":
+        """A combination like self holding the given, already pruned, terms."""
+        res = object.__new__(type(self))
+        res.shape = self.shape
+        res.terms = terms
+        return res
+
+    def coeff(self, key) -> LaurentPoly:
+        """The coefficient at key, zero when absent; a list key means its tuple."""
+        if isinstance(key, list):
+            key = tuple(key)
+        return self.terms.get(key, LaurentPoly.zero())
+
+    def support(self) -> set:
+        return set(self.terms)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.shape == other.shape
+            and self.terms == other.terms
+        )
+
+    def add_term(self, key, c: LaurentPoly) -> "LaurentCombination":
+        """In place: self += c * [key].  Returns self."""
+        terms = self.terms
+        s = terms[key] + c if key in terms else c
+        if s:
+            terms[key] = s
+        else:
+            terms.pop(key, None)
+        return self
+
+    def axpy(self, other: "LaurentCombination", c=None) -> "LaurentCombination":
+        """In place: self += c * other (c an int or LaurentPoly, default 1).
+
+        Returns self; other is left untouched, even when it is self.
+        """
+        if c is not None and not c:
+            return self
+        items = list(other.terms.items()) if other is self else other.terms.items()
+        for key, a in items:
+            self.add_term(key, a if c is None else a * c)
+        return self
+
+    def __add__(self, other: "LaurentCombination") -> "LaurentCombination":
+        return self._with(dict(self.terms)).axpy(other)
+
+    def __sub__(self, other: "LaurentCombination") -> "LaurentCombination":
+        return self._with(dict(self.terms)).axpy(other, -1)
+
+    def __neg__(self) -> "LaurentCombination":
+        return self._with({k: -c for k, c in self.terms.items()})
+
+    def scaled(self, c) -> "LaurentCombination":
+        """c * self for c an int or LaurentPoly."""
+        if not c:
+            return self._with({})
+        return self._with({k: a * c for k, a in self.terms.items()})
+
+    def bar_coeffs(self) -> "LaurentCombination":
+        """q -> q^-1 on every coefficient, keys untouched."""
+        return self._with({k: c.bar() for k, c in self.terms.items()})

@@ -25,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .barinv import bar_context
-from .canonical import AntisymmetryViolation, canonical, dual_canonical
+from .canonical import canonical, dual_canonical, triangular_solve
 from .fock import FockVector, act
 from .hecke import symmetrizer
 from .laurent import (
+    LaurentCombination,
     LaurentPoly,
-    NotAntisymmetric,
     NotDivisible,
     div_exact,
     pos_part,
@@ -75,7 +75,7 @@ def _orbit_data(f: SignedTuple, par: Parabolic):
     return got
 
 
-def _n_ratio(f: SignedTuple, par: Parabolic) -> LaurentPoly:
+def n_ratio(f: SignedTuple, par: Parabolic) -> LaurentPoly:
     """[W] / [W_f], the exact quantum index of the stabilizer."""
     stab_q, _, _ = _orbit_data(f, par)
     return div_exact(group_qfactorial(par), stab_q)
@@ -116,7 +116,7 @@ def mtilde_expand(f: SignedTuple, par: Parabolic) -> FockVector:
 
 def n_expand(f: SignedTuple, par: Parabolic) -> FockVector:
     """N_f = ([W]/[W_f]) Ntilde_f."""
-    return ntilde_expand(f, par).scaled(_n_ratio(f, par))
+    return ntilde_expand(f, par).scaled(n_ratio(f, par))
 
 
 _EXPAND = {"Ntilde": ntilde_expand, "Mtilde": mtilde_expand, "N": n_expand}
@@ -126,44 +126,43 @@ _EXPAND = {"Ntilde": ntilde_expand, "Mtilde": mtilde_expand, "N": n_expand}
 # vectors of the image in coordinates
 
 
-@dataclass
-class QSymVector:
+class QSymVector(LaurentCombination):
     """Coordinates of an image vector in one of the three bases."""
 
-    shape: object
-    parabolic: Parabolic
-    basis: str
-    terms: dict = field(default_factory=dict)
-    window: Window | None = None
+    __slots__ = ("parabolic", "basis", "window")
 
-    def __post_init__(self):
-        if self.basis not in _BASES:
-            raise ValueError(f"unknown basis {self.basis!r}")
-        self.terms = {f: c for f, c in self.terms.items() if c}
+    def __init__(
+        self, shape, parabolic: Parabolic, basis: str, terms=None, window=None
+    ):
+        if basis not in _BASES:
+            raise ValueError(f"unknown basis {basis!r}")
+        super().__init__(shape, terms)
+        self.parabolic = parabolic
+        self.basis = basis
+        self.window = window
         for f in self.terms:
-            if not is_antidominant(f, self.parabolic):
+            if not is_antidominant(f, parabolic):
                 raise ValueError(f"index {f} is not antidominant")
 
-    def coeff(self, f: SignedTuple) -> LaurentPoly:
-        return self.terms.get(f, LaurentPoly.zero())
+    def _with(self, terms: dict) -> "QSymVector":
+        return QSymVector(self.shape, self.parabolic, self.basis, terms, self.window)
 
     def expand(self) -> FockVector:
         out = FockVector.zero(self.shape)
         for f, c in self.terms.items():
-            out = out + _EXPAND[self.basis](f, self.parabolic).scaled(c)
+            out.axpy(_EXPAND[self.basis](f, self.parabolic), c)
         return out
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
+    def __eq__(self, other) -> bool:
+        """Equal coordinates in the same basis; the window is not compared."""
         return (
-            isinstance(other, QSymVector)
-            and self.shape == other.shape
+            super().__eq__(other)
             and self.parabolic == other.parabolic
             and self.basis == other.basis
-            and self.terms == other.terms
         )
+
+    def __repr__(self) -> str:
+        return f"QSymVector({self.shape}, {self.parabolic}, {self.basis}, {self.terms!r})"
 
     def to_json(self) -> dict:
         rows = sorted(self.terms.items(), key=lambda t: t[0].entries)
@@ -186,11 +185,11 @@ def base_change(v: QSymVector, to: str) -> QSymVector:
             if v.basis == "Mtilde":
                 c = div_exact(c, stab_q)
             else:
-                c = c * _n_ratio(f, v.parabolic)
+                c = c * n_ratio(f, v.parabolic)
         if to == "Mtilde":
             c = c * stab_q
         elif to == "N":
-            c = div_exact(c, _n_ratio(f, v.parabolic))
+            c = div_exact(c, n_ratio(f, v.parabolic))
         out[f] = c
     return QSymVector(v.shape, v.parabolic, to, out, v.window)
 
@@ -213,7 +212,7 @@ def reexpress(v: FockVector, par: Parabolic, basis: str = "Ntilde") -> dict:
                 f"orbit coefficient at {f} is not divisible in basis {basis}"
             ) from exc
         coords[f] = x
-        recon = recon + _EXPAND[basis](f, par).scaled(x)
+        recon.axpy(_EXPAND[basis](f, par), x)
     if recon != v:
         raise ReexpressionFailure(
             f"vector is not in the symmetrized image for {par}"
@@ -227,16 +226,11 @@ def phi_zeta(v: FockVector, par: Parabolic) -> QSymVector:
     Monomial-wise M_f goes to q^{-len(tau)} Ntilde_{f0} where f0 = f.tau
     is the antidominant representative and tau the minimal sorter.
     """
-    coords: dict[SignedTuple, LaurentPoly] = {}
+    out = QSymVector(v.shape, par, "Ntilde")
     for f, c in v.terms.items():
         f0, _, ltau = antidominant_rep(f, par)
-        add = c * LaurentPoly.q_power(-ltau)
-        s = coords.get(f0, LaurentPoly.zero()) + add
-        if s:
-            coords[f0] = s
-        else:
-            coords.pop(f0, None)
-    return QSymVector(v.shape, par, "Ntilde", coords)
+        out.add_term(f0, c * LaurentPoly.q_power(-ltau))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +287,7 @@ def qsym_canonical(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpansion:
     push = phi_zeta(texp.vector(), par)
     coords = {}
     for g, c in push.terms.items():
-        coords[g] = div_exact(c, _n_ratio(g, par))
+        coords[g] = div_exact(c, n_ratio(g, par))
         if coords[g] != texp.coeff(g.act(w0)):
             raise AssertionError(
                 f"push-forward coefficient at {g} disagrees with the "
@@ -356,27 +350,14 @@ def qsym_canonical_intrinsic(f: SignedTuple, par: Parabolic, w: Window):
     """
     if not is_antidominant(f, par):
         raise ValueError(f"{f} is not antidominant for {par}")
-    order = [g for g in block(f, w) if is_antidominant(g, par)]
-    down = [g for g in order if bruhat_leq(g, f)]
-    assert down and down[-1] == f
+    down = [
+        g for g in block(f, w) if is_antidominant(g, par) and bruhat_leq(g, f)
+    ]
     results = []
     for basis in ("N", "Mtilde"):
-        bars = {f: _image_bar(f, par, w, basis)}
-        t: dict[SignedTuple, LaurentPoly] = {f: LaurentPoly.one()}
-        for g in reversed(down[:-1]):
-            d = LaurentPoly.zero()
-            for h, thf in t.items():
-                d = d + bars[h].get(g, LaurentPoly.zero()) * thf.bar()
-            try:
-                val = pos_part(d)
-            except NotAntisymmetric as exc:
-                raise AntisymmetryViolation(
-                    f"image difference at {g} below {f} in basis {basis} "
-                    "is not bar-antisymmetric"
-                ) from exc
-            if val:
-                t[g] = val
-                bars[g] = _image_bar(g, par, w, basis)
+        t = triangular_solve(
+            down, lambda g: _image_bar(g, par, w, basis), pos_part, f
+        )
         results.append(QSymExpansion(f, "canonical", basis, par, w, t))
     if results[0].coefficients != results[1].coefficients:
         raise AssertionError(

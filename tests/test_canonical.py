@@ -182,3 +182,38 @@ class TestInverseRelation:
         w = Window(0, 2)
         with pytest.raises(ValueError):
             inverse_relation_check(block(T(1, 1, 1, 1), w), w)
+
+
+class TestCachedBarColumnsStayIntact:
+    """Solvers accumulate in place, but never into a memoized bar column."""
+
+    @staticmethod
+    def snapshot(memo):
+        return {
+            key: (v.shape, {g: dict(c.c) for g, c in v.terms.items()})
+            for key, v in memo.items()
+        }
+
+    def test_memo_unchanged_after_bar_and_solvers(self):
+        from qfock.barinv import bar_context
+        from qfock.qsym import qsym_canonical_intrinsic
+        from qfock.weightlat import Parabolic, is_antidominant
+
+        shape, w = Shape(2, 1), Window(-1, 2)
+        par = Parabolic(shape, frozenset({1}))
+        order = block(T(2, 1, 1, 2, 1), w)
+        ctx = bar_context(shape, w)
+        for g in order:
+            ctx.bar_monomial(g)
+        before = self.snapshot(ctx._memo)
+        v = FockVector(shape, {g: P({i: 1}) for i, g in enumerate(order)})
+        bar(v, w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            for g in order:
+                canonical(g, w)
+                dual_canonical(g, w)
+                if is_antidominant(g, par):
+                    qsym_canonical_intrinsic(g, par, w)
+        after = self.snapshot(ctx._memo)
+        assert {k: after[k] for k in before} == before

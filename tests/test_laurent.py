@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qfock.laurent import (
+    LaurentCombination,
     LaurentPoly,
     NotAntisymmetric,
     NotDivisible,
@@ -152,3 +153,39 @@ class TestRingAxioms:
     @given(polys)
     def test_json(self, a):
         assert LaurentPoly.from_json(a.to_json()) == a
+
+
+combinations = st.builds(
+    lambda terms: LaurentCombination("s", terms),
+    st.dictionaries(st.sampled_from("abcd"), polys, max_size=4),
+)
+scalars = st.one_of(st.integers(-3, 3), polys)
+
+
+class TestLaurentCombination:
+    @given(combinations, combinations, scalars)
+    def test_axpy_agrees_with_operators(self, u, v, c):
+        before = {k: dict(a.c) for k, a in v.terms.items()}
+        got = u.scaled(1).axpy(v, c)
+        assert got == u + v.scaled(c)
+        assert u.scaled(1).axpy(v) == u + v
+        assert u.scaled(1).axpy(v, -1) == u - v == u + (-v)
+        assert {k: dict(a.c) for k, a in v.terms.items()} == before
+        for w in (u, got, u + v, u - v, v.scaled(c), got.add_term("a", P({0: 1}))):
+            assert all(w.terms.values())
+
+    @given(combinations)
+    def test_self_cancellation_is_empty(self, v):
+        assert not v - v
+        assert (v - v).terms == {}
+        w = v.scaled(1)
+        assert not w.axpy(w, -1)
+        assert v.scaled(0).terms == {}
+
+    def test_add_term_prunes_and_coeff_defaults_to_zero(self):
+        v = LaurentCombination("s", {"a": P({1: 1})})
+        v.add_term("a", P({1: -1})).add_term((1, 2), P({0: 3}))
+        assert v.terms == {(1, 2): P({0: 3})}
+        assert v.coeff([1, 2]) == 3
+        assert v.coeff("a") == 0
+        assert v != LaurentCombination("t", v.terms)
