@@ -44,9 +44,8 @@ from .weightlat import (
     block,
     bruhat_leq,
     perm_inv,
-    weight,
+    weight_block,
     weight_key,
-    window_tuples,
 )
 
 _Q_MINUS_QINV = LaurentPoly({1: 1, -1: -1})
@@ -233,10 +232,7 @@ class CouplingOperator:
             self.shape = Shape(m + 1, 0)
         self.weight = weight_key(wtblock)
         self.ctx = bar_context(self.shape, window)
-        self.basis: list[SignedTuple] = []
-        for f in window_tuples(self.shape, window):
-            if weight_key(weight(f)) == self.weight:
-                self.basis.append(f)
+        self.basis = weight_block(self.shape, self.weight, window)
         self.columns: dict[SignedTuple, FockVector] = {}
         self.components: dict[tuple[int, int], dict[SignedTuple, FockVector]] = {}
         for f in self.basis:

@@ -150,7 +150,7 @@ def dual_canonical(f: SignedTuple, w: Window) -> BasisExpansion:
     return _solve(f, w, "dual")
 
 
-def bkl_matrices(order: list[SignedTuple], w: Window):
+def bkl_matrices(order: tuple[SignedTuple, ...], w: Window):
     """Both polynomial matrices over an ordered block: ({t_{gf}}, {l_{gf}})."""
     tmat: dict[tuple[SignedTuple, SignedTuple], LaurentPoly] = {}
     lmat: dict[tuple[SignedTuple, SignedTuple], LaurentPoly] = {}
@@ -181,7 +181,7 @@ def unitriangular_inverse(mat, zero, one):
     return inv
 
 
-def inverse_relation_check(order: list[SignedTuple], w: Window) -> bool:
+def inverse_relation_check(order: tuple[SignedTuple, ...], w: Window) -> bool:
     """Inverting the dual matrix at q -> 1/q lands on the negated canonical one.
 
     With D_{g,f} = l_{g,f}(q^-1) over the given block, the inverse matrix

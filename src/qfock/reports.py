@@ -50,6 +50,7 @@ from .weightlat import (
     WindowEscape,
     antidominant_rep,
     block,
+    blocks,
     bruhat_leq,
     coset_reps,
     group_qfactorial,
@@ -60,7 +61,6 @@ from .weightlat import (
     stabilizer,
     tuple_to_weight,
     weight,
-    weight_key,
     weight_to_tuple,
     window_tuples,
 )
@@ -188,11 +188,11 @@ def tilting_character(shape: Shape, lam: tuple[int, ...], w: Window) -> CharRow:
     return CharRow(f"T({format_weight(shape, lam)})", lam, f, entries)
 
 
-def _block_index(order: list[SignedTuple]) -> dict[SignedTuple, int]:
+def _block_index(order: tuple[SignedTuple, ...]) -> dict[SignedTuple, int]:
     return {g: i for i, g in enumerate(order)}
 
 
-def _l_matrix_at_one(order: list[SignedTuple], w: Window) -> list[list[int]]:
+def _l_matrix_at_one(order: tuple[SignedTuple, ...], w: Window) -> list[list[int]]:
     cols = [dual_canonical(g, w) for g in order]
     return [[cols[j].coeff(order[i]).at_one() for j in range(len(order))] for i in range(len(order))]
 
@@ -409,7 +409,7 @@ class GradedBGGTable:
     shape: Shape
     parabolic: Parabolic
     window: Window
-    order: list[SignedTuple]
+    order: tuple[SignedTuple, ...]
     anti: list[SignedTuple]
     entries: list[GradedEntry]
 
@@ -488,14 +488,8 @@ def commuting_square_check(
     which is the unit coordinate at its anti-dominant representative.
     """
     fails: list[str] = []
-    seen: set = set()
     n_blocks = 0
-    for f in window_tuples(shape, w):
-        key = weight_key(weight(f))
-        if key in seen:
-            continue
-        seen.add(key)
-        order = block(f, w)
+    for order in blocks(shape, w):
         n_blocks += 1
         idx = _block_index(order)
         ainv = unitriangular_inverse(_l_matrix_at_one(order, w), 0, 1)
@@ -780,16 +774,7 @@ def verify_bar(max_size: int = 4, w: Window = Window(0, 4)) -> tuple[bool, list[
 
 
 def _blocks_in(shape: Shape, w: Window, cap: int | None = None):
-    seen: set = set()
-    for f in window_tuples(shape, w):
-        key = weight_key(weight(f))
-        if key in seen:
-            continue
-        seen.add(key)
-        order = block(f, w)
-        if cap is not None and len(order) > cap:
-            continue
-        yield order
+    return (order for order in blocks(shape, w) if cap is None or len(order) <= cap)
 
 
 def verify_canonical(
@@ -901,6 +886,10 @@ def verify_qsym(
                             fails.append(f"image canonical push fails at {f}, {par}")
                         checked += 1
                     if anti and (max_block is None or len(anti) <= max_block):
+                        # under any linear extension the last anti-dominant
+                        # member is Bruhat-maximal among them; when several
+                        # are maximal, the block's tie-break (height, then
+                        # entries) decides which one is checked
                         top = anti[-1]
                         try:
                             nexp, _ = qsym_canonical_intrinsic(top, par, solve_w)

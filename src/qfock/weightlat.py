@@ -396,31 +396,81 @@ def window_tuples(shape: Shape, w: Window):
         yield SignedTuple(shape, entries)
 
 
-@lru_cache(maxsize=None)
-def block(f: SignedTuple, w: Window) -> list[SignedTuple]:
-    """The weight block of f inside the window, in a fixed linear extension.
+def height(g: SignedTuple) -> int:
+    """-sum_j sum_r r * weight_tail(g, j)[r], strictly increasing in Bruhat order.
 
-    Elements are listed compatibly with the Bruhat order (smaller first);
-    ties are broken lexicographically on the entry tuples, so the output is
-    deterministic.  Cached; callers must treat the returned list as
-    read-only.
+    A dominance step eps_r - eps_{r+1} lowers sum_r r * wt(r) by one, and
+    the tail weights determine the tuple, so g < f in the Bruhat order
+    forces height(g) < height(f).  Position p lies in the tails j = 1..p,
+    which gives the closed form below.
+
+    >>> sh = Shape(1, 1)
+    >>> [height(SignedTuple(sh, (a, a))) for a in (0, 1, 2)]
+    [0, 1, 2]
+    """
+    m = g.shape.m
+    return sum(p * e if p > m else -p * e for p, e in enumerate(g.entries, 1))
+
+
+@lru_cache(maxsize=None)
+def block(f: SignedTuple, w: Window) -> tuple[SignedTuple, ...]:
+    """The weight block of f inside the window, in a linear extension of Bruhat order.
+
+    Members come from the dual multisets of the weight (see `weight_block`)
+    and are ordered by height, then by entries.  The block is built once
+    per (shape, weight, window), so every member gets back the same
+    immutable tuple.
     """
     if not f.in_window(w):
         raise WindowEscape(f"tuple {f} lies outside window {w}")
-    target = weight(f)
-    members = [g for g in window_tuples(f.shape, w) if weight(g) == target]
-    below: dict[SignedTuple, set[SignedTuple]] = {g: set() for g in members}
-    for g, h in itertools.permutations(members, 2):
-        if bruhat_leq(g, h):
-            below[h].add(g)
-    out: list[SignedTuple] = []
-    remaining = set(members)
-    while remaining:
-        ready = [g for g in remaining if not (below[g] & remaining)]
-        nxt = min(ready, key=lambda g: g.entries)
-        out.append(nxt)
-        remaining.remove(nxt)
-    return out
+    return weight_block(f.shape, weight_key(weight(f)), w)
+
+
+@lru_cache(maxsize=None)
+def weight_block(shape: Shape, key: tuple, w: Window) -> tuple[SignedTuple, ...]:
+    """All tuples of the shape in the window whose weight has this weight_key.
+
+    Members come from the dual multisets Y of size n in the window for which
+    X = wt + Y is a size-m multiset in the window: every arrangement of X on
+    the covariant positions with every arrangement of Y on the dual ones.
+    They are sorted by (height, entries): height is strict along the Bruhat
+    order, so this is a linear extension of it, and incomparable members
+    are ordered by height, then lexicographically.  Cached; the returned
+    tuple is immutable and shared by every caller.
+    """
+    wt = dict(key)
+    members = []
+    for ys in itertools.combinations_with_replacement(w.letters(), shape.n):
+        xs_count = dict(wt)
+        for y in ys:
+            xs_count[y] = xs_count.get(y, 0) + 1
+        if any(a < 0 or (a and r not in w) for r, a in xs_count.items()):
+            continue
+        xs = tuple(r for r in sorted(xs_count) for _ in range(xs_count[r]))
+        if len(xs) != shape.m:
+            continue
+        for left, right in itertools.product(
+            set(itertools.permutations(xs)), set(itertools.permutations(ys))
+        ):
+            members.append(SignedTuple(shape, left + right))
+    members.sort(key=lambda g: (height(g), g.entries))
+    return tuple(members)
+
+
+def blocks(shape: Shape, w: Window):
+    """Every weight block of the shape in the window, each once.
+
+    Blocks come in the order of their lexicographically first member, which
+    is the order in which window_tuples first reaches them.
+    """
+    seen: set = set()
+    letters = w.letters()
+    for xs in itertools.combinations_with_replacement(letters, shape.m):
+        for ys in itertools.combinations_with_replacement(letters, shape.n):
+            key = weight_key(weight(SignedTuple(shape, xs + ys)))
+            if key not in seen:
+                seen.add(key)
+                yield weight_block(shape, key, w)
 
 
 # ---------------------------------------------------------------------------

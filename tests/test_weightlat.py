@@ -12,10 +12,12 @@ from qfock.weightlat import (
     antidominant_rep,
     apply_s,
     block,
+    blocks,
     bruhat_leq,
     coset_reps,
     dominance_leq,
     group_qfactorial,
+    height,
     identity_perm,
     is_antidominant,
     is_right_ascent,
@@ -32,6 +34,7 @@ from qfock.weightlat import (
     weight_key,
     weight_tail,
     weight_to_tuple,
+    weight_block,
     window_tuples,
 )
 from qfock.laurent import LaurentPoly, q_fact
@@ -330,6 +333,79 @@ class TestBlock:
         blk = set(block(f, w))
         for g in window_tuples(f.shape, w):
             assert (g in blk) == (weight(g) == weight(f))
+
+
+@st.composite
+def tuple_in_window(draw):
+    """A shape with m + n <= 4, a window of width <= 4 and a tuple inside it."""
+    m, n = draw(st.sampled_from([(m, n) for m in range(5) for n in range(5) if 1 <= m + n <= 4]))
+    lo = draw(st.integers(-2, 2))
+    w = Window(lo, lo + draw(st.integers(0, 3)))
+    entries = draw(st.tuples(*[st.integers(w.lo, w.hi)] * (m + n)))
+    return SignedTuple(Shape(m, n), entries), w
+
+
+class TestBlockProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(tuple_in_window())
+    def test_membership_matches_brute_force(self, fw):
+        f, w = fw
+        want = {g for g in window_tuples(f.shape, w) if weight(g) == weight(f)}
+        assert set(block(f, w)) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(tuple_in_window())
+    def test_linear_extension_and_height(self, fw):
+        f, w = fw
+        blk = block(f, w)
+        for i, g in enumerate(blk):
+            for h in blk[i + 1:]:
+                assert not bruhat_leq(h, g)
+                if bruhat_leq(g, h):
+                    assert height(g) < height(h)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tuple_in_window())
+    def test_one_immutable_object_per_block(self, fw):
+        f, w = fw
+        blk = block(f, w)
+        assert isinstance(blk, tuple)
+        for g in blk:
+            assert block(g, w) is blk
+
+    @settings(max_examples=60, deadline=None)
+    @given(tuple_in_window())
+    def test_height_closed_form(self, fw):
+        f, _ = fw
+        tails = range(1, f.shape.size + 1)
+        assert height(f) == -sum(r * a for j in tails for r, a in weight_tail(f, j).items())
+
+    def test_blocks_in_first_occurrence_order(self):
+        shape, w = Shape(2, 1), Window(-1, 2)
+        firsts, seen = [], set()
+        for f in window_tuples(shape, w):
+            if weight_key(weight(f)) not in seen:
+                seen.add(weight_key(weight(f)))
+                firsts.append(f)
+        assert [min(blk, key=lambda g: g.entries) for blk in blocks(shape, w)] == firsts
+        assert all(blk is block(f, w) for blk, f in zip(blocks(shape, w), firsts))
+
+    def test_weight_outside_the_window_has_an_empty_block(self):
+        w = Window(0, 2)
+        assert weight_block(Shape(1, 1), ((0, -1), (3, 1)), w) == ()
+        assert weight_block(Shape(1, 1), ((-1, -1), (1, 1)), w) == ()
+        assert weight_block(Shape(2, 1), ((1, 1),), w) == block(T(2, 1, 1, 0, 0), w)
+
+    def test_building_a_block_makes_no_bruhat_comparison(self):
+        # a shape and window no other test touches, so the block is new
+        f, w = T(2, 2, -9, -8, -8, -7), Window(-10, -6)
+        before = bruhat_leq.cache_info()
+        builds = weight_block.cache_info().misses
+        blk = block(f, w)
+        after = bruhat_leq.cache_info()
+        assert weight_block.cache_info().misses == builds + 1
+        assert len(blk) == 16
+        assert after.hits + after.misses == before.hits + before.misses
 
 
 class TestWeightDictionary:
