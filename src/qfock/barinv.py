@@ -15,11 +15,13 @@ through a string of raising operators E_c .. E_{d-1}.  The components obey
     covariant: T_{c,d} = E_c T_{c+1,d} - q^-1 T_{c+1,d} E_c
     dual:      T_{c,d} = T_{c+1,d} E_c - q^-1 E_c T_{c+1,d}
 
-with an equivalent recursion that peels the top index instead; both are
-implemented and compared.  The normalization is pinned by two executable
-facts, covered by tests: bar agrees with the Hecke-transport bar on
-single-sector shapes, and bar(M_f) - M_f is supported strictly below f in
-the Bruhat order.
+with an equivalent recursion that peels the top index instead.  Theta_k is
+implemented once, in `BarContext.theta`, which the bar recursion and the
+coupling operator both call; `CouplingOperator._certify` compares the two
+transfer recursions and checks the defining identity.  The normalization
+is pinned by two executable facts, covered by tests: bar agrees with the
+Hecke-transport bar on single-sector shapes, and bar(M_f) - M_f is
+supported strictly below f in the Bruhat order.
 
 The window keeps the dual-side corrections finite.  Letters created by the
 recursion stay inside the window by construction; the involution, however,
@@ -29,6 +31,7 @@ only holds exactly for coefficients of tuples inside the window.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .fock import FockVector, act, apply_chevalley
@@ -110,6 +113,24 @@ class BarContext:
             lead, trail = inner(self._E(v, d - 1)), self._E(inner(v), d - 1)
         return lead.axpy(trail, _MINUS_QINV)
 
+    def theta(self, x: FockVector, b: int, shape: Shape) -> FockVector:
+        """Theta(x (x) M_b): the appended letter plus every transfer component.
+
+        `shape` is the shape of the product; its last factor is dual exactly
+        when shape.n > 0.
+        """
+        dual = shape.n > 0
+        out = _append(x, b, shape)
+        for c, d in self.transfer_pairs(b, dual):
+            out.axpy(_append(self.transfer(x, c, d, dual), c if dual else d, shape))
+        return out
+
+    def transfer_pairs(self, b: int, right_dual: bool) -> list[tuple[int, int]]:
+        """The (c, d) of every T_{c,d} that moves an appended letter b."""
+        if right_dual:
+            return [(c, b) for c in range(self.window.lo, b)]
+        return [(b, d) for d in range(b + 1, self.window.hi + 1)]
+
     # -- the bar map ----------------------------------------------------
 
     def bar_monomial(self, f: SignedTuple) -> FockVector:
@@ -117,32 +138,19 @@ class BarContext:
             raise ValueError("tuple shape differs from the context shape")
         if not f.in_window(self.window):
             raise WindowEscape(f"{f} has letters outside {self.window}")
-        got = self._memo.get(f.entries)
-        if got is None:
-            got = self._bar_entries(f.entries)
-            self._memo[f.entries] = got
-        return got
+        return self._bar_entries(f.entries)
 
     def _bar_entries(self, entries: tuple[int, ...]) -> FockVector:
-        k = len(entries)
-        shape_k = _prefix_shape(self.shape, k)
-        if k == 1:
-            return FockVector.monomial(SignedTuple(shape_k, entries))
-        prefix, b = entries[:-1], entries[-1]
-        cached = self._memo.get(prefix)
-        if cached is None:
-            cached = self._bar_entries(prefix)
-            self._memo[prefix] = cached
-        x = cached
-        out = _append(x, b, shape_k)
-        lo, hi = self.window.lo, self.window.hi
-        if k > self.shape.m:
-            for c in range(lo, b):
-                out.axpy(_append(self.transfer(x, c, b, True), c, shape_k))
-        else:
-            for d in range(b + 1, hi + 1):
-                out.axpy(_append(self.transfer(x, b, d, False), d, shape_k))
-        return out
+        """bar of the monomial on the first len(entries) factors, memoized."""
+        got = self._memo.get(entries)
+        if got is None:
+            shape_k = _prefix_shape(self.shape, len(entries))
+            if len(entries) == 1:
+                got = FockVector.monomial(SignedTuple(shape_k, entries))
+            else:
+                got = self.theta(self._bar_entries(entries[:-1]), entries[-1], shape_k)
+            self._memo[entries] = got
+        return got
 
     def bar(self, v: FockVector) -> FockVector:
         """Anti-linear extension of bar_monomial."""
@@ -160,25 +168,16 @@ class BarContext:
         out = FockVector.zero(v.shape)
         for f, c in v.terms.items():
             prefix, b = f.entries[:-1], f.entries[-1]
-            sub = BarContext(_prefix_shape(self.shape, len(prefix)), self.window)
-            sub._memo = self._memo
-            barred = sub._bar_entries(prefix) if prefix else None
-            if barred is None:
-                out.add_term(f, c.bar())
+            if prefix:
+                out.axpy(_append(self._bar_entries(prefix), b, v.shape), c.bar())
             else:
-                out.axpy(_append(barred, b, v.shape), c.bar())
+                out.add_term(f, c.bar())
         return out
 
 
-_CONTEXTS: dict[tuple[Shape, Window], BarContext] = {}
-
-
+@lru_cache(maxsize=None)
 def bar_context(shape: Shape, window: Window) -> BarContext:
-    key = (shape, window)
-    ctx = _CONTEXTS.get(key)
-    if ctx is None:
-        ctx = _CONTEXTS[key] = BarContext(shape, window)
-    return ctx
+    return BarContext(shape, window)
 
 
 def bar(v: FockVector, window: Window) -> FockVector:
@@ -213,54 +212,23 @@ def pure_bar(v: FockVector) -> FockVector:
 class CouplingOperator:
     """id + weight-transfer components on one weight block of prefix (x) letter.
 
-    columns[(prefix_entries, b)] is the image of the corresponding monomial;
-    components[(c, d)] collects the part contributed by T_{c,d}.  The
-    defining conjugation identity is certified at construction against
-    every Chevalley generator available inside the window.
+    columns[f] is Theta(M_f) for each f of the block basis, computed by
+    `BarContext.theta`.  Construction certifies the operator: both transfer
+    recursions must agree on every component, and the defining conjugation
+    identity must hold against every Chevalley generator inside the window.
     """
 
     def __init__(self, left_shape: Shape, right_dual: bool, window: Window, wtblock):
-        self.left_shape = left_shape
-        self.right_dual = right_dual
-        self.window = window
         m, n = left_shape.m, left_shape.n
-        if right_dual:
-            self.shape = Shape(m, n + 1)
-        else:
-            if n:
-                raise ValueError("covariant factor cannot follow a dual one")
-            self.shape = Shape(m + 1, 0)
-        self.weight = weight_key(wtblock)
+        if n and not right_dual:
+            raise ValueError("covariant factor cannot follow a dual one")
+        self.left_shape = left_shape
+        self.shape = Shape(m, n + 1) if right_dual else Shape(m + 1, n)
+        self.window = window
         self.ctx = bar_context(self.shape, window)
-        self.basis = weight_block(self.shape, self.weight, window)
-        self.columns: dict[SignedTuple, FockVector] = {}
-        self.components: dict[tuple[int, int], dict[SignedTuple, FockVector]] = {}
-        for f in self.basis:
-            self.columns[f] = self._column(f)
+        self.basis = weight_block(self.shape, weight_key(wtblock), window)
+        self.columns = {f: self.theta(FockVector.monomial(f)) for f in self.basis}
         self._certify()
-
-    def _column(self, f: SignedTuple) -> FockVector:
-        prefix, b = f.entries[:-1], f.entries[-1]
-        pshape = _prefix_shape(self.shape, len(prefix))
-        x = FockVector.monomial(SignedTuple(pshape, prefix))
-        out = FockVector.monomial(f)
-        lo, hi = self.window.lo, self.window.hi
-        if self.right_dual:
-            pairs = [(c, b) for c in range(lo, b)]
-        else:
-            pairs = [(b, d) for d in range(b + 1, hi + 1)]
-        for c, d in pairs:
-            t = self.ctx.transfer(x, c, d, self.right_dual)
-            t2 = self.ctx.transfer_peel_top(x, c, d, self.right_dual)
-            if t != t2:
-                raise NoSolution(
-                    f"transfer recursions disagree on T_{{{c},{d}}} at {f}"
-                )
-            shifted = _append(t, c if self.right_dual else d, self.shape)
-            if shifted:
-                self.components.setdefault((c, d), {})[f] = shifted
-                out.axpy(shifted)
-        return out
 
     def apply(self, v: FockVector) -> FockVector:
         out = FockVector.zero(self.shape)
@@ -271,46 +239,45 @@ class CouplingOperator:
             out.axpy(col, c)
         return out
 
-    def _theta_anywhere(self, v: FockVector) -> FockVector:
-        """Theta applied without the block restriction (for certification)."""
+    def theta(self, v: FockVector) -> FockVector:
+        """Theta applied to any vector of the shape, not only the block."""
         out = FockVector.zero(self.shape)
-        lo, hi = self.window.lo, self.window.hi
-        for f, coeff in v.terms.items():
-            prefix, b = f.entries[:-1], f.entries[-1]
-            pshape = _prefix_shape(self.shape, len(prefix))
-            x = FockVector.monomial(SignedTuple(pshape, prefix), coeff)
-            out.add_term(f, coeff)
-            if self.right_dual:
-                pairs = [(c, b) for c in range(lo, b)]
-            else:
-                pairs = [(b, d) for d in range(b + 1, hi + 1)]
-            for c, d in pairs:
-                t = self.ctx.transfer(x, c, d, self.right_dual)
-                out.axpy(_append(t, c if self.right_dual else d, self.shape))
+        for f, c in v.terms.items():
+            x = FockVector.monomial(SignedTuple(self.left_shape, f.entries[:-1]), c)
+            out.axpy(self.ctx.theta(x, f.entries[-1], self.shape))
         return out
 
     def _certify(self):
-        """Check Delta(u) Theta = Theta Delta-bar(u) on the block basis.
+        """Check the defining identity, then compare the transfer recursions.
 
-        Delta-bar(u) conjugates by the factorwise bar of the smaller spaces
-        and replaces u by its bar image (E, F fixed, K inverted).
+        The identity is Delta(u) Theta = Theta Delta-bar(u) on the block
+        basis, where Delta-bar(u) conjugates by the factorwise bar of the
+        smaller spaces and replaces u by its bar image (E, F fixed, K
+        inverted).  Theta peels the bottom index of each T_{c,d}; peeling
+        the top index must give the same component.
         """
-        gens = [("E", a) for a in range(self.window.lo, self.window.hi)]
-        gens += [("F", a) for a in range(self.window.lo, self.window.hi)]
-        gens += [("K", a) for a in range(self.window.lo, self.window.hi + 1)]
+        ctx, lo, hi = self.ctx, self.window.lo, self.window.hi
+        gens = [("E", a) for a in range(lo, hi)]
+        gens += [("F", a) for a in range(lo, hi)]
+        gens += [("K", a) for a in range(lo, hi + 1)]
         barred_kind = {"E": "E", "F": "F", "K": "Kinv"}
         for f in self.basis:
             v = FockVector.monomial(f)
-            theta_v = self.columns[f]
             for kind, a in gens:
-                lhs = apply_chevalley(theta_v, kind, a)
-                inner = self.ctx.factorwise_bar(v)
-                inner = apply_chevalley(inner, barred_kind[kind], a)
-                rhs = self._theta_anywhere(self.ctx.factorwise_bar(inner))
-                if lhs != rhs:
+                lhs = apply_chevalley(self.columns[f], kind, a)
+                inner = apply_chevalley(ctx.factorwise_bar(v), barred_kind[kind], a)
+                if lhs != self.theta(ctx.factorwise_bar(inner)):
                     raise NoSolution(
                         f"coupling fails the defining identity at {f} "
                         f"for {kind}_{a}"
+                    )
+        dual = self.shape.n > 0
+        for f in self.basis:
+            x = FockVector.monomial(SignedTuple(self.left_shape, f.entries[:-1]))
+            for c, d in ctx.transfer_pairs(f.entries[-1], dual):
+                if ctx.transfer(x, c, d, dual) != ctx.transfer_peel_top(x, c, d, dual):
+                    raise NoSolution(
+                        f"transfer recursions disagree on T_{{{c},{d}}} at {f}"
                     )
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .barinv import bar_context
 from .fock import FockVector
@@ -66,9 +67,6 @@ class BasisExpansion:
         }
 
 
-_MEMO: dict[tuple, BasisExpansion] = {}
-
-
 def triangular_solve(down, bar_column, part, target) -> dict:
     """The coefficients t_{g,target} of the bar-fixed element through target.
 
@@ -100,11 +98,8 @@ def triangular_solve(down, bar_column, part, target) -> dict:
     return t
 
 
+@lru_cache(maxsize=None)
 def _solve(f: SignedTuple, w: Window, mode: str) -> BasisExpansion:
-    key = (f.shape, f.entries, w, mode)
-    got = _MEMO.get(key)
-    if got is not None:
-        return got
     ctx = bar_context(f.shape, w)
     down = [g for g in block(f, w) if bruhat_leq(g, f)]
     part = pos_part if mode == "canonical" else neg_part
@@ -112,7 +107,6 @@ def _solve(f: SignedTuple, w: Window, mode: str) -> BasisExpansion:
     exp = BasisExpansion(f, mode, w, t)
     if mode == "canonical":
         _maybe_warn_floor(exp, down, w)
-    _MEMO[key] = exp
     return exp
 
 

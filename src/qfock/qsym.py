@@ -23,6 +23,7 @@ two constructions are asserted against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .barinv import bar_context
 from .canonical import canonical, dual_canonical, triangular_solve
@@ -61,18 +62,12 @@ _BASES = ("Ntilde", "Mtilde", "N")
 # orbit bookkeeping
 
 
-_ORBIT: dict[tuple, tuple] = {}
-
-
+@lru_cache(maxsize=None)
 def _orbit_data(f: SignedTuple, par: Parabolic):
     """(stabilizer qfactorial, coset reps, length of the longest rep)."""
-    key = (f.shape, f.entries, par.generators)
-    got = _ORBIT.get(key)
-    if got is None:
-        stab = stabilizer(f, par)
-        reps = coset_reps(stab, par)
-        got = _ORBIT[key] = (group_qfactorial(stab), reps, reps[-1][1])
-    return got
+    stab = stabilizer(f, par)
+    reps = coset_reps(stab, par)
+    return group_qfactorial(stab), reps, reps[-1][1]
 
 
 def n_ratio(f: SignedTuple, par: Parabolic) -> LaurentPoly:
@@ -129,23 +124,20 @@ _EXPAND = {"Ntilde": ntilde_expand, "Mtilde": mtilde_expand, "N": n_expand}
 class QSymVector(LaurentCombination):
     """Coordinates of an image vector in one of the three bases."""
 
-    __slots__ = ("parabolic", "basis", "window")
+    __slots__ = ("parabolic", "basis")
 
-    def __init__(
-        self, shape, parabolic: Parabolic, basis: str, terms=None, window=None
-    ):
+    def __init__(self, shape, parabolic: Parabolic, basis: str, terms=None):
         if basis not in _BASES:
             raise ValueError(f"unknown basis {basis!r}")
         super().__init__(shape, terms)
         self.parabolic = parabolic
         self.basis = basis
-        self.window = window
         for f in self.terms:
             if not is_antidominant(f, parabolic):
                 raise ValueError(f"index {f} is not antidominant")
 
     def _with(self, terms: dict) -> "QSymVector":
-        return QSymVector(self.shape, self.parabolic, self.basis, terms, self.window)
+        return QSymVector(self.shape, self.parabolic, self.basis, terms)
 
     def expand(self) -> FockVector:
         out = FockVector.zero(self.shape)
@@ -154,7 +146,7 @@ class QSymVector(LaurentCombination):
         return out
 
     def __eq__(self, other) -> bool:
-        """Equal coordinates in the same basis; the window is not compared."""
+        """Equal coordinates in the same basis."""
         return (
             super().__eq__(other)
             and self.parabolic == other.parabolic
@@ -191,7 +183,7 @@ def base_change(v: QSymVector, to: str) -> QSymVector:
         elif to == "N":
             c = div_exact(c, n_ratio(f, v.parabolic))
         out[f] = c
-    return QSymVector(v.shape, v.parabolic, to, out, v.window)
+    return QSymVector(v.shape, v.parabolic, to, out)
 
 
 def reexpress(v: FockVector, par: Parabolic, basis: str = "Ntilde") -> dict:
@@ -253,11 +245,7 @@ class QSymExpansion:
 
     def vector(self) -> QSymVector:
         return QSymVector(
-            self.target.shape,
-            self.parabolic,
-            self.basis,
-            dict(self.coefficients),
-            self.window,
+            self.target.shape, self.parabolic, self.basis, dict(self.coefficients)
         )
 
     def to_json(self) -> dict:

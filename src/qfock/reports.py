@@ -188,23 +188,22 @@ def tilting_character(shape: Shape, lam: tuple[int, ...], w: Window) -> CharRow:
     return CharRow(f"T({format_weight(shape, lam)})", lam, f, entries)
 
 
-def _block_index(order: tuple[SignedTuple, ...]) -> dict[SignedTuple, int]:
-    return {g: i for i, g in enumerate(order)}
+def _inverse_at_one(order, column) -> dict[SignedTuple, dict[SignedTuple, int]]:
+    """Inverse of the unitriangular matrix [g] column(f) at q = 1, as {g: {f: entry}}.
 
-
-def _l_matrix_at_one(order: tuple[SignedTuple, ...], w: Window) -> list[list[int]]:
-    cols = [dual_canonical(g, w) for g in order]
-    return [[cols[j].coeff(order[i]).at_one() for j in range(len(order))] for i in range(len(order))]
+    `order` is a linear extension of the Bruhat order and `column(f)` an
+    expansion with coeff(g); rows and columns keep the order of `order`.
+    """
+    cols = [column(f) for f in order]
+    inv = unitriangular_inverse([[c.coeff(g).at_one() for c in cols] for g in order], 0, 1)
+    return {g: dict(zip(order, row)) for g, row in zip(order, inv)}
 
 
 def verma_in_simple(shape: Shape, lam: tuple[int, ...], w: Window) -> CharRow:
     """The Verma class in the basis of irreducibles (composition multiplicities)."""
     f = weight_to_tuple(shape, lam)
-    order = block(f, w)
-    idx = _block_index(order)
-    inv = unitriangular_inverse(_l_matrix_at_one(order, w), 0, 1)
-    j = idx[f]
-    entries = {g: inv[i][j] for i, g in enumerate(order) if inv[i][j]}
+    inv = _inverse_at_one(block(f, w), lambda g: dual_canonical(g, w))
+    entries = {g: row[f] for g, row in inv.items() if row[f]}
     _check_diagonal(entries, f)
     return CharRow(f"M({format_weight(shape, lam)})", lam, f, entries)
 
@@ -259,13 +258,6 @@ def whittaker_decomposition(
     return CharTable(shape, "standard-Whittaker", w, [delta, tilt, simple])
 
 
-def _whittaker_l_matrix_at_one(
-    anti: list[SignedTuple], par: Parabolic, w: Window
-) -> list[list[int]]:
-    cols = [qsym_dual_canonical(g, par, w) for g in anti]
-    return [[cols[j].coeff(anti[i]).at_one() for j in range(len(anti))] for i in range(len(anti))]
-
-
 def standard_whittaker_column(
     shape: Shape, lam: tuple[int, ...], par: Parabolic, w: Window
 ) -> dict[SignedTuple, int]:
@@ -276,11 +268,9 @@ def standard_whittaker_column(
     the tuples of the anti-dominant weights with nonzero multiplicity.
     """
     f0, _, _ = antidominant_rep(weight_to_tuple(shape, lam), par)
-    order = block(f0, w)
-    anti = [g for g in order if is_antidominant(g, par)]
-    inv = unitriangular_inverse(_whittaker_l_matrix_at_one(anti, par, w), 0, 1)
-    j = anti.index(f0)
-    return {g: inv[i][j] for i, g in enumerate(anti) if inv[i][j]}
+    anti = [g for g in block(f0, w) if is_antidominant(g, par)]
+    inv = _inverse_at_one(anti, lambda g: qsym_dual_canonical(g, par, w))
+    return {g: row[f0] for g, row in inv.items() if row[f0]}
 
 
 def standard_whittaker_is_simple(
@@ -308,10 +298,8 @@ def whittaker_simple_mult(
     if weight(f_l0) != weight(f_m0):
         return 0, 0, True
     lhs = standard_whittaker_column(shape, lam, par, w).get(f_m0, 0)
-    order = block(f_l0, w)
-    idx = _block_index(order)
-    inv = unitriangular_inverse(_l_matrix_at_one(order, w), 0, 1)
-    rhs = inv[idx[f_m0]][idx[f_l0]]
+    inv = _inverse_at_one(block(f_l0, w), lambda g: dual_canonical(g, w))
+    rhs = inv[f_m0][f_l0]
     return lhs, rhs, lhs == rhs
 
 
@@ -345,10 +333,8 @@ def tilting_delta_mult(
             raise WindowEscape(f"negated tuple {f} leaves the window {w}")
     if weight(f_kappa) != weight(f_gamma):
         return lhs, 0, lhs == 0
-    order = block(f_gamma, w)
-    idx = _block_index(order)
-    inv = unitriangular_inverse(_l_matrix_at_one(order, w), 0, 1)
-    rhs = inv[idx[f_kappa]][idx[f_gamma]]
+    inv = _inverse_at_one(block(f_gamma, w), lambda g: dual_canonical(g, w))
+    rhs = inv[f_kappa][f_gamma]
     return lhs, rhs, lhs == rhs
 
 
@@ -452,7 +438,7 @@ def graded_bgg_table(par: Parabolic, f: SignedTuple, w: Window) -> GradedBGGTabl
         for i in range(n)
     ]
     dinv = unitriangular_inverse(dmat, LaurentPoly.zero(), LaurentPoly.one())
-    idx = _block_index(order)
+    idx = {g: i for i, g in enumerate(order)}
     entries = []
     for f_mu in anti:
         texp = qsym_canonical(twisted[f_mu], par, w)
@@ -491,15 +477,14 @@ def commuting_square_check(
     n_blocks = 0
     for order in blocks(shape, w):
         n_blocks += 1
-        idx = _block_index(order)
-        ainv = unitriangular_inverse(_l_matrix_at_one(order, w), 0, 1)
+        ainv = _inverse_at_one(order, lambda g: dual_canonical(g, w))
         anti = [g for g in order if is_antidominant(g, par)]
         bcols = {h: qsym_dual_canonical(h, par, w) for h in anti}
-        for jf, fo in enumerate(order):
+        for fo in order:
             f0, _, _ = antidominant_rep(fo, par)
             for g0 in anti:
                 got = sum(
-                    bcols[h].coeff(g0).at_one() * ainv[idx[h]][jf] for h in anti
+                    bcols[h].coeff(g0).at_one() * ainv[h][fo] for h in anti
                 )
                 want = 1 if g0 == f0 else 0
                 if got != want:
@@ -777,6 +762,17 @@ def _blocks_in(shape: Shape, w: Window, cap: int | None = None):
     return (order for order in blocks(shape, w) if cap is None or len(order) <= cap)
 
 
+def _inverse_relations(max_size: int, w: Window, max_block: int) -> tuple[int, list[str]]:
+    """inverse_relation_check on every capped block: (blocks checked, failures)."""
+    checked, fails = 0, []
+    for shape in _shapes_up_to(max_size):
+        for order in _blocks_in(shape, w, cap=max_block):
+            if not inverse_relation_check(order, w):
+                fails.append(f"inverse relation fails on block of {order[0]} in {w}")
+            checked += 1
+    return checked, fails
+
+
 def verify_canonical(
     max_size: int = 4,
     w: Window = Window(0, 3),
@@ -829,11 +825,9 @@ def verify_canonical(
                 if lexp.coeff(g) != LaurentPoly.q_power(-k, (-1) ** k):
                     fails.append(f"atypical dual chain wrong at {f}, step {k}")
             checked += 1
-        for shape in _shapes_up_to(max_size):
-            for order in _blocks_in(shape, sym_w, cap=max_block):
-                if not inverse_relation_check(order, sym_w):
-                    fails.append(f"inverse relation fails on block of {order[0]}")
-                checked += 1
+        n, inverse_fails = _inverse_relations(max_size, sym_w, max_block)
+        checked += n
+        fails.extend(inverse_fails)
     msgs = [f"canonical bases: {checked} elements checked, windows {w} and {sym_w}"]
     msgs.extend(fails)
     return not fails, msgs
@@ -995,15 +989,9 @@ def verify_inverse(
     max_size: int = 4, w: Window = Window(-2, 2), max_block: int = 12
 ) -> tuple[bool, list[str]]:
     """The inverse relation between the two canonical matrices, per block."""
-    fails: list[str] = []
-    checked = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        for shape in _shapes_up_to(max_size):
-            for order in _blocks_in(shape, w, cap=max_block):
-                if not inverse_relation_check(order, w):
-                    fails.append(f"inverse relation fails on block of {order[0]} in {w}")
-                checked += 1
+        checked, fails = _inverse_relations(max_size, w, max_block)
     msgs = [f"inverse relation: {checked} blocks, shapes up to size {max_size}, window {w}"]
     msgs.extend(fails)
     return not fails, msgs

@@ -7,6 +7,7 @@ for the pure-sector cases, by Hecke transport) before the module existed.
 import pytest
 
 from qfock.barinv import (
+    BarContext,
     NoSolution,
     bar,
     bar_context,
@@ -217,7 +218,7 @@ class TestCoupling:
         for f in window_tuples(shape, w):
             wt = weight(f)
             theta = coupling(Shape(1, 0), True, w, wt)
-            got = theta._theta_anywhere(ctx.factorwise_bar(FockVector.monomial(f)))
+            got = theta.theta(ctx.factorwise_bar(FockVector.monomial(f)))
             assert got == bar(FockVector.monomial(f), w), f
 
     def test_mixed_block_certifies(self):
@@ -225,13 +226,46 @@ class TestCoupling:
         wt = weight(T(2, 1, 1, 2, 1))
         theta = coupling(Shape(2, 0), True, Window(0, 2), wt)
         assert theta.basis
-        for comp in theta.components.values():
-            for col in comp.values():
-                assert col
 
     def test_rejects_covariant_after_dual(self):
         with pytest.raises(ValueError):
             coupling(Shape(1, 1), False, Window(0, 2), {})
+
+
+class TestCertificationFailsLoudly:
+    """A broken transfer component makes `coupling` raise, never certify."""
+
+    # the block of test_identity_component, which certifies when intact
+    BLOCK = (Shape(1, 0), True, Window(0, 2), weight(T(1, 1, 2, 1)))
+
+    @pytest.fixture(autouse=True)
+    def fresh_contexts(self):
+        # no bar column computed with a broken transfer may stay cached
+        bar_context.cache_clear()
+        yield
+        bar_context.cache_clear()
+
+    def test_peel_top_disagreement(self, monkeypatch):
+        peel_top = BarContext.transfer_peel_top
+
+        def wrong(self, v, c, d, right_dual):
+            return peel_top(self, v, c, d, right_dual) + v
+
+        monkeypatch.setattr(BarContext, "transfer_peel_top", wrong)
+        with pytest.raises(NoSolution, match="transfer recursions disagree"):
+            coupling(*self.BLOCK)
+
+    def test_dropped_component(self, monkeypatch):
+        transfer = BarContext.transfer
+
+        def dropped(self, v, c, d, right_dual):
+            if (c, d) == (0, 2):
+                return FockVector.zero(v.shape)
+            return transfer(self, v, c, d, right_dual)
+
+        monkeypatch.setattr(BarContext, "transfer", dropped)
+        with pytest.raises(NoSolution, match="defining identity"):
+            coupling(*self.BLOCK)
 
 
 class TestBarOracle:
