@@ -18,7 +18,13 @@ through a string of raising operators E_c .. E_{d-1}.  The components obey
 with an equivalent recursion that peels the top index instead.  Theta_k is
 implemented once, in `BarContext.theta`, which the bar recursion and the
 coupling operator both call; `CouplingOperator._certify` compares the two
-transfer recursions and checks the defining identity.  The normalization
+transfer recursions and checks the defining identity.  `transfer` is the
+linear extension of T_{c,d}(M_g), memoized per prefix monomial g beside
+the bar columns, so one component costs one new column per (monomial,
+c, d) instead of 2^(d-c) recursive calls; the one-step T_{c,c+1}, a
+single E_c, is recomputed rather than stored.  `transfer_peel_top` is
+deliberately not memoized: it is the independent recursion that the
+certification compares against.  The normalization
 is pinned by two executable facts, covered by tests: bar agrees with the
 Hecke-transport bar on single-sector shapes, and bar(M_f) - M_f is
 supported strictly below f in the Bruhat order.
@@ -83,6 +89,7 @@ class BarContext:
         self.shape = shape
         self.window = window
         self._memo: dict[tuple[int, ...], FockVector] = {}
+        self._transfer_memo: dict[tuple, FockVector] = {}
 
     # -- transfer components -------------------------------------------
 
@@ -90,15 +97,33 @@ class BarContext:
         return apply_chevalley(v, "E", a)
 
     def transfer(self, v: FockVector, c: int, d: int, right_dual: bool) -> FockVector:
-        """T_{c,d} applied to a prefix vector, peeling the bottom index."""
+        """T_{c,d} applied to a prefix vector, peeling the bottom index.
+
+        The linear extension of the memoized T_{c,d}(M_g); always a fresh
+        vector, so callers may accumulate into it.
+        """
+        out = FockVector.zero(v.shape)
+        for g, a in v.terms.items():
+            out.axpy(self._transfer_monomial(g, c, d, right_dual), a)
+        return out
+
+    def _transfer_monomial(
+        self, g: SignedTuple, c: int, d: int, right_dual: bool
+    ) -> FockVector:
+        """T_{c,d}(M_g); memoized beyond one step, and then read-only."""
         if d == c + 1:
-            return self._E(v, c).scaled(_Q_MINUS_QINV)
-        inner = lambda x: self.transfer(x, c + 1, d, right_dual)
-        if right_dual:
-            lead, trail = inner(self._E(v, c)), self._E(inner(v), c)
-        else:
-            lead, trail = self._E(inner(v), c), inner(self._E(v, c))
-        return lead.axpy(trail, _MINUS_QINV)
+            return self._E(FockVector.monomial(g), c).scaled(_Q_MINUS_QINV)
+        key = (g, c, d, right_dual)
+        got = self._transfer_memo.get(key)
+        if got is None:
+            v = FockVector.monomial(g)
+            inner = lambda x: self.transfer(x, c + 1, d, right_dual)
+            if right_dual:
+                lead, trail = inner(self._E(v, c)), self._E(inner(v), c)
+            else:
+                lead, trail = self._E(inner(v), c), inner(self._E(v, c))
+            got = self._transfer_memo[key] = lead.axpy(trail, _MINUS_QINV)
+        return got
 
     def transfer_peel_top(
         self, v: FockVector, c: int, d: int, right_dual: bool

@@ -47,6 +47,7 @@ class BasisExpansion:
     mode: str
     window: Window
     coefficients: dict[SignedTuple, LaurentPoly] = field(default_factory=dict)
+    truncated: bool = False
 
     def coeff(self, g: SignedTuple) -> LaurentPoly:
         return self.coefficients.get(g, LaurentPoly.zero())
@@ -106,37 +107,42 @@ def _solve(f: SignedTuple, w: Window, mode: str) -> BasisExpansion:
     t = triangular_solve(down, lambda g: ctx.bar_monomial(g).terms, part, f)
     exp = BasisExpansion(f, mode, w, t)
     if mode == "canonical":
-        _maybe_warn_floor(exp, down, w)
+        exp.truncated = _reaches_floor(exp, down, w)
     return exp
 
 
-def _maybe_warn_floor(exp: BasisExpansion, down, w: Window):
+def _reaches_floor(exp: BasisExpansion, down, w: Window) -> bool:
+    """Whether the corrections reach the block bottom and a lower floor grows it."""
     support = [g for g in exp.coefficients if g != exp.target]
-    if not support:
-        return
     minimal = [
         g
         for g in support
         if not any(h != g and bruhat_leq(h, g) for h in down)
     ]
     if not minimal:
-        return
+        return False
     probe = Window(w.lo - 1, w.hi)
     grown = [
         g for g in block(exp.target, probe) if bruhat_leq(g, exp.target)
     ]
-    if len(grown) > len(down):
-        warnings.warn(
-            f"canonical expansion of {exp.target} reaches the bottom of its "
-            f"block and window {w} may truncate it",
-            TruncationWarning,
-            stacklevel=3,
-        )
+    return len(grown) > len(down)
 
 
 def canonical(f: SignedTuple, w: Window) -> BasisExpansion:
-    """The canonical basis element through f, coefficients in qZ[q]."""
-    return _solve(f, w, "canonical")
+    """The canonical basis element through f, coefficients in qZ[q].
+
+    Warns with a TruncationWarning on every call whose expansion is
+    truncated, cached or not.
+    """
+    exp = _solve(f, w, "canonical")
+    if exp.truncated:
+        warnings.warn(
+            f"canonical expansion of {f} reaches the bottom of its "
+            f"block and window {w} may truncate it",
+            TruncationWarning,
+            stacklevel=2,
+        )
+    return exp
 
 
 def dual_canonical(f: SignedTuple, w: Window) -> BasisExpansion:

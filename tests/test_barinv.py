@@ -5,6 +5,8 @@ for the pure-sector cases, by Hecke transport) before the module existed.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfock.barinv import (
     BarContext,
@@ -181,8 +183,11 @@ class TestBarCompatibility:
 
 class TestWindowStability:
     def test_nested_windows(self):
-        small, big = Window(1, 2), Window(0, 4)
-        for shape in (Shape(1, 1), Shape(2, 1), Shape(1, 2)):
+        shapes = (Shape(1, 1), Shape(2, 1), Shape(1, 2))
+        cases = [(shape, Window(1, 2), Window(0, 4)) for shape in shapes]
+        # 247 in-window coefficients; affordable only with the transfer memo
+        cases.append((Shape(1, 1), Window(0, 12), Window(-1, 13)))
+        for shape, small, big in cases:
             for f in window_tuples(shape, small):
                 inner = bar(FockVector.monomial(f), small)
                 outer = bar(FockVector.monomial(f), big)
@@ -266,6 +271,59 @@ class TestCertificationFailsLoudly:
         monkeypatch.setattr(BarContext, "transfer", dropped)
         with pytest.raises(NoSolution, match="defining identity"):
             coupling(*self.BLOCK)
+
+
+# (prefix shape, whether the appended last factor is dual)
+PREFIXES = [
+    (Shape(1, 0), False),
+    (Shape(2, 0), False),
+    (Shape(1, 0), True),
+    (Shape(0, 1), True),
+    (Shape(1, 1), True),
+]
+
+
+@st.composite
+def prefix_vectors(draw):
+    """A prefix vector with several terms in a window of width at most 5."""
+    prefix, dual = draw(st.sampled_from(PREFIXES))
+    lo = draw(st.integers(-1, 0))
+    w = Window(lo, lo + draw(st.integers(1, 4)))
+    coeffs = st.dictionaries(
+        st.integers(-2, 2), st.integers(-3, 3).filter(bool), min_size=1, max_size=3
+    ).map(LaurentPoly)
+    entries = st.tuples(*[st.integers(w.lo, w.hi)] * prefix.size)
+    terms = draw(st.dictionaries(entries, coeffs, min_size=1, max_size=4))
+    v = FockVector(prefix, {SignedTuple(prefix, e): c for e, c in terms.items()})
+    return v, w, dual
+
+
+class TestTransferMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(prefix_vectors())
+    def test_memoized_transfer_matches_peel_top(self, case):
+        v, w, dual = case
+        # transfer depends on the window only: one cached context per window
+        # serves every example and both sides, so the memo is hit across them
+        ctx = bar_context(Shape(2, 1), w)
+        for c in range(w.lo, w.hi):
+            for d in range(c + 1, w.hi + 1):
+                want = ctx.transfer_peel_top(v, c, d, dual)
+                assert ctx.transfer(v, c, d, dual) == want, (c, d)
+
+    def test_wide_window_makes_few_transfer_calls(self, monkeypatch):
+        # without the per-monomial memo this bar makes 262,125 calls
+        calls = 0
+        transfer = BarContext.transfer
+
+        def counted(self, v, c, d, right_dual):
+            nonlocal calls
+            calls += 1
+            return transfer(self, v, c, d, right_dual)
+
+        monkeypatch.setattr(BarContext, "transfer", counted)
+        BarContext(Shape(1, 1), Window(0, 17)).bar(M(1, 1, 17, 17))
+        assert 0 < calls <= 1000
 
 
 class TestBarOracle:

@@ -121,6 +121,14 @@ class TestFloorWarning:
         with pytest.warns(TruncationWarning):
             canonical(T(1, 1, 5, 5), Window(4, 6))
 
+    def test_warns_on_every_call_at_the_caller(self):
+        # the second call is a cache hit and must warn all the same
+        for _ in range(2):
+            with pytest.warns(TruncationWarning) as caught:
+                exp = canonical(T(1, 1, 5, 5), Window(4, 6))
+            assert exp.truncated
+            assert [x.filename for x in caught] == [__file__]
+
     def test_silent_when_block_is_complete(self):
         # the pure-sector block does not change if the floor is lowered
         with warnings.catch_warnings():
@@ -185,7 +193,7 @@ class TestInverseRelation:
 
 
 class TestCachedBarColumnsStayIntact:
-    """Solvers accumulate in place, but never into a memoized bar column."""
+    """Solvers accumulate in place, but never into a memoized bar or transfer column."""
 
     @staticmethod
     def snapshot(memo):
@@ -205,7 +213,9 @@ class TestCachedBarColumnsStayIntact:
         ctx = bar_context(shape, w)
         for g in order:
             ctx.bar_monomial(g)
-        before = self.snapshot(ctx._memo)
+        memos = (ctx._memo, ctx._transfer_memo)
+        before = [self.snapshot(memo) for memo in memos]
+        assert all(before)
         v = FockVector(shape, {g: P({i: 1}) for i, g in enumerate(order)})
         bar(v, w)
         with warnings.catch_warnings():
@@ -215,5 +225,6 @@ class TestCachedBarColumnsStayIntact:
                 dual_canonical(g, w)
                 if is_antidominant(g, par):
                     qsym_canonical_intrinsic(g, par, w)
-        after = self.snapshot(ctx._memo)
-        assert {k: after[k] for k in before} == before
+        for memo, was in zip(memos, before):
+            now = self.snapshot(memo)
+            assert {k: now[k] for k in was} == was
