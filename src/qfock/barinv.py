@@ -16,18 +16,16 @@ through a string of raising operators E_c .. E_{d-1}.  The components obey
     dual:      T_{c,d} = T_{c+1,d} E_c - q^-1 E_c T_{c+1,d}
 
 with an equivalent recursion that peels the top index instead.  Theta_k is
-implemented once, in `BarContext.theta`, which the bar recursion and the
-coupling operator both call; `CouplingOperator._certify` compares the two
-transfer recursions and checks the defining identity.  `transfer` is the
-linear extension of T_{c,d}(M_g), memoized per prefix monomial g beside
-the bar columns, so one component costs one new column per (monomial,
-c, d) instead of 2^(d-c) recursive calls; the one-step T_{c,c+1}, a
-single E_c, is recomputed rather than stored.  `transfer_peel_top` is
-deliberately not memoized: it is the independent recursion that the
-certification compares against.  The normalization
-is pinned by two executable facts, covered by tests: bar agrees with the
-Hecke-transport bar on single-sector shapes, and bar(M_f) - M_f is
-supported strictly below f in the Bruhat order.
+implemented once, in `BarContext.theta`, which the bar recursion calls;
+the tests certify it against its defining identity and against the
+unmemoized peel-top recursion.  `transfer` is the linear extension of
+T_{c,d}(M_g), memoized per prefix monomial g beside the bar columns, so
+one component costs one new column per (monomial, c, d) instead of
+2^(d-c) recursive calls; the one-step T_{c,c+1}, a single E_c, is
+recomputed rather than stored.  The normalization is pinned by two
+executable facts, covered by tests: bar agrees with the Hecke-transport
+bar on single-sector shapes, and bar(M_f) - M_f is supported strictly
+below f in the Bruhat order.
 
 The window keeps the dual-side corrections finite.  Letters created by the
 recursion stay inside the window by construction; the involution, however,
@@ -53,8 +51,6 @@ from .weightlat import (
     block,
     bruhat_leq,
     perm_inv,
-    weight_block,
-    weight_key,
 )
 
 _Q_MINUS_QINV = LaurentPoly({1: 1, -1: -1})
@@ -93,9 +89,6 @@ class BarContext:
 
     # -- transfer components -------------------------------------------
 
-    def _E(self, v: FockVector, a: int) -> FockVector:
-        return apply_chevalley(v, "E", a)
-
     def transfer(self, v: FockVector, c: int, d: int, right_dual: bool) -> FockVector:
         """T_{c,d} applied to a prefix vector, peeling the bottom index.
 
@@ -112,31 +105,20 @@ class BarContext:
     ) -> FockVector:
         """T_{c,d}(M_g); memoized beyond one step, and then read-only."""
         if d == c + 1:
-            return self._E(FockVector.monomial(g), c).scaled(_Q_MINUS_QINV)
+            step = apply_chevalley(FockVector.monomial(g), "E", c)
+            return step.scaled(_Q_MINUS_QINV)
         key = (g, c, d, right_dual)
         got = self._transfer_memo.get(key)
         if got is None:
             v = FockVector.monomial(g)
             inner = lambda x: self.transfer(x, c + 1, d, right_dual)
+            E = lambda x: apply_chevalley(x, "E", c)
             if right_dual:
-                lead, trail = inner(self._E(v, c)), self._E(inner(v), c)
+                lead, trail = inner(E(v)), E(inner(v))
             else:
-                lead, trail = self._E(inner(v), c), inner(self._E(v, c))
+                lead, trail = E(inner(v)), inner(E(v))
             got = self._transfer_memo[key] = lead.axpy(trail, _MINUS_QINV)
         return got
-
-    def transfer_peel_top(
-        self, v: FockVector, c: int, d: int, right_dual: bool
-    ) -> FockVector:
-        """Same component through the other recursion, for cross-checks."""
-        if d == c + 1:
-            return self._E(v, c).scaled(_Q_MINUS_QINV)
-        inner = lambda x: self.transfer_peel_top(x, c, d - 1, right_dual)
-        if right_dual:
-            lead, trail = self._E(inner(v), d - 1), inner(self._E(v, d - 1))
-        else:
-            lead, trail = inner(self._E(v, d - 1)), self._E(inner(v), d - 1)
-        return lead.axpy(trail, _MINUS_QINV)
 
     def theta(self, x: FockVector, b: int, shape: Shape) -> FockVector:
         """Theta(x (x) M_b): the appended letter plus every transfer component.
@@ -184,21 +166,6 @@ class BarContext:
             out.axpy(self.bar_monomial(f), c.bar())
         return out
 
-    def factorwise_bar(self, v: FockVector) -> FockVector:
-        """bar on the first k-1 factors tensor bar on the last, anti-linear.
-
-        This is the inner conjugation in the defining identity of the
-        coupling operator; the last factor's bar is trivial on monomials.
-        """
-        out = FockVector.zero(v.shape)
-        for f, c in v.terms.items():
-            prefix, b = f.entries[:-1], f.entries[-1]
-            if prefix:
-                out.axpy(_append(self._bar_entries(prefix), b, v.shape), c.bar())
-            else:
-                out.add_term(f, c.bar())
-        return out
-
 
 @lru_cache(maxsize=None)
 def bar_context(shape: Shape, window: Window) -> BarContext:
@@ -215,7 +182,7 @@ def pure_bar(v: FockVector) -> FockVector:
 
     Writes each monomial as M_{f0} H_tau with f0 antidominant (which bar
     fixes) and tau a minimal coset representative, then conjugates H_tau.
-    Independent of the coupling construction; used to pin its conventions.
+    Independent of the transfer construction; used to pin its conventions.
     """
     shape = v.shape
     if shape.m and shape.n:
@@ -228,89 +195,6 @@ def pure_bar(v: FockVector) -> FockVector:
         h = HeckeElement.basis(shape, perm_inv(tau)).bar()
         out.axpy(act(FockVector.monomial(f0), h), c.bar())
     return out
-
-
-# ---------------------------------------------------------------------------
-# the coupling operator, materialized on one weight block
-
-
-class CouplingOperator:
-    """id + weight-transfer components on one weight block of prefix (x) letter.
-
-    columns[f] is Theta(M_f) for each f of the block basis, computed by
-    `BarContext.theta`.  Construction certifies the operator: both transfer
-    recursions must agree on every component, and the defining conjugation
-    identity must hold against every Chevalley generator inside the window.
-    """
-
-    def __init__(self, left_shape: Shape, right_dual: bool, window: Window, wtblock):
-        m, n = left_shape.m, left_shape.n
-        if n and not right_dual:
-            raise ValueError("covariant factor cannot follow a dual one")
-        self.left_shape = left_shape
-        self.shape = Shape(m, n + 1) if right_dual else Shape(m + 1, n)
-        self.window = window
-        self.ctx = bar_context(self.shape, window)
-        self.basis = weight_block(self.shape, weight_key(wtblock), window)
-        self.columns = {f: self.theta(FockVector.monomial(f)) for f in self.basis}
-        self._certify()
-
-    def apply(self, v: FockVector) -> FockVector:
-        out = FockVector.zero(self.shape)
-        for f, c in v.terms.items():
-            col = self.columns.get(f)
-            if col is None:
-                raise WindowEscape(f"{f} is outside the materialized block")
-            out.axpy(col, c)
-        return out
-
-    def theta(self, v: FockVector) -> FockVector:
-        """Theta applied to any vector of the shape, not only the block."""
-        out = FockVector.zero(self.shape)
-        for f, c in v.terms.items():
-            x = FockVector.monomial(SignedTuple(self.left_shape, f.entries[:-1]), c)
-            out.axpy(self.ctx.theta(x, f.entries[-1], self.shape))
-        return out
-
-    def _certify(self):
-        """Check the defining identity, then compare the transfer recursions.
-
-        The identity is Delta(u) Theta = Theta Delta-bar(u) on the block
-        basis, where Delta-bar(u) conjugates by the factorwise bar of the
-        smaller spaces and replaces u by its bar image (E, F fixed, K
-        inverted).  Theta peels the bottom index of each T_{c,d}; peeling
-        the top index must give the same component.
-        """
-        ctx, lo, hi = self.ctx, self.window.lo, self.window.hi
-        gens = [("E", a) for a in range(lo, hi)]
-        gens += [("F", a) for a in range(lo, hi)]
-        gens += [("K", a) for a in range(lo, hi + 1)]
-        barred_kind = {"E": "E", "F": "F", "K": "Kinv"}
-        for f in self.basis:
-            v = FockVector.monomial(f)
-            for kind, a in gens:
-                lhs = apply_chevalley(self.columns[f], kind, a)
-                inner = apply_chevalley(ctx.factorwise_bar(v), barred_kind[kind], a)
-                if lhs != self.theta(ctx.factorwise_bar(inner)):
-                    raise NoSolution(
-                        f"coupling fails the defining identity at {f} "
-                        f"for {kind}_{a}"
-                    )
-        dual = self.shape.n > 0
-        for f in self.basis:
-            x = FockVector.monomial(SignedTuple(self.left_shape, f.entries[:-1]))
-            for c, d in ctx.transfer_pairs(f.entries[-1], dual):
-                if ctx.transfer(x, c, d, dual) != ctx.transfer_peel_top(x, c, d, dual):
-                    raise NoSolution(
-                        f"transfer recursions disagree on T_{{{c},{d}}} at {f}"
-                    )
-
-
-def coupling(
-    left_shape: Shape, right_dual: bool, window: Window, wtblock
-) -> CouplingOperator:
-    """Materialize the coupling operator on one weight block."""
-    return CouplingOperator(left_shape, right_dual, window, wtblock)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,10 @@ TruncationWarning instead of being trusted silently.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .barinv import bar_context
 from .fock import FockVector
@@ -39,14 +41,14 @@ class TruncationWarning(UserWarning):
     """A canonical expansion may have been cut off by the window floor."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class BasisExpansion:
-    """One column of a (dual) canonical basis matrix."""
+    """One column of a (dual) canonical basis matrix; cached, so read-only."""
 
     target: SignedTuple
     mode: str
     window: Window
-    coefficients: dict[SignedTuple, LaurentPoly] = field(default_factory=dict)
+    coefficients: Mapping[SignedTuple, LaurentPoly]
     truncated: bool = False
 
     def coeff(self, g: SignedTuple) -> LaurentPoly:
@@ -105,15 +107,13 @@ def _solve(f: SignedTuple, w: Window, mode: str) -> BasisExpansion:
     down = [g for g in block(f, w) if bruhat_leq(g, f)]
     part = pos_part if mode == "canonical" else neg_part
     t = triangular_solve(down, lambda g: ctx.bar_monomial(g).terms, part, f)
-    exp = BasisExpansion(f, mode, w, t)
-    if mode == "canonical":
-        exp.truncated = _reaches_floor(exp, down, w)
-    return exp
+    truncated = mode == "canonical" and _reaches_floor(f, t, down, w)
+    return BasisExpansion(f, mode, w, MappingProxyType(t), truncated)
 
 
-def _reaches_floor(exp: BasisExpansion, down, w: Window) -> bool:
+def _reaches_floor(target: SignedTuple, t: dict, down, w: Window) -> bool:
     """Whether the corrections reach the block bottom and a lower floor grows it."""
-    support = [g for g in exp.coefficients if g != exp.target]
+    support = [g for g in t if g != target]
     minimal = [
         g
         for g in support
@@ -122,9 +122,7 @@ def _reaches_floor(exp: BasisExpansion, down, w: Window) -> bool:
     if not minimal:
         return False
     probe = Window(w.lo - 1, w.hi)
-    grown = [
-        g for g in block(exp.target, probe) if bruhat_leq(g, exp.target)
-    ]
+    grown = [g for g in block(target, probe) if bruhat_leq(g, target)]
     return len(grown) > len(down)
 
 

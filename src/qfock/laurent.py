@@ -150,12 +150,6 @@ class LaurentPoly:
         """Evaluate at q = 1."""
         return sum(self.c.values())
 
-    def shifted(self, exp: int) -> "LaurentPoly":
-        """Multiply by q^exp."""
-        res = LaurentPoly()
-        res.c = {e + exp: a for e, a in self.c.items()}
-        return res
-
     def to_json(self) -> dict:
         return {"poly": {str(e): a for e, a in sorted(self.c.items())}}
 
@@ -184,10 +178,8 @@ class LaurentPoly:
         return f"LaurentPoly({self.c!r})"
 
 
-ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
 Q = LaurentPoly.q_power(1)
-QINV = LaurentPoly.q_power(-1)
 
 
 def q_int(r: int) -> LaurentPoly:

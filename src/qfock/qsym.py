@@ -22,8 +22,10 @@ two constructions are asserted against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .barinv import bar_context
 from .canonical import canonical, dual_canonical, triangular_solve
@@ -229,16 +231,16 @@ def phi_zeta(v: FockVector, par: Parabolic) -> QSymVector:
 # canonical bases of the image
 
 
-@dataclass
+@dataclass(frozen=True)
 class QSymExpansion:
-    """One column of a canonical basis of the image, in one basis."""
+    """One column of a canonical basis of the image, in one basis; read-only."""
 
     target: SignedTuple
     mode: str
     basis: str
     parabolic: Parabolic
     window: Window
-    coefficients: dict = field(default_factory=dict)
+    coefficients: Mapping[SignedTuple, LaurentPoly]
 
     def coeff(self, g: SignedTuple) -> LaurentPoly:
         return self.coefficients.get(g, LaurentPoly.zero())
@@ -281,7 +283,7 @@ def qsym_canonical(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpansion:
                 f"push-forward coefficient at {g} disagrees with the "
                 f"ordinary coefficient at {g.act(w0)}"
             )
-    return QSymExpansion(f, "canonical", "N", par, w, coords)
+    return QSymExpansion(f, "canonical", "N", par, w, MappingProxyType(coords))
 
 
 def qsym_dual_canonical(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpansion:
@@ -299,7 +301,7 @@ def qsym_dual_canonical(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpans
                 f"projection of the dual element at non-antidominant {f} "
                 "failed to vanish"
             )
-        return QSymExpansion(f, "dual", "Ntilde", par, w, {})
+        return QSymExpansion(f, "dual", "Ntilde", par, w, MappingProxyType({}))
     want: dict[SignedTuple, LaurentPoly] = {}
     seen = set()
     for g in lexp.coefficients:
@@ -317,7 +319,7 @@ def qsym_dual_canonical(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpans
         raise AssertionError(
             f"coset-sum formula disagrees with the projection at {f}"
         )
-    return QSymExpansion(f, "dual", "Ntilde", par, w, dict(push.terms))
+    return QSymExpansion(f, "dual", "Ntilde", par, w, MappingProxyType(push.terms))
 
 
 def _image_bar(g: SignedTuple, par: Parabolic, w: Window, basis: str) -> dict:
@@ -346,6 +348,7 @@ def qsym_canonical_intrinsic(f: SignedTuple, par: Parabolic, w: Window):
         t = triangular_solve(
             down, lambda g: _image_bar(g, par, w, basis), pos_part, f
         )
+        t = MappingProxyType(t)
         results.append(QSymExpansion(f, "canonical", basis, par, w, t))
     if results[0].coefficients != results[1].coefficients:
         raise AssertionError(

@@ -780,7 +780,10 @@ def verify_canonical(
     max_block: int = 12,
     degree_bound: int = 8,
 ) -> tuple[bool, list[str]]:
-    """Defining properties of both canonical bases, against the bar oracle."""
+    """Defining properties of both canonical bases, against the bar oracle.
+
+    Also checks positivity: every canonical coefficient t_{gf} lies in N[q].
+    """
     fails: list[str] = []
     checked = 0
     with warnings.catch_warnings():
@@ -797,6 +800,8 @@ def verify_canonical(
                     for g, c in texp.coefficients.items():
                         if g != f and c.min_exp() < 1:
                             fails.append(f"canonical correction not in qZ[q] at {f}: {g}")
+                        if any(a < 0 for a in c.c.values()):
+                            fails.append(f"canonical coefficient not in N[q] at {f}: {g}")
                     if bar_oracle(f, w, degree_bound, "canonical") != tv:
                         fails.append(f"canonical disagrees with the oracle at {f}")
                     lexp = dual_canonical(f, w)

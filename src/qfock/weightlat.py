@@ -17,8 +17,10 @@ are generated by adjacent transpositions s_i with label i != m.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 
 class WindowEscape(Exception):
@@ -116,16 +118,16 @@ class SignedTuple:
 # weights
 
 
-def weight(f: SignedTuple) -> dict[int, int]:
-    """The weight of f as a sparse dict letter -> multiplicity (signed)."""
+def weight(f: SignedTuple) -> Mapping[int, int]:
+    """The weight of f as a read-only sparse map letter -> multiplicity (signed)."""
     return weight_tail(f, 1)
 
 
 @lru_cache(maxsize=None)
-def weight_tail(f: SignedTuple, j: int) -> dict[int, int]:
+def weight_tail(f: SignedTuple, j: int) -> Mapping[int, int]:
     """The weight of the suffix f(j), f(j+1), ..., signs per sector.
 
-    Cached; callers must treat the returned dict as read-only.
+    Cached, so the result is a read-only view.
     """
     wt: dict[int, int] = {}
     for pos in range(j, f.shape.size + 1):
@@ -136,14 +138,14 @@ def weight_tail(f: SignedTuple, j: int) -> dict[int, int]:
             wt[r] = b
         else:
             wt.pop(r, None)
-    return wt
+    return MappingProxyType(wt)
 
 
-def weight_key(wt: dict[int, int]) -> tuple:
+def weight_key(wt: Mapping[int, int]) -> tuple:
     return tuple(sorted(wt.items()))
 
 
-def dominance_leq(mu: dict[int, int], nu: dict[int, int]) -> bool:
+def dominance_leq(mu: Mapping[int, int], nu: Mapping[int, int]) -> bool:
     """mu <= nu iff nu - mu is a nonnegative sum of eps_r - eps_{r+1} terms.
 
     Equivalently the difference has total sum zero and all partial sums,

@@ -8,15 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfock.barinv import (
-    BarContext,
-    NoSolution,
-    bar,
-    bar_context,
-    bar_oracle,
-    coupling,
-    pure_bar,
-)
+from qfock.barinv import BarContext, NoSolution, bar, bar_context, bar_oracle, pure_bar
 from qfock.fock import FockVector, act, act_gen, apply_chevalley
 from qfock.hecke import HeckeElement
 from qfock.laurent import LaurentPoly
@@ -25,6 +17,7 @@ from qfock.weightlat import (
     SignedTuple,
     Window,
     WindowEscape,
+    block,
     bruhat_leq,
     weight,
     window_tuples,
@@ -196,52 +189,97 @@ class TestWindowStability:
                         assert inner.coeff(g) == outer.coeff(g), (f, g)
 
 
+def peel_top(v, c, d, dual):
+    """T_{c,d}(v) by the recursion that peels the top index, unmemoized.
+
+    The independent reference for `BarContext.transfer`, which peels the
+    bottom index and memoizes per prefix monomial.
+    """
+    E = lambda x: apply_chevalley(x, "E", d - 1)
+    if d == c + 1:
+        return E(v).scaled(QMQ)
+    inner = lambda x: peel_top(x, c, d - 1, dual)
+    lead, trail = (E(inner(v)), inner(E(v))) if dual else (inner(E(v)), E(inner(v)))
+    return lead.axpy(trail, P({-1: -1}))
+
+
+def certify_theta(f, w):
+    """The failures of Theta on the weight block of f in w; empty if it certifies.
+
+    Checks Delta(u) Theta = Theta Delta-bar(u) for every Chevalley generator
+    inside the window, Delta-bar conjugating by the factorwise bar (bar on
+    the prefix, identity on the last letter) and sending K to K^-1; then
+    compares `transfer` with `peel_top` on every component Theta applies.
+    """
+    shape, dual = f.shape, f.shape.n > 0
+    prefix = Shape(shape.m, shape.n - 1) if dual else Shape(shape.m - 1, 0)
+    ctx = bar_context(shape, w)
+
+    def split(g, c=None):
+        return FockVector.monomial(SignedTuple(prefix, g.entries[:-1]), c), g.entries[-1]
+
+    def theta(v):
+        out = FockVector.zero(shape)
+        for g, c in v.terms.items():
+            out.axpy(ctx.theta(*split(g, c), shape))
+        return out
+
+    def factorwise_bar(v):
+        out = FockVector.zero(shape)
+        for g, c in v.terms.items():
+            x, b = split(g)
+            for h, a in bar(x, w).terms.items():
+                out.add_term(SignedTuple(shape, h.entries + (b,)), a * c.bar())
+        return out
+
+    gens = [(k, a) for k in ("E", "F") for a in range(w.lo, w.hi)]
+    gens += [("K", a) for a in range(w.lo, w.hi + 1)]
+    fails = []
+    for g in block(f, w):
+        v = FockVector.monomial(g)
+        for kind, a in gens:
+            lhs = apply_chevalley(theta(v), kind, a)
+            inner = apply_chevalley(factorwise_bar(v), "Kinv" if kind == "K" else kind, a)
+            if lhs != theta(factorwise_bar(inner)):
+                fails.append(f"defining identity fails at {g} for {kind}_{a}")
+        x, b = split(g)
+        for c, d in ctx.transfer_pairs(b, dual):
+            if ctx.transfer(x, c, d, dual) != peel_top(x, c, d, dual):
+                fails.append(f"transfer recursions disagree on T_{{{c},{d}}} at {g}")
+    return fails
+
+
+@pytest.mark.parametrize(
+    "shape", [Shape(2, 0), Shape(1, 1), Shape(2, 1), Shape(1, 2), Shape(3, 0), Shape(2, 2)], ids=str
+)
+def test_theta_certifies_on_every_block(shape):
+    w = Window(0, 3)
+    for order in {block(f, w) for f in window_tuples(shape, w)}:
+        assert certify_theta(order[0], w) == [], order
+
+
 class TestCoupling:
     def test_two_covariant_block(self):
-        wt = weight(T(2, 0, 1, 2))
-        theta = coupling(Shape(1, 0), False, Window(1, 2), wt)
-        assert theta.columns[T(2, 0, 1, 2)] == M(2, 0, 1, 2)
-        got = theta.columns[T(2, 0, 2, 1)]
-        assert got == M(2, 0, 2, 1) + M(2, 0, 1, 2).scaled(QMQ)
+        ctx, sh = bar_context(Shape(2, 0), Window(1, 2)), Shape(2, 0)
+        assert ctx.theta(M(1, 0, 1), 2, sh) == M(2, 0, 1, 2)
+        assert ctx.theta(M(1, 0, 2), 1, sh) == M(2, 0, 2, 1) + M(2, 0, 1, 2).scaled(QMQ)
 
     def test_identity_component(self):
-        wt = weight(T(1, 1, 2, 1))
-        theta = coupling(Shape(1, 0), True, Window(0, 2), wt)
-        for f in theta.basis:
-            assert theta.columns[f].coeff(f) == LaurentPoly.one()
+        ctx, sh = bar_context(Shape(1, 1), Window(0, 2)), Shape(1, 1)
+        for f in block(T(1, 1, 2, 1), Window(0, 2)):
+            got = ctx.theta(M(1, 0, f.entries[0]), f.entries[1], sh)
+            assert got.coeff(f) == LaurentPoly.one()
 
     def test_typical_singleton_is_identity(self):
-        wt = weight(T(1, 1, 1, 3))
-        theta = coupling(Shape(1, 0), True, Window(1, 3), wt)
-        assert theta.apply(M(1, 1, 1, 3)) == M(1, 1, 1, 3)
-
-    def test_matches_bar_construction(self):
-        # applying theta to a factorwise-barred monomial reproduces bar
-        w = Window(0, 2)
-        shape = Shape(1, 1)
-        ctx = bar_context(shape, w)
-        for f in window_tuples(shape, w):
-            wt = weight(f)
-            theta = coupling(Shape(1, 0), True, w, wt)
-            got = theta.theta(ctx.factorwise_bar(FockVector.monomial(f)))
-            assert got == bar(FockVector.monomial(f), w), f
-
-    def test_mixed_block_certifies(self):
-        # constructor runs the defining-identity certification
-        wt = weight(T(2, 1, 1, 2, 1))
-        theta = coupling(Shape(2, 0), True, Window(0, 2), wt)
-        assert theta.basis
-
-    def test_rejects_covariant_after_dual(self):
-        with pytest.raises(ValueError):
-            coupling(Shape(1, 1), False, Window(0, 2), {})
+        ctx = bar_context(Shape(1, 1), Window(1, 3))
+        assert ctx.theta(M(1, 0, 1), 3, Shape(1, 1)) == M(1, 1, 1, 3)
 
 
 class TestCertificationFailsLoudly:
-    """A broken transfer component makes `coupling` raise, never certify."""
+    """A broken transfer component fails the certification, never passes it."""
 
     # the block of test_identity_component, which certifies when intact
-    BLOCK = (Shape(1, 0), True, Window(0, 2), weight(T(1, 1, 2, 1)))
+    BLOCK = (T(1, 1, 2, 1), Window(0, 2))
 
     @pytest.fixture(autouse=True)
     def fresh_contexts(self):
@@ -251,14 +289,10 @@ class TestCertificationFailsLoudly:
         bar_context.cache_clear()
 
     def test_peel_top_disagreement(self, monkeypatch):
-        peel_top = BarContext.transfer_peel_top
-
-        def wrong(self, v, c, d, right_dual):
-            return peel_top(self, v, c, d, right_dual) + v
-
-        monkeypatch.setattr(BarContext, "transfer_peel_top", wrong)
-        with pytest.raises(NoSolution, match="transfer recursions disagree"):
-            coupling(*self.BLOCK)
+        reference = peel_top
+        wrong = lambda v, c, d, dual: reference(v, c, d, dual) + v
+        monkeypatch.setitem(globals(), "peel_top", wrong)
+        assert any("transfer recursions disagree" in x for x in certify_theta(*self.BLOCK))
 
     def test_dropped_component(self, monkeypatch):
         transfer = BarContext.transfer
@@ -269,8 +303,7 @@ class TestCertificationFailsLoudly:
             return transfer(self, v, c, d, right_dual)
 
         monkeypatch.setattr(BarContext, "transfer", dropped)
-        with pytest.raises(NoSolution, match="defining identity"):
-            coupling(*self.BLOCK)
+        assert any("defining identity" in x for x in certify_theta(*self.BLOCK))
 
 
 # (prefix shape, whether the appended last factor is dual)
@@ -308,7 +341,7 @@ class TestTransferMemo:
         ctx = bar_context(Shape(2, 1), w)
         for c in range(w.lo, w.hi):
             for d in range(c + 1, w.hi + 1):
-                want = ctx.transfer_peel_top(v, c, d, dual)
+                want = peel_top(v, c, d, dual)
                 assert ctx.transfer(v, c, d, dual) == want, (c, d)
 
     def test_wide_window_makes_few_transfer_calls(self, monkeypatch):

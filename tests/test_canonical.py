@@ -14,7 +14,7 @@ from qfock.canonical import (
 )
 from qfock.fock import FockVector
 from qfock.laurent import LaurentPoly
-from qfock.weightlat import Shape, SignedTuple, Window, block, bruhat_leq, window_tuples
+from qfock.weightlat import Shape, SignedTuple, Window, block, bruhat_leq, weight, window_tuples
 
 
 def T(m, n, *entries):
@@ -62,6 +62,22 @@ class TestFrozenValues:
         w = Window(1, 2)
         assert canonical(T(2, 0, 2, 1), w) is canonical(T(2, 0, 2, 1), w)
 
+    def test_cached_results_are_read_only(self):
+        # every call returns the cached object; a caller may not change it
+        f, g, w = T(2, 0, 2, 1), T(2, 0, 1, 2), Window(1, 2)
+        cases = [
+            (lambda: canonical(f, w), lambda e: e.coefficients.__setitem__(g, P({0: 1}))),
+            (lambda: dual_canonical(f, w), lambda e: e.coefficients.clear()),
+            (lambda: canonical(f, w), lambda e: setattr(e, "truncated", True)),
+            (lambda: weight(f), lambda wt: wt.__setitem__(99, 1)),
+        ]
+        for read, mutate in cases:
+            before = repr(read())
+            # FrozenInstanceError and a missing mutator are AttributeErrors
+            with pytest.raises((TypeError, AttributeError)):
+                mutate(read())
+            assert repr(read()) == before
+
     def test_json(self):
         data = canonical(T(2, 0, 2, 1), Window(1, 2)).to_json()
         assert data["target"] == "2,1|"
@@ -106,14 +122,24 @@ class TestDefiningProperties:
                     assert got == bar_oracle(f, w, 6, mode="dual"), f
 
     def test_window_stability(self):
-        f = T(1, 1, 2, 2)
-        small = canonical(f, Window(0, 2))
-        big = canonical(f, Window(-1, 3))
-        assert small.coeff(T(1, 1, 1, 1)) == big.coeff(T(1, 1, 1, 1))
-        ds = dual_canonical(f, Window(0, 2))
-        db = dual_canonical(f, Window(-1, 3))
-        for g in ds.support():
-            assert ds.coeff(g) == db.coeff(g)
+        # a wider window keeps each in-window coefficient of an untruncated column
+        shapes = [Shape(1, 1), Shape(2, 1), Shape(1, 2), Shape(2, 2), Shape(3, 1), Shape(1, 3)]
+        every = [f for shape in shapes for f in window_tuples(shape, Window(0, 3))]
+        inputs = [
+            ([T(1, 1, 2, 2)], Window(0, 2), Window(-1, 3)),
+            (every, Window(0, 3), Window(-1, 4)),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            for tuples, inner_w, outer_w in inputs:
+                for f in tuples:
+                    for solver in (canonical, dual_canonical):
+                        inner, outer = solver(f, inner_w), solver(f, outer_w)
+                        if inner.truncated:
+                            continue
+                        for g in inner.support() | outer.support():
+                            if g.in_window(inner_w):
+                                assert inner.coeff(g) == outer.coeff(g), (f, g)
 
 
 class TestFloorWarning:

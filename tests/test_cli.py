@@ -171,6 +171,25 @@ class TestQuiverCommand:
         assert rc == 2
 
 
+# stdout of `main(argv)` stored byte for byte as tests/golden/cli/<name>.<format>
+CLI_GOLDENS = {
+    "bkl_canonical": "bkl --shape 2|2 --tuple 1,2|1,2 --window=-1..4 --mode canonical",
+    "bkl_dual": "bkl --shape 2|1 --tuple 1,2|2 --window=-1..3 --mode dual",
+    "qsym_N": "qsym --shape 2|3 --parabolic s3,s4 --tuple 1,2|2,2,1 --window=-1..3 --basis N",
+    "char_simple": "char --algebra gl(1|1) --weight=2|-2 --window 0..3 --kind simple",
+    "char_whittaker": "char --algebra gl(2|2) --weight=0,1|0,1 --window=-1..3 --parabolic s1,s3 --kind whittaker",
+}
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json", "csv"])
+@pytest.mark.parametrize("name", CLI_GOLDENS)
+def test_cli_output_matches_golden(capsys, name, fmt):
+    flags = [] if fmt == "txt" else [f"--{fmt}"]
+    assert main(CLI_GOLDENS[name].split() + flags) == 0
+    want = (GOLDEN / "cli" / f"{name}.{fmt}").read_bytes()
+    assert capsys.readouterr().out.encode() == want
+
+
 class TestArgparseBehavior:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):
