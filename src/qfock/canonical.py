@@ -76,29 +76,58 @@ def triangular_solve(down, bar_column, part, target) -> dict:
     `down` lists every index below target in a linear extension of the
     Bruhat order and ends at target; `bar_column(h)` is the coefficient dict
     of bar applied to the basis vector at h; `part` is pos_part (canonical)
-    or neg_part (dual).  Only indices with a nonzero coefficient get a bar
-    column.  Raises AntisymmetryViolation if the bar map is broken.
+    or neg_part (dual).  Each nonzero t_{h,target} adds bar(t_{h,target})
+    times bar_column(h) into one running difference, so the step at g reads
+    one entry, and only such h get a bar column.  Raises
+    AntisymmetryViolation if the bar map is broken.
     """
     if not down or down[-1] != target:
         raise AssertionError(f"{target} is not the top of its ordered block")
-    bars = {target: bar_column(target)}
-    t = {target: LaurentPoly.one()}
-    for g in reversed(down[:-1]):
-        d = LaurentPoly.zero()
-        for h, thf in t.items():
-            r = bars[h].get(g)
-            if r is not None:
-                d = d + r * thf.bar()
-        try:
-            val = part(d)
-        except NotAntisymmetric as exc:
-            raise AntisymmetryViolation(
-                f"difference at {g} below {target} is not bar-antisymmetric: {d}"
-            ) from exc
+    t: dict = {}
+    diff: dict = {}
+    val = LaurentPoly.one()
+    for g in reversed(down):
+        if g != target:
+            d = diff.pop(g, LaurentPoly.zero())
+            try:
+                val = part(d)
+            except NotAntisymmetric as exc:
+                raise AntisymmetryViolation(
+                    f"difference at {g} below {target} is not bar-antisymmetric: {d}"
+                ) from exc
         if val:
             t[g] = val
-            bars[g] = bar_column(g)
+            tb = val.bar()
+            for h, r in bar_column(g).items():
+                diff[h] = diff[h] + r * tb if h in diff else r * tb
     return t
+
+
+def inverse_column(order, column, f) -> dict:
+    """Column f of the inverse of a unitriangular matrix, as a dict without zeros.
+
+    `order` is a linear extension of the Bruhat order holding f; `column(h)`
+    maps g to the entry (g, h), an int or a LaurentPoly, zero unless g is at
+    or before h.  Solved downward from f by one running difference, as in
+    triangular_solve: only columns h with a nonzero entry x_h are read, and
+    one whose diagonal entry is not exactly 1 raises AssertionError.
+    """
+    x: dict = {}
+    diff: dict = {}
+    for h in reversed(order[: order.index(f) + 1]):
+        xh = -diff.pop(h, 0)
+        if h != f and not xh:
+            continue
+        col = column(h)
+        one = col.get(h, 0)
+        if one != 1:
+            raise AssertionError(f"diagonal entry at {h} is {one}, not 1")
+        if h == f:
+            xh = one
+        x[h] = xh
+        for g, a in col.items():
+            diff[g] = diff.get(g, 0) + a * xh
+    return x
 
 
 @lru_cache(maxsize=None)
@@ -160,23 +189,13 @@ def bkl_matrices(order: tuple[SignedTuple, ...], w: Window):
     return tmat, lmat
 
 
-def unitriangular_inverse(mat, zero, one):
-    """Invert an upper unit-triangular square matrix (nested lists).
+def dual_inverse_column(order: tuple[SignedTuple, ...], f: SignedTuple, w: Window) -> dict:
+    """Column f of the inverse of D_{g,h} = l_{g,h}(q^-1) over an ordered block.
 
-    Entries only need +, -, *; the diagonal must consist of exact ones.
-    Works for LaurentPoly (zero(), one()) and for plain integers (0, 1).
+    Bar is a ring automorphism: this bars column f of the inverse of l(q).
     """
-    n = len(mat)
-    inv = [[zero] * n for _ in range(n)]
-    for j in range(n):
-        col = [zero] * n
-        col[j] = one
-        for i in range(j, -1, -1):
-            acc = col[i]
-            for k in range(i + 1, j + 1):
-                acc = acc - mat[i][k] * inv[k][j]
-            inv[i][j] = acc
-    return inv
+    inv = inverse_column(order, lambda h: dual_canonical(h, w).coefficients, f)
+    return {g: c.bar() for g, c in inv.items()}
 
 
 def inverse_relation_check(order: tuple[SignedTuple, ...], w: Window) -> bool:
@@ -188,21 +207,18 @@ def inverse_relation_check(order: tuple[SignedTuple, ...], w: Window) -> bool:
     specialization.  Returns False (with a warning naming the first bad
     entry) on any mismatch.
     """
-    shape = order[0].shape
-    negated = [SignedTuple(shape, tuple(-x for x in g.entries)) for g in order]
+    negated = [g.negate() for g in order]
     for g in negated:
         if not g.in_window(w):
             raise ValueError(f"negated tuple {g} leaves the window {w}")
-    n = len(order)
-    dmat = [[dual_canonical(order[j], w).coeff(order[i]).bar() for j in range(n)] for i in range(n)]
-    inv = unitriangular_inverse(dmat, LaurentPoly.zero(), LaurentPoly.one())
-    for i in range(n):
-        for j in range(n):
-            want = canonical(negated[i], w).coeff(negated[j])
-            if inv[i][j] != want:
+    inv = {f: dual_inverse_column(order, f, w) for f in order}
+    for g, ng in zip(order, negated):
+        for f, nf in zip(order, negated):
+            got = inv[f].get(g, LaurentPoly.zero())
+            want = canonical(ng, w).coeff(nf)
+            if got != want:
                 warnings.warn(
-                    f"inverse relation fails at ({order[i]}, {order[j]}): "
-                    f"{inv[i][j]} != {want}",
+                    f"inverse relation fails at ({g}, {f}): {got} != {want}",
                     stacklevel=2,
                 )
                 return False

@@ -174,6 +174,12 @@ def cmd_quiver(args) -> int:
     return 0
 
 
+def _add_format_flags(p: argparse.ArgumentParser) -> None:
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true")
+    fmt.add_argument("--csv", action="store_true")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfock",
@@ -186,9 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuple", required=True, help='signed tuple, e.g. "1,2|5"')
     p.add_argument("--window", required=True, help="lo..hi")
     p.add_argument("--mode", choices=("canonical", "dual"), default="canonical")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--csv", action="store_true")
+    _add_format_flags(p)
     p.set_defaults(func=cmd_bkl)
 
     p = sub.add_parser("qsym", help="canonical basis element of the symmetrized image")
@@ -197,24 +201,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuple", required=True, help="anti-dominant signed tuple")
     p.add_argument("--window", required=True, help="lo..hi")
     p.add_argument("--basis", choices=("N", "Ntilde", "Mtilde"), default="N")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--csv", action="store_true")
+    _add_format_flags(p)
     p.set_defaults(func=cmd_qsym)
 
     p = sub.add_parser("char", help="character and multiplicity tables")
     p.add_argument("--algebra", required=True, help="gl(m|n)")
     p.add_argument("--weight", required=True, help='integral weight, e.g. "2|-2"')
     p.add_argument("--window", required=True, help="lo..hi")
-    p.add_argument("--kind", choices=("simple", "tilting", "whittaker"), required=True)
+    p.add_argument("--kind", choices=("simple", "tilting", "verma", "whittaker"), required=True)
     p.add_argument(
         "--parabolic",
         default="full",
         help="parabolic for --kind whittaker (default: full)",
     )
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--csv", action="store_true")
+    _add_format_flags(p)
     p.set_defaults(func=cmd_char)
 
     p = sub.add_parser("verify", help="re-run an identity sweep")

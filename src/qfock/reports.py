@@ -28,8 +28,9 @@ from .canonical import (
     TruncationWarning,
     canonical,
     dual_canonical,
+    dual_inverse_column,
+    inverse_column,
     inverse_relation_check,
-    unitriangular_inverse,
 )
 from .fock import FockVector, act, apply_chevalley
 from .hecke import HeckeElement, symmetrizer
@@ -159,6 +160,11 @@ class CharTable:
         return out.getvalue()
 
 
+def _at_one(exp) -> dict[SignedTuple, int]:
+    """The nonzero coefficients of an expansion at q = 1."""
+    return {g: v for g, c in exp.coefficients.items() if (v := c.at_one())}
+
+
 def _check_diagonal(entries: dict, f: SignedTuple) -> None:
     if entries.get(f) != 1:
         raise AssertionError(f"diagonal entry at {f} is {entries.get(f, 0)}, not 1")
@@ -171,8 +177,7 @@ def simple_character(shape: Shape, lam: tuple[int, ...], w: Window) -> CharRow:
     negative; the diagonal entry is 1.
     """
     f = weight_to_tuple(shape, lam)
-    exp = dual_canonical(f, w)
-    entries = {g: c.at_one() for g, c in exp.coefficients.items() if c.at_one()}
+    entries = _at_one(dual_canonical(f, w))
     _check_diagonal(entries, f)
     return CharRow(f"L({format_weight(shape, lam)})", lam, f, entries)
 
@@ -180,32 +185,22 @@ def simple_character(shape: Shape, lam: tuple[int, ...], w: Window) -> CharRow:
 def tilting_character(shape: Shape, lam: tuple[int, ...], w: Window) -> CharRow:
     """The tilting character in the Verma basis; entries must be >= 0."""
     f = weight_to_tuple(shape, lam)
-    exp = canonical(f, w)
-    entries = {g: c.at_one() for g, c in exp.coefficients.items() if c.at_one()}
+    entries = _at_one(canonical(f, w))
     _check_diagonal(entries, f)
     if any(c < 0 for c in entries.values()):
         raise AssertionError(f"negative tilting entry at {lam}")
     return CharRow(f"T({format_weight(shape, lam)})", lam, f, entries)
 
 
-def _inverse_at_one(order, column) -> dict[SignedTuple, dict[SignedTuple, int]]:
-    """Inverse of the unitriangular matrix [g] column(f) at q = 1, as {g: {f: entry}}.
-
-    `order` is a linear extension of the Bruhat order and `column(f)` an
-    expansion with coeff(g); rows and columns keep the order of `order`.
-    """
-    cols = [column(f) for f in order]
-    inv = unitriangular_inverse([[c.coeff(g).at_one() for c in cols] for g in order], 0, 1)
-    return {g: dict(zip(order, row)) for g, row in zip(order, inv)}
+def _verma_column(f: SignedTuple, w: Window) -> dict[SignedTuple, int]:
+    """[M_f : L_g] over the block of f: column f of the inverse dual matrix at q = 1."""
+    return inverse_column(block(f, w), lambda g: _at_one(dual_canonical(g, w)), f)
 
 
 def verma_in_simple(shape: Shape, lam: tuple[int, ...], w: Window) -> CharRow:
     """The Verma class in the basis of irreducibles (composition multiplicities)."""
     f = weight_to_tuple(shape, lam)
-    inv = _inverse_at_one(block(f, w), lambda g: dual_canonical(g, w))
-    entries = {g: row[f] for g, row in inv.items() if row[f]}
-    _check_diagonal(entries, f)
-    return CharRow(f"M({format_weight(shape, lam)})", lam, f, entries)
+    return CharRow(f"M({format_weight(shape, lam)})", lam, f, _verma_column(f, w))
 
 
 def character_table(shape: Shape, lam: tuple[int, ...], w: Window, kind: str) -> CharTable:
@@ -243,17 +238,11 @@ def whittaker_decomposition(
 
     delta = CharRow(f"Delta({ws})", lam, f, {f: n_ratio(f, par).at_one()})
 
-    texp = qsym_canonical(f, par, w)
-    tentries = {}
-    for g, c in texp.coefficients.items():
-        v = c.at_one() * n_ratio(g, par).at_one()
-        if v:
-            tentries[g] = v
+    t_one = _at_one(qsym_canonical(f, par, w))
+    tentries = {g: v * n_ratio(g, par).at_one() for g, v in t_one.items()}
     tilt = CharRow(f"TObar({ws})", lam, f, tentries)
 
-    lexp = qsym_dual_canonical(f, par, w)
-    lentries = {g: c.at_one() for g, c in lexp.coefficients.items() if c.at_one()}
-    simple = CharRow(f"piL({ws})", lam, f, lentries)
+    simple = CharRow(f"piL({ws})", lam, f, _at_one(qsym_dual_canonical(f, par, w)))
 
     return CharTable(shape, "standard-Whittaker", w, [delta, tilt, simple])
 
@@ -269,8 +258,7 @@ def standard_whittaker_column(
     """
     f0, _, _ = antidominant_rep(weight_to_tuple(shape, lam), par)
     anti = [g for g in block(f0, w) if is_antidominant(g, par)]
-    inv = _inverse_at_one(anti, lambda g: qsym_dual_canonical(g, par, w))
-    return {g: row[f0] for g, row in inv.items() if row[f0]}
+    return inverse_column(anti, lambda g: _at_one(qsym_dual_canonical(g, par, w)), f0)
 
 
 def standard_whittaker_is_simple(
@@ -298,8 +286,7 @@ def whittaker_simple_mult(
     if weight(f_l0) != weight(f_m0):
         return 0, 0, True
     lhs = standard_whittaker_column(shape, lam, par, w).get(f_m0, 0)
-    inv = _inverse_at_one(block(f_l0, w), lambda g: dual_canonical(g, w))
-    rhs = inv[f_m0][f_l0]
+    rhs = _verma_column(f_l0, w).get(f_m0, 0)
     return lhs, rhs, lhs == rhs
 
 
@@ -333,8 +320,7 @@ def tilting_delta_mult(
             raise WindowEscape(f"negated tuple {f} leaves the window {w}")
     if weight(f_kappa) != weight(f_gamma):
         return lhs, 0, lhs == 0
-    inv = _inverse_at_one(block(f_gamma, w), lambda g: dual_canonical(g, w))
-    rhs = inv[f_kappa][f_gamma]
+    rhs = _verma_column(f_gamma, w).get(f_kappa, 0)
     return lhs, rhs, lhs == rhs
 
 
@@ -345,8 +331,7 @@ def tilting_delta_table(
     f = weight_to_tuple(shape, lam)
     if not is_antidominant(f, par):
         raise ValueError(f"{lam} is not anti-dominant for {par}")
-    texp = qsym_canonical(f, par, w)
-    entries = {g: c.at_one() for g, c in texp.coefficients.items() if c.at_one()}
+    entries = _at_one(qsym_canonical(f, par, w))
     _check_diagonal(entries, f)
     row = CharRow(f"TObar({format_weight(shape, lam)})", lam, f, entries)
     return CharTable(shape, "tilting-Delta", w, [row])
@@ -432,18 +417,12 @@ def graded_bgg_table(par: Parabolic, f: SignedTuple, w: Window) -> GradedBGGTabl
     for g, t in twisted.items():
         if not t.in_window(w):
             raise WindowEscape(f"negated tuple {t} of {g} leaves the window {w}")
-    n = len(order)
-    dmat = [
-        [dual_canonical(order[j], w).coeff(order[i]).bar() for j in range(n)]
-        for i in range(n)
-    ]
-    dinv = unitriangular_inverse(dmat, LaurentPoly.zero(), LaurentPoly.one())
-    idx = {g: i for i, g in enumerate(order)}
+    dinv = {f_lam: dual_inverse_column(order, f_lam, w) for f_lam in anti}
     entries = []
     for f_mu in anti:
         texp = qsym_canonical(twisted[f_mu], par, w)
         for f_lam in anti:
-            lhs = dinv[idx[f_mu]][idx[f_lam]]
+            lhs = dinv[f_lam].get(f_mu, LaurentPoly.zero())
             rhs = texp.coeff(twisted[f_lam])
             entries.append(
                 GradedEntry(
@@ -477,14 +456,14 @@ def commuting_square_check(
     n_blocks = 0
     for order in blocks(shape, w):
         n_blocks += 1
-        ainv = _inverse_at_one(order, lambda g: dual_canonical(g, w))
         anti = [g for g in order if is_antidominant(g, par)]
         bcols = {h: qsym_dual_canonical(h, par, w) for h in anti}
         for fo in order:
             f0, _, _ = antidominant_rep(fo, par)
+            column = _verma_column(fo, w)
             for g0 in anti:
                 got = sum(
-                    bcols[h].coeff(g0).at_one() * ainv[h][fo] for h in anti
+                    bcols[h].coeff(g0).at_one() * column.get(h, 0) for h in anti
                 )
                 want = 1 if g0 == f0 else 0
                 if got != want:

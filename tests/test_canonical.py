@@ -10,11 +10,21 @@ from qfock.canonical import (
     bkl_matrices,
     canonical,
     dual_canonical,
+    inverse_column,
     inverse_relation_check,
 )
 from qfock.fock import FockVector
 from qfock.laurent import LaurentPoly
-from qfock.weightlat import Shape, SignedTuple, Window, block, bruhat_leq, weight, window_tuples
+from qfock.weightlat import (
+    Shape,
+    SignedTuple,
+    Window,
+    block,
+    blocks,
+    bruhat_leq,
+    weight,
+    window_tuples,
+)
 
 
 def T(m, n, *entries):
@@ -185,6 +195,49 @@ class TestMatrices:
         tmat, lmat = bkl_matrices(order, w)
         assert tmat == {(T(1, 1, 1, 3), T(1, 1, 1, 3)): LaurentPoly.one()}
         assert lmat == tmat
+
+
+class TestInverseColumn:
+    @pytest.mark.parametrize("graded", [True, False], ids=["graded", "at_one"])
+    @pytest.mark.parametrize("mode", ["canonical", "dual"])
+    @pytest.mark.parametrize("shape", [Shape(2, 1), Shape(1, 2)], ids=str)
+    def test_column_times_matrix_is_unit_vector(self, shape, mode, graded):
+        """Every column f of the inverse, times the matrix, is the unit vector at f."""
+        w = Window(-1, 3)
+        solve = canonical if mode == "canonical" else dual_canonical
+
+        def column(h):
+            coeffs = solve(h, w).coefficients
+            if graded:
+                return coeffs
+            return {g: c.at_one() for g, c in coeffs.items() if c.at_one()}
+
+        n_columns = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            for order in blocks(shape, w):
+                for f in order:
+                    x = inverse_column(order, column, f)
+                    assert all(x.values()), f
+                    assert x[f] == 1
+                    product: dict = {}
+                    for h, xh in x.items():
+                        for g, a in column(h).items():
+                            product[g] = product.get(g, 0) + a * xh
+                    assert {g: c for g, c in product.items() if c} == {f: 1}, f
+                    if graded:
+                        assert all(isinstance(c, LaurentPoly) for c in x.values())
+                    n_columns += 1
+        assert n_columns == 125
+
+    @pytest.mark.parametrize("diagonal", [2, 0, -1, P({1: 1}), P({0: 1, 1: 1})], ids=str)
+    def test_non_unit_diagonal_raises(self, diagonal):
+        columns = {"a": {"a": diagonal}, "b": {"a": 1, "b": 1}}
+        with pytest.raises(AssertionError, match="diagonal entry at a"):
+            inverse_column(["a", "b"], columns.__getitem__, "b")
+        columns["b"]["b"] = diagonal
+        with pytest.raises(AssertionError, match="diagonal entry at b"):
+            inverse_column(["a", "b"], columns.__getitem__, "b")
 
 
 class TestInverseRelation:

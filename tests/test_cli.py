@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from qfock.cli import main, parse_parabolic, parse_shape, parse_window
+from qfock.reports import character_table
 from qfock.weightlat import Parabolic, Shape, Window
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -119,6 +120,19 @@ class TestChar:
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert data["tag"] == "tilting-in-Verma"
+
+    def test_verma_json(self, capsys):
+        rc = main(
+            ["char", "--algebra", "gl(1|1)", "--weight", "2|-2",
+             "--window", "0..3", "--kind", "verma", "--json"]
+        )
+        assert rc == 0
+        data = json.loads(capsys.readouterr().out)
+        want = character_table(Shape(1, 1), (2, -2), Window(0, 3), "verma").to_json()
+        assert data == want
+        [row] = data["rows"]
+        assert row["name"] == "M(2|-2)"
+        assert {e["tuple"]: e["mult"] for e in row["entries"]} == {"2|2": 1, "3|3": 1}
 
     def test_whittaker_csv(self, capsys):
         rc = main(

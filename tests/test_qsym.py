@@ -287,6 +287,29 @@ class TestQsymCanonical:
         assert v.basis == "N"
         assert reexpress(v.expand(), par, "N") == exp.coefficients
 
+    def test_monomial_at_regular_entries_of_full_parabolic(self):
+        """In N coordinates of the full-parabolic image, a coefficient at a
+        regular g (distinct letters within each sector) is exactly q^k.
+        Irregular entries need not be monomials; only one is pinned."""
+        shape, w = Shape(2, 2), Window(-2, 4)
+        par = Parabolic.full(shape)
+        regular = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            for f in window_tuples(shape, w):
+                if not is_antidominant(f, par):
+                    continue
+                exp = qsym_canonical(f, par, w)
+                assert exp.basis == "N"
+                for g, c in exp.coefficients.items():
+                    cov, dual = g.entries[: shape.m], g.entries[shape.m :]
+                    if len(set(cov)) == len(cov) and len(set(dual)) == len(dual):
+                        regular += 1
+                        assert list(c.c.values()) == [1], (f, g, str(c))
+            odd = qsym_canonical(T(2, 2, 0, 1, 1, 0), par, w).coeff(T(2, 2, 0, 0, 0, 0))
+        assert regular == 672
+        assert odd == P({3: 1, 1: 1})
+
 
 class TestQsymDualCanonical:
     def test_trivial_group_relabels(self):

@@ -1,11 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import qfock
 
 PACKAGE = Path(qfock.__file__).parent
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def test_no_bare_assert_in_package():
@@ -27,3 +29,25 @@ def test_no_module_level_empty_dict():
             if isinstance(value, ast.Dict) and not value.keys:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"module-level empty dicts: {found}"
+
+
+def test_benchmark_trace_points_exist():
+    """Every function and method the benchmark tracer wraps is still there.
+
+    A renamed trace point would otherwise fail only when the benchmark runs.
+    """
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    by_metric: dict = {}
+    for modname, attr, name, _ in tracer.FUNCTIONS:
+        fn = getattr(importlib.import_module(modname), attr, None)
+        assert callable(fn), f"{modname}.{attr} is not a callable"
+        by_metric.setdefault(name, []).append(fn)
+    for name in tracer.CACHED:
+        assert by_metric.get(name), f"cached metric {name} names no traced function"
+        for fn in by_metric[name]:
+            assert hasattr(fn, "cache_info"), f"{name} has no cache_info"
+    for modname, cls, meth, _, _ in tracer.METHODS:
+        klass = getattr(importlib.import_module(modname), cls)
+        assert callable(vars(klass).get(meth)), f"{cls}.{meth} is not defined on {cls}"
