@@ -55,6 +55,7 @@ from .weightlat import (
 
 _Q_MINUS_QINV = LaurentPoly({1: 1, -1: -1})
 _MINUS_QINV = LaurentPoly({-1: -1})
+_UNSEEN = object()
 
 
 class NoSolution(Exception):
@@ -85,7 +86,7 @@ class BarContext:
         self.shape = shape
         self.window = window
         self._memo: dict[tuple[int, ...], FockVector] = {}
-        self._transfer_memo: dict[tuple, FockVector] = {}
+        self._transfer_memo: dict[tuple, FockVector | None] = {}
 
     # -- transfer components -------------------------------------------
 
@@ -97,19 +98,21 @@ class BarContext:
         """
         out = FockVector.zero(v.shape)
         for g, a in v.terms.items():
-            out.axpy(self._transfer_monomial(g, c, d, right_dual), a)
+            t = self._transfer_monomial(g, c, d, right_dual)
+            if t is not None:
+                out.axpy(t, a)
         return out
 
     def _transfer_monomial(
         self, g: SignedTuple, c: int, d: int, right_dual: bool
-    ) -> FockVector:
-        """T_{c,d}(M_g); memoized beyond one step, and then read-only."""
+    ) -> FockVector | None:
+        """T_{c,d}(M_g), None when it vanishes; memoized beyond one step, then read-only."""
         if d == c + 1:
             step = apply_chevalley(FockVector.monomial(g), "E", c)
             return step.scaled(_Q_MINUS_QINV)
         key = (g, c, d, right_dual)
-        got = self._transfer_memo.get(key)
-        if got is None:
+        got = self._transfer_memo.get(key, _UNSEEN)
+        if got is _UNSEEN:
             v = FockVector.monomial(g)
             inner = lambda x: self.transfer(x, c + 1, d, right_dual)
             E = lambda x: apply_chevalley(x, "E", c)
@@ -117,7 +120,7 @@ class BarContext:
                 lead, trail = inner(E(v)), E(inner(v))
             else:
                 lead, trail = E(inner(v)), inner(E(v))
-            got = self._transfer_memo[key] = lead.axpy(trail, _MINUS_QINV)
+            got = self._transfer_memo[key] = lead.axpy(trail, _MINUS_QINV) or None
         return got
 
     def theta(self, x: FockVector, b: int, shape: Shape) -> FockVector:

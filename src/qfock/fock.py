@@ -46,9 +46,6 @@ class FockVector(LaurentCombination):
     def monomial(cls, f: SignedTuple, coeff=None) -> "FockVector":
         return cls(f.shape, {f: LaurentPoly.one() if coeff is None else coeff})
 
-    def at_one(self) -> dict[SignedTuple, int]:
-        return {f: c.at_one() for f, c in self.terms.items()}
-
     def to_json(self) -> dict:
         rows = sorted(self.terms.items(), key=lambda t: t[0].entries)
         return {

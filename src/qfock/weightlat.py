@@ -12,13 +12,18 @@ The Bruhat order on tuples compares all tail weights in dominance order.
 Permutations are 0-based one-line tuples; (a*b)(i) = a(b(i)); tuples carry a
 right action (f.sigma)(i) = f(sigma(i)).  Parabolic subgroups of S_m x S_n
 are generated by adjacent transpositions s_i with label i != m.
+
+Shape, Window, SignedTuple and Parabolic are immutable named tuples of their
+fields, validated on construction, so the hash and equality behind every
+dict and cache lookup keyed by them run in C.  Inside them fields are read
+by name: SignedTuple indexing is 1-based, f[1] being the first letter.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -27,14 +32,13 @@ class WindowEscape(Exception):
     """Raised when a computation needs letters outside the ambient window."""
 
 
-@dataclass(frozen=True)
-class Shape:
-    m: int
-    n: int
+class Shape(namedtuple("Shape", "m n")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 0 or self.n < 0 or self.m + self.n == 0:
+    def __new__(cls, m: int, n: int):
+        if m < 0 or n < 0 or m + n == 0:
             raise ValueError("shape needs m, n >= 0 with m + n >= 1")
+        return tuple.__new__(cls, (m, n))
 
     @property
     def size(self) -> int:
@@ -50,14 +54,13 @@ class Shape:
         return f"{self.m}|{self.n}"
 
 
-@dataclass(frozen=True)
-class Window:
-    lo: int
-    hi: int
+class Window(namedtuple("Window", "lo hi")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __new__(cls, lo: int, hi: int):
+        if lo > hi:
             raise ValueError("empty window")
+        return tuple.__new__(cls, (lo, hi))
 
     @property
     def width(self) -> int:
@@ -73,14 +76,13 @@ class Window:
         return f"{self.lo}..{self.hi}"
 
 
-@dataclass(frozen=True)
-class SignedTuple:
-    shape: Shape
-    entries: tuple[int, ...]
+class SignedTuple(namedtuple("SignedTuple", "shape entries")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.entries) != self.shape.size:
+    def __new__(cls, shape: Shape, entries: tuple[int, ...]):
+        if len(entries) != shape.size:
             raise ValueError("entry count does not match shape")
+        return tuple.__new__(cls, (shape, entries))
 
     def __getitem__(self, pos: int) -> int:
         """1-based position access, matching the mathematical indexing."""
@@ -252,16 +254,15 @@ def reduced_word(a: tuple[int, ...]) -> tuple[int, ...]:
 # parabolic subgroups of S_m x S_n
 
 
-@dataclass(frozen=True)
-class Parabolic:
-    shape: Shape
-    generators: frozenset[int]
+class Parabolic(namedtuple("Parabolic", "shape generators")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", frozenset(self.generators))
-        for i in self.generators:
-            if not 1 <= i <= self.shape.size - 1 or i == self.shape.m:
-                raise ValueError(f"generator s_{i} is not admissible for shape {self.shape}")
+    def __new__(cls, shape: Shape, generators):
+        generators = frozenset(generators)
+        for i in generators:
+            if not 1 <= i <= shape.size - 1 or i == shape.m:
+                raise ValueError(f"generator s_{i} is not admissible for shape {shape}")
+        return tuple.__new__(cls, (shape, generators))
 
     @classmethod
     def trivial(cls, shape: Shape) -> "Parabolic":

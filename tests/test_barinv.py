@@ -358,6 +358,17 @@ class TestTransferMemo:
         BarContext(Shape(1, 1), Window(0, 17)).bar(M(1, 1, 17, 17))
         assert 0 < calls <= 1000
 
+    def test_vanishing_components_are_memoized_without_a_vector(self):
+        # the bar columns of the 256-member 3|3 block memoize 597 components,
+        # 36 of them zero; each zero is recorded as None, not as a vector
+        w = Window(0, 3)
+        ctx = BarContext(Shape(3, 3), w)
+        for g in block(T(3, 3, 3, 2, 1, 1, 2, 3), w):
+            ctx.bar_monomial(g)
+        stored = list(ctx._transfer_memo.values())
+        assert (len(stored), stored.count(None)) == (597, 36)
+        assert all(v is None or v.terms for v in stored)
+
 
 class TestBarOracle:
     def test_two_covariant_canonical(self):

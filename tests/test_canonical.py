@@ -277,7 +277,7 @@ class TestCachedBarColumnsStayIntact:
     @staticmethod
     def snapshot(memo):
         return {
-            key: (v.shape, {g: dict(c.c) for g, c in v.terms.items()})
+            key: v and (v.shape, {g: dict(c.c) for g, c in v.terms.items()})
             for key, v in memo.items()
         }
 

@@ -92,10 +92,6 @@ class TestVectorArithmetic:
         assert v.bar_coeffs().coeff(T(1, 1, 1, 1)) == P({-1: 1})
         assert v.scaled(0) == FockVector.zero(Shape(1, 1))
 
-    def test_at_one(self):
-        v = M(2, 0, 1, 2).scaled(P({1: 1, -1: 1})) + M(2, 0, 2, 1)
-        assert v.at_one() == {T(2, 0, 1, 2): 2, T(2, 0, 2, 1): 1}
-
     def test_json_roundtrip(self):
         v = M(2, 1, 3, 1, 2).scaled(P({-2: 5})) + M(2, 1, 1, 3, 2)
         assert FockVector.from_json(v.to_json()) == v

@@ -5,6 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import qfock
+from qfock.weightlat import Parabolic, Shape, SignedTuple, Window
 
 PACKAGE = Path(qfock.__file__).parent
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -29,6 +30,13 @@ def test_no_module_level_empty_dict():
             if isinstance(value, ast.Dict) and not value.keys:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"module-level empty dicts: {found}"
+
+
+def test_value_types_hash_and_compare_in_c():
+    """Every basis key hashes and compares as a plain tuple, never in Python."""
+    for cls in (Shape, Window, SignedTuple, Parabolic):
+        assert cls.__hash__ is tuple.__hash__, cls.__name__
+        assert cls.__eq__ is tuple.__eq__, cls.__name__
 
 
 def test_benchmark_trace_points_exist():

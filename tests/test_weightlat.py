@@ -90,6 +90,84 @@ class TestShapesAndTuples:
             Window(1, 0)
 
 
+shapes_up_to_4 = st.integers(1, 4).flatmap(
+    lambda k: st.integers(0, k).map(lambda m: Shape(m, k - m))
+)
+
+
+@st.composite
+def shaped_entries(draw):
+    sh = draw(shapes_up_to_4)
+    return sh, draw(st.tuples(*[st.integers(-3, 3)] * sh.size))
+
+
+class TestValueTypeContract:
+    """Shape, Window, SignedTuple and Parabolic: immutable, validated values
+    whose hash is the hash of their field tuple."""
+
+    @given(st.integers(1, 4), st.data())
+    def test_equal_entries_different_shapes_are_unequal(self, k, data):
+        m1, m2 = data.draw(st.lists(st.integers(0, k), min_size=2, max_size=2, unique=True))
+        entries = data.draw(st.tuples(*[st.integers(-3, 3)] * k))
+        f, g = SignedTuple(Shape(m1, k - m1), entries), SignedTuple(Shape(m2, k - m2), entries)
+        assert f != g and not f == g
+
+    @given(shaped_entries())
+    def test_hash_is_the_field_tuple_hash(self, case):
+        sh, entries = case
+        f = SignedTuple(sh, entries)
+        g = SignedTuple(Shape(sh.m, sh.n), tuple(list(entries)))
+        assert f == g and hash(f) == hash(g)
+        assert hash(f) == hash(((sh.m, sh.n), entries))
+        assert hash(sh) == hash((sh.m, sh.n))
+        assert hash(Window(-1, 3)) == hash((-1, 3))
+        par = Parabolic.full(sh)
+        assert hash(par) == hash(((sh.m, sh.n), par.generators))
+
+    @given(shaped_entries())
+    def test_fields_are_read_only(self, case):
+        sh, entries = case
+        f, w, par = SignedTuple(sh, entries), Window(0, 2), Parabolic.trivial(sh)
+        for obj, field in [(f, "shape"), (f, "entries"), (w, "lo"), (w, "hi"),
+                           (par, "generators"), (par, "shape"), (sh, "m")]:
+            with pytest.raises(AttributeError):
+                setattr(obj, field, getattr(obj, field))
+        with pytest.raises(AttributeError):
+            f.extra = 1
+
+    @given(shaped_entries(), st.integers(-1, 5))
+    def test_validation_errors(self, case, i):
+        sh, entries = case
+        with pytest.raises(ValueError, match="entry count"):
+            SignedTuple(sh, entries + (0,))
+        with pytest.raises(ValueError, match="entry count"):
+            SignedTuple(sh, entries[1:])
+        with pytest.raises(ValueError, match="empty window"):
+            Window(i, i - 1)
+        with pytest.raises(ValueError, match="shape needs"):
+            Shape(0, 0)
+        with pytest.raises(ValueError, match="shape needs"):
+            Shape(-1, sh.size + 1)
+        if 1 <= i <= sh.size - 1 and i != sh.m:
+            assert Parabolic(sh, [i]).generators == frozenset({i})
+        else:
+            with pytest.raises(ValueError, match="not admissible"):
+                Parabolic(sh, frozenset({i}))
+
+    @given(shaped_entries())
+    def test_one_based_indexing_repr_and_str(self, case):
+        sh, entries = case
+        f = SignedTuple(sh, entries)
+        assert [f[pos] for pos in range(1, sh.size + 1)] == list(entries)
+        assert repr(f) == f"SignedTuple(shape=Shape(m={sh.m}, n={sh.n}), entries={entries!r})"
+        left, right = entries[: sh.m], entries[sh.m :]
+        assert str(f) == ",".join(map(str, left)) + "|" + ",".join(map(str, right))
+        assert str(sh) == f"{sh.m}|{sh.n}" and str(Window(-2, 1)) == "-2..1"
+        assert repr(Window(-2, 1)) == "Window(lo=-2, hi=1)"
+        par = Parabolic.full(sh)
+        assert repr(par) == f"Parabolic(shape={sh!r}, generators={par.generators!r})"
+
+
 class TestWeights:
     def test_weight_signs(self):
         f = T(2, 1, 1, 2, 1)
