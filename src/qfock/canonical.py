@@ -33,10 +33,6 @@ from .laurent import LaurentPoly, NotAntisymmetric, neg_part, pos_part
 from .weightlat import SignedTuple, Window, bruhat_leq, block
 
 
-class AntisymmetryViolation(ArithmeticError):
-    """The running difference failed bar-antisymmetry: the bar map is wrong."""
-
-
 class TruncationWarning(UserWarning):
     """A canonical expansion may have been cut off by the window floor."""
 
@@ -78,8 +74,8 @@ def triangular_solve(down, bar_column, part, target) -> dict:
     of bar applied to the basis vector at h; `part` is pos_part (canonical)
     or neg_part (dual).  Each nonzero t_{h,target} adds bar(t_{h,target})
     times bar_column(h) into one running difference, so the step at g reads
-    one entry, and only such h get a bar column.  Raises
-    AntisymmetryViolation if the bar map is broken.
+    one entry, and only such h get a bar column.  Raises NotAntisymmetric,
+    naming g and target, if the bar map is broken.
     """
     if not down or down[-1] != target:
         raise AssertionError(f"{target} is not the top of its ordered block")
@@ -92,7 +88,7 @@ def triangular_solve(down, bar_column, part, target) -> dict:
             try:
                 val = part(d)
             except NotAntisymmetric as exc:
-                raise AntisymmetryViolation(
+                raise NotAntisymmetric(
                     f"difference at {g} below {target} is not bar-antisymmetric: {d}"
                 ) from exc
         if val:

@@ -20,6 +20,7 @@ import sys
 from .canonical import canonical, dual_canonical
 from .qsym import ReexpressionFailure, base_change, qsym_canonical
 from .reports import (
+    TABLE_TAGS,
     VERIFY_SUITES,
     character_table,
     parse_weight,
@@ -123,15 +124,6 @@ def cmd_qsym(args) -> int:
     return 0
 
 
-_COLUMN_LABEL = {
-    "simple-in-Verma": "M",
-    "tilting-in-Verma": "M",
-    "Verma-in-simple": "L",
-    "standard-Whittaker": "pstd",
-    "tilting-Delta": "Delta",
-}
-
-
 def cmd_char(args) -> int:
     m = re.fullmatch(r"gl\((\d+)\|(\d+)\)", args.algebra.strip())
     if not m:
@@ -151,7 +143,7 @@ def cmd_char(args) -> int:
     elif args.csv:
         print(tab.to_csv(), end="")
     else:
-        label = _COLUMN_LABEL[tab.tag]
+        label = TABLE_TAGS[tab.tag]
         print(f"{tab.tag} table, shape {shape}, window {w}")
         for row in tab.rows:
             terms = sorted(row.entries.items(), key=lambda t: t[0].entries)

@@ -14,6 +14,14 @@ letter-level rules
     F_a v_b = delta_{a,b} v_{a+1}   F_a w_b = delta_{a+1,b} w_a
     K_a v_b = q^{delta_ab} v_b      K_a w_b = q^{-delta_ab} w_b
 
+In one move rule: put (src, dst) = (a+1, a) for E_a and (a, a+1) for F_a.
+The generator moves one letter from src to dst at a covariant position,
+or from dst to src at a dual one, and weighs the result by q^t.  A letter
+b at a position of sign s (+1 covariant, -1 dual) adds s([b = src] -
+[b = dst]) to the twist t, which sums over the positions right of the
+moved letter for E_a and left of it for F_a.  K_a is q to the signed
+count of letters equal to a.
+
 The type A Hecke algebra acts on the right: for the generator H_i compare
 the letters at positions i, i+1; the exchanged tuple is Bruhat-larger when
 they increase in the covariant sector or decrease in the dual sector, and
@@ -77,54 +85,31 @@ class FockVector(LaurentCombination):
 # quantum group action
 
 
-def _letter_image(sector: int, kind: str, a: int, b: int) -> int | None:
-    """The image letter of E_a/F_a on the letter b, or None if killed."""
-    if kind == "E":
-        if sector == 0:
-            return a if b == a + 1 else None
-        return a + 1 if b == a else None
-    if sector == 0:
-        return a + 1 if b == a else None
-    return a if b == a + 1 else None
-
-
-def _twist(sector: int, kind: str, a: int, b: int) -> int:
-    """Exponent contribution of the K-twist accompanying E_a/F_a."""
-    if kind == "E":
-        t = (1 if b == a + 1 else 0) - (1 if b == a else 0)
-    else:
-        t = (1 if b == a else 0) - (1 if b == a + 1 else 0)
-    return -t if sector else t
-
-
 def apply_chevalley(v: FockVector, kind: str, a: int) -> FockVector:
     """Apply E_a, F_a, K_a or Kinv_a through the iterated coproduct."""
+    shape = v.shape
+    signs = (1,) * shape.m + (-1,) * shape.n
+    res = FockVector(shape)
     if kind in ("K", "Kinv"):
         sign = 1 if kind == "K" else -1
-        res = FockVector(v.shape)
         for f, c in v.terms.items():
-            m = v.shape.m
-            exp = sum(1 for b in f.entries[:m] if b == a) - sum(
-                1 for b in f.entries[m:] if b == a
-            )
+            exp = sum(s for s, b in zip(signs, f.entries) if b == a)
             res.add_term(f, c * LaurentPoly.q_power(sign * exp))
         return res
     if kind not in ("E", "F"):
         raise ValueError(f"unknown generator kind {kind!r}")
-    shape = v.shape
-    size = shape.size
-    res = FockVector(shape)
+    src, dst = (a + 1, a) if kind == "E" else (a, a + 1)
     for f, c in v.terms.items():
-        sectors = [0] * shape.m + [1] * shape.n
-        for j in range(size):
-            img = _letter_image(sectors[j], kind, a, f.entries[j])
-            if img is None:
-                continue
-            # E acts at j with twists to its right, F with twists to its left
-            rng = range(j + 1, size) if kind == "E" else range(0, j)
-            exp = sum(_twist(sectors[i], kind, a, f.entries[i]) for i in rng)
-            g = SignedTuple(shape, f.entries[:j] + (img,) + f.entries[j + 1:])
-            res.add_term(g, c * LaurentPoly.q_power(exp))
+        e = f.entries
+        twists = [s * ((b == src) - (b == dst)) for s, b in zip(signs, e)]
+        left, right = 0, sum(twists)
+        for j, (s, b, t) in enumerate(zip(signs, e, twists)):
+            right -= t
+            # covariant letters move src -> dst, dual letters dst -> src
+            if b == (src if s > 0 else dst):
+                g = SignedTuple(shape, e[:j] + (dst if s > 0 else src,) + e[j + 1:])
+                res.add_term(g, c * LaurentPoly.q_power(right if kind == "E" else left))
+            left += t
     return res
 
 

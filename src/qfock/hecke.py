@@ -24,7 +24,6 @@ from .weightlat import (
     is_right_ascent,
     longest_element,
     par_elements,
-    perm_length,
     apply_s,
     reduced_word,
 )

@@ -8,9 +8,15 @@ three bases indexed by antidominant tuples f:
     N_f = ([W] / [W_f]) Ntilde_f,
 
 where [G] is the Poincare polynomial of G and W_f the stabilizer of f
-inside W.  Each basis vector is supported on the W-orbit of f and its
-bottom monomial M_f carries an invertible-up-to-units coefficient, so a
-vector of the image is re-expressed per orbit by one exact division.
+inside W.  All three are one per-orbit scale of Mtilde:
+
+    B_f = s_B(f) Mtilde_f,   s_Ntilde = [W_f],  s_Mtilde = 1,  s_N = [W],
+
+so coordinates change basis by c s_from(f) / s_to(f).  Mtilde_f is
+supported on the W-orbit of f and its bottom monomial M_f carries the
+unit q^top (top the length of the longest minimal coset representative),
+so a vector of the image is re-expressed per orbit by one exact division
+by s_B(f) q^top.
 
 The map phi(M_f) = q^{-len(tau)} Ntilde_{f tau} (tau the minimal sorter
 of f) projects the whole tensor space onto the image.  Canonical bases
@@ -57,9 +63,6 @@ class ReexpressionFailure(Exception):
     """A vector claimed to lie in the symmetrized image does not."""
 
 
-_BASES = ("Ntilde", "Mtilde", "N")
-
-
 # ---------------------------------------------------------------------------
 # orbit bookkeeping
 
@@ -72,23 +75,20 @@ def _orbit_data(f: SignedTuple, par: Parabolic):
     return group_qfactorial(stab), reps, reps[-1][1]
 
 
+def _scale(f: SignedTuple, par: Parabolic, basis: str) -> LaurentPoly:
+    """s_B(f) in B_f = s_B(f) Mtilde_f: [W_f], 1 or [W] for Ntilde, Mtilde, N."""
+    if basis == "Ntilde":
+        return _orbit_data(f, par)[0]
+    if basis == "Mtilde":
+        return LaurentPoly.one()
+    if basis == "N":
+        return group_qfactorial(par)
+    raise ValueError(f"unknown basis {basis!r}")
+
+
 def n_ratio(f: SignedTuple, par: Parabolic) -> LaurentPoly:
     """[W] / [W_f], the exact quantum index of the stabilizer."""
-    stab_q, _, _ = _orbit_data(f, par)
-    return div_exact(group_qfactorial(par), stab_q)
-
-
-def _bottom_coeff(f: SignedTuple, par: Parabolic, basis: str) -> LaurentPoly:
-    """Coefficient of the monomial M_f inside the basis vector through f."""
-    stab_q, _, top_len = _orbit_data(f, par)
-    unit = LaurentPoly.q_power(top_len)
-    if basis == "Ntilde":
-        return stab_q * unit
-    if basis == "Mtilde":
-        return unit
-    if basis == "N":
-        return group_qfactorial(par) * unit
-    raise ValueError(f"unknown basis {basis!r}")
+    return div_exact(_scale(f, par, "N"), _scale(f, par, "Ntilde"))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,7 @@ class QSymVector(LaurentCombination):
     __slots__ = ("parabolic", "basis")
 
     def __init__(self, shape, parabolic: Parabolic, basis: str, terms=None):
-        if basis not in _BASES:
+        if basis not in _EXPAND:
             raise ValueError(f"unknown basis {basis!r}")
         super().__init__(shape, terms)
         self.parabolic = parabolic
@@ -169,22 +169,11 @@ class QSymVector(LaurentCombination):
 
 
 def base_change(v: QSymVector, to: str) -> QSymVector:
-    """Exact coordinate change between the three bases; hub is Ntilde."""
-    if to not in _BASES:
-        raise ValueError(f"unknown basis {to!r}")
-    out = {}
-    for f, c in v.terms.items():
-        stab_q, _, _ = _orbit_data(f, v.parabolic)
-        if v.basis != "Ntilde":
-            if v.basis == "Mtilde":
-                c = div_exact(c, stab_q)
-            else:
-                c = c * n_ratio(f, v.parabolic)
-        if to == "Mtilde":
-            c = c * stab_q
-        elif to == "N":
-            c = div_exact(c, n_ratio(f, v.parabolic))
-        out[f] = c
+    """Exact coordinate change between the three bases: c s_from(f) / s_to(f)."""
+    out = {
+        f: div_exact(c * _scale(f, v.parabolic, v.basis), _scale(f, v.parabolic, to))
+        for f, c in v.terms.items()
+    }
     return QSymVector(v.shape, v.parabolic, to, out)
 
 
@@ -199,8 +188,9 @@ def reexpress(v: FockVector, par: Parabolic, basis: str = "Ntilde") -> dict:
     for f, c in v.terms.items():
         if not is_antidominant(f, par):
             continue
+        _, _, top_len = _orbit_data(f, par)
         try:
-            x = div_exact(c, _bottom_coeff(f, par, basis))
+            x = div_exact(c, _scale(f, par, basis) * LaurentPoly.q_power(top_len))
         except NotDivisible as exc:
             raise ReexpressionFailure(
                 f"orbit coefficient at {f} is not divisible in basis {basis}"

@@ -85,13 +85,14 @@ def parse_weight(text: str, shape: Shape | None = None) -> tuple[Shape, tuple[in
 # character tables
 
 
-TABLE_TAGS = (
-    "simple-in-Verma",
-    "tilting-in-Verma",
-    "Verma-in-simple",
-    "standard-Whittaker",
-    "tilting-Delta",
-)
+# table tag -> label of the basis its columns are written in
+TABLE_TAGS = {
+    "simple-in-Verma": "M",
+    "tilting-in-Verma": "M",
+    "Verma-in-simple": "L",
+    "standard-Whittaker": "pstd",
+    "tilting-Delta": "Delta",
+}
 
 
 @dataclass
@@ -290,6 +291,14 @@ def whittaker_simple_mult(
     return lhs, rhs, lhs == rhs
 
 
+def _ringel_twist(f: SignedTuple, par: Parabolic, w: Window) -> SignedTuple:
+    """f.w0 negated, w0 the longest element of par; WindowEscape outside w."""
+    t = f.act(longest_element(par)[0]).negate()
+    if not t.in_window(w):
+        raise WindowEscape(f"negated tuple {t} of {f} leaves the window {w}")
+    return t
+
+
 def tilting_delta_mult(
     shape: Shape,
     lam: tuple[int, ...],
@@ -310,14 +319,9 @@ def tilting_delta_mult(
     for f in (f_l, f_m):
         if not is_antidominant(f, par):
             raise ValueError(f"{tuple_to_weight(f)} is not anti-dominant for {par}")
+    f_kappa = _ringel_twist(f_l, par, w)
+    f_gamma = _ringel_twist(f_m, par, w)
     lhs = qsym_canonical(f_l, par, w).coeff(f_m).at_one()
-
-    w0, _ = longest_element(par)
-    f_kappa = f_l.act(w0).negate()
-    f_gamma = f_m.act(w0).negate()
-    for f in (f_kappa, f_gamma):
-        if not f.in_window(w):
-            raise WindowEscape(f"negated tuple {f} leaves the window {w}")
     if weight(f_kappa) != weight(f_gamma):
         return lhs, 0, lhs == 0
     rhs = _verma_column(f_gamma, w).get(f_kappa, 0)
@@ -411,12 +415,8 @@ class GradedBGGTable:
 
 def graded_bgg_table(par: Parabolic, f: SignedTuple, w: Window) -> GradedBGGTable:
     order = block(f, w)
-    w0, _ = longest_element(par)
     anti = [g for g in order if is_antidominant(g, par)]
-    twisted = {g: g.act(w0).negate() for g in anti}
-    for g, t in twisted.items():
-        if not t.in_window(w):
-            raise WindowEscape(f"negated tuple {t} of {g} leaves the window {w}")
+    twisted = {g: _ringel_twist(g, par, w) for g in anti}
     dinv = {f_lam: dual_inverse_column(order, f_lam, w) for f_lam in anti}
     entries = []
     for f_mu in anti:
@@ -916,14 +916,16 @@ def verify_bgg(
         for shape, par in duality_cases:
             pairs = 0
             for order in _blocks_in(shape, w, cap=max_block):
-                anti = [g for g in order if is_antidominant(g, par)]
-                for f_l in anti:
-                    for f_m in anti:
-                        tw = longest_element(par)[0]
-                        if not f_l.act(tw).negate().in_window(w):
+                inside = []
+                for g in order:
+                    if is_antidominant(g, par):
+                        try:
+                            _ringel_twist(g, par, w)
+                        except WindowEscape:
                             continue
-                        if not f_m.act(tw).negate().in_window(w):
-                            continue
+                        inside.append(g)
+                for f_l in inside:
+                    for f_m in inside:
                         lam = tuple_to_weight(f_l)
                         mu = tuple_to_weight(f_m)
                         lhs, rhs, equal = tilting_delta_mult(shape, lam, mu, par, w)

@@ -22,11 +22,13 @@ from qfock.weightlat import (
     Parabolic,
     Shape,
     SignedTuple,
+    Window,
     antidominant_rep,
     coset_reps,
     group_qfactorial,
     is_antidominant,
     stabilizer,
+    window_tuples,
 )
 
 
@@ -162,6 +164,67 @@ class TestChevalleyTwists:
             M(2, 0, 1, 2), "E", 1
         )
         assert got == want
+
+
+def _letter_image(sector, kind, a, b):
+    """The image letter of E_a/F_a on the letter b, or None if killed."""
+    if kind == "E":
+        if sector == 0:
+            return a if b == a + 1 else None
+        return a + 1 if b == a else None
+    if sector == 0:
+        return a + 1 if b == a else None
+    return a if b == a + 1 else None
+
+
+def _twist(sector, kind, a, b):
+    """Exponent contribution of the K-twist accompanying E_a/F_a."""
+    if kind == "E":
+        t = (1 if b == a + 1 else 0) - (1 if b == a else 0)
+    else:
+        t = (1 if b == a else 0) - (1 if b == a + 1 else 0)
+    return -t if sector else t
+
+
+def reference_chevalley(v, kind, a):
+    """E_a, F_a, K_a or Kinv_a case by case over generator and sector.
+
+    The independent reference for `apply_chevalley`, which applies the
+    same coproduct as one signed move rule with running twist sums.
+    """
+    shape = v.shape
+    m, size = shape.m, shape.size
+    sectors = [0] * m + [1] * shape.n
+    res = FockVector(shape)
+    for f, c in v.terms.items():
+        if kind in ("K", "Kinv"):
+            exp = sum(1 for b in f.entries[:m] if b == a) - sum(
+                1 for b in f.entries[m:] if b == a
+            )
+            res.add_term(f, c * LaurentPoly.q_power(exp if kind == "K" else -exp))
+            continue
+        for j in range(size):
+            img = _letter_image(sectors[j], kind, a, f.entries[j])
+            if img is None:
+                continue
+            rng = range(j + 1, size) if kind == "E" else range(0, j)
+            exp = sum(_twist(sectors[i], kind, a, f.entries[i]) for i in rng)
+            g = SignedTuple(shape, f.entries[:j] + (img,) + f.entries[j + 1:])
+            res.add_term(g, c * LaurentPoly.q_power(exp))
+    return res
+
+
+class TestChevalleyAgainstCaseRule:
+    SMALL = [Shape(m, n) for m in range(4) for n in range(4) if 1 <= m + n <= 3]
+
+    @pytest.mark.parametrize("shape", SMALL, ids=str)
+    def test_every_tuple_in_window(self, shape):
+        for f in window_tuples(shape, Window(0, 2)):
+            v = FockVector.monomial(f, P({1: 2, -1: -1}))
+            for kind in ("E", "F", "K", "Kinv"):
+                for a in range(-1, 4):
+                    got = apply_chevalley(v, kind, a)
+                    assert got == reference_chevalley(v, kind, a), (f, kind, a)
 
 
 def _comm_EF(v, a, b):

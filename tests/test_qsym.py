@@ -112,14 +112,34 @@ class TestBaseChange:
 
     def test_coordinates_transform_against_expansion(self):
         par = Parabolic(Shape(2, 0), {1})
-        v = QSymVector(
-            Shape(2, 0),
-            par,
-            "N",
-            {T(2, 0, 1, 2): Q, T(2, 0, 1, 1): P({0: 2})},
-        )
-        for to in ("Ntilde", "Mtilde", "N"):
-            assert base_change(v, to).expand() == v.expand()
+        vectors = [
+            QSymVector(
+                Shape(2, 0),
+                par,
+                "N",
+                {T(2, 0, 1, 2): Q, T(2, 0, 1, 1): P({0: 2})},
+            )
+        ]
+        # every antidominant index in 0..2; N coordinates stay integral in
+        # every basis, so all nine changes are exact
+        for par in (
+            Parabolic(Shape(2, 1), {1}),
+            Parabolic(Shape(2, 2), {1, 3}),
+            Parabolic.full(Shape(0, 3)),
+        ):
+            anti = [
+                f for f in window_tuples(par.shape, Window(0, 2)) if is_antidominant(f, par)
+            ]
+            terms = {f: P({k % 3 - 1: k + 1, 2: -1}) for k, f in enumerate(anti)}
+            vectors.append(QSymVector(par.shape, par, "N", terms))
+        for v in vectors:
+            coords = {to: base_change(v, to) for to in ("Ntilde", "Mtilde", "N")}
+            for frm, u in coords.items():
+                assert u.expand() == v.expand(), frm
+                for to in coords:
+                    there = base_change(u, to)
+                    assert there == coords[to], (frm, to)
+                    assert base_change(there, frm) == u, (frm, to)
 
     def test_rejects_unknown_basis(self):
         par = Parabolic.trivial(Shape(1, 1))

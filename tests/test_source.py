@@ -32,6 +32,25 @@ def test_no_module_level_empty_dict():
     assert not found, f"module-level empty dicts: {found}"
 
 
+def test_every_module_import_is_used():
+    """A package module (not __init__) uses each name it imports at module level."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, f"unused imports: {found}"
+
+
 def test_value_types_hash_and_compare_in_c():
     """Every basis key hashes and compares as a plain tuple, never in Python."""
     for cls in (Shape, Window, SignedTuple, Parabolic):
