@@ -23,12 +23,11 @@ from .reports import (
     TABLE_TAGS,
     VERIFY_SUITES,
     character_table,
-    parse_weight,
     quiver_presentation,
     run_verify,
     whittaker_decomposition,
 )
-from .weightlat import Parabolic, Shape, SignedTuple, Window, WindowEscape
+from .weightlat import Parabolic, Shape, SignedTuple, Window, WindowEscape, weight_to_tuple
 
 
 def parse_shape(text: str) -> Shape:
@@ -45,8 +44,9 @@ def parse_window(text: str) -> Window:
     return Window(int(m.group(1)), int(m.group(2)))
 
 
-def parse_parabolic(text: str, shape: Shape) -> Parabolic:
-    text = text.strip()
+def parse_parabolic(text: str | None, shape: Shape) -> Parabolic:
+    """An unset parabolic (None) is the full one."""
+    text = "full" if text is None else text.strip()
     if text in ("", "e", "trivial"):
         return Parabolic.trivial(shape)
     if text == "full":
@@ -129,15 +129,17 @@ def cmd_char(args) -> int:
     if not m:
         raise ValueError(f"algebra must look like gl(m|n), got {args.algebra!r}")
     shape = Shape(int(m.group(1)), int(m.group(2)))
-    wshape, lam = parse_weight(args.weight)
-    if wshape != shape:
+    lam = SignedTuple.parse(args.weight)
+    if lam.shape != shape:
         raise ValueError(f"weight {args.weight!r} does not match {args.algebra}")
+    f = weight_to_tuple(shape, lam.entries)
     w = parse_window(args.window)
     if args.kind == "whittaker":
-        par = parse_parabolic(args.parabolic, shape)
-        tab = whittaker_decomposition(shape, lam, par, w)
+        tab = whittaker_decomposition(f, parse_parabolic(args.parabolic, shape), w)
+    elif args.parabolic is not None:
+        raise ValueError(f"--parabolic applies to --kind whittaker only, not {args.kind}")
     else:
-        tab = character_table(shape, lam, w, args.kind)
+        tab = character_table(f, w, args.kind)
     if args.json:
         print(json.dumps(tab.to_json(), indent=2))
     elif args.csv:
@@ -153,6 +155,8 @@ def cmd_char(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_size < 1:
+        raise ValueError(f"--max-size must be at least 1, got {args.max_size}")
     w = parse_window(args.window)
     ok, msgs = run_verify(args.suite, args.max_size, w)
     for line in msgs:
@@ -201,11 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True, help='integral weight, e.g. "2|-2"')
     p.add_argument("--window", required=True, help="lo..hi")
     p.add_argument("--kind", choices=("simple", "tilting", "verma", "whittaker"), required=True)
-    p.add_argument(
-        "--parabolic",
-        default="full",
-        help="parabolic for --kind whittaker (default: full)",
-    )
+    p.add_argument("--parabolic", help="parabolic for --kind whittaker only (default: full)")
     _add_format_flags(p)
     p.set_defaults(func=cmd_char)
 

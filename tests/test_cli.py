@@ -5,7 +5,7 @@ import pytest
 
 from qfock.cli import main, parse_parabolic, parse_shape, parse_window
 from qfock.reports import character_table
-from qfock.weightlat import Parabolic, Shape, Window
+from qfock.weightlat import Parabolic, Shape, SignedTuple, Window
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -28,6 +28,7 @@ class TestParsers:
         assert parse_parabolic("1,3", sh) == Parabolic(sh, frozenset({1, 3}))
         assert parse_parabolic("e", sh) == Parabolic.trivial(sh)
         assert parse_parabolic("full", sh) == Parabolic.full(sh)
+        assert parse_parabolic(None, sh) == Parabolic.full(sh)
         with pytest.raises(ValueError):
             parse_parabolic("sx", sh)
 
@@ -128,7 +129,7 @@ class TestChar:
         )
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
-        want = character_table(Shape(1, 1), (2, -2), Window(0, 3), "verma").to_json()
+        want = character_table(SignedTuple.parse("3|3"), Window(0, 3), "verma").to_json()
         assert data == want
         [row] = data["rows"]
         assert row["name"] == "M(2|-2)"
@@ -160,6 +161,17 @@ class TestChar:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("kind", ["simple", "tilting", "verma"])
+    def test_parabolic_rejected_outside_whittaker(self, capsys, kind):
+        rc = main(
+            ["char", "--algebra", "gl(2|0)", "--weight=-1,1|",
+             "--window", "0..3", "--kind", kind, "--parabolic", "s1"]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--parabolic applies to --kind whittaker only" in captured.err
+
 
 class TestVerifyCommand:
     def test_pass(self, capsys):
@@ -172,6 +184,15 @@ class TestVerifyCommand:
         rc = main(["verify", "--suite", "inverse", "--max-size", "2", "--window=-1..1"])
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_rejects_empty_sweep(self, capsys, size):
+        # a sweep over no shapes checks nothing and must not report PASS
+        rc = main(["verify", "--suite", "bar", f"--max-size={size}", "--window", "0..2"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "--max-size must be at least 1" in captured.err
 
 
 class TestQuiverCommand:
@@ -192,6 +213,8 @@ CLI_GOLDENS = {
     "qsym_N": "qsym --shape 2|3 --parabolic s3,s4 --tuple 1,2|2,2,1 --window=-1..3 --basis N",
     "char_simple": "char --algebra gl(1|1) --weight=2|-2 --window 0..3 --kind simple",
     "char_whittaker": "char --algebra gl(2|2) --weight=0,1|0,1 --window=-1..3 --parabolic s1,s3 --kind whittaker",
+    "char_tilting": "char --algebra gl(2|2) --weight=-1,1|0,0 --window=-1..3 --kind tilting",
+    "char_verma": "char --algebra gl(2|2) --weight=-1,1|0,0 --window=-1..3 --kind verma",
 }
 
 

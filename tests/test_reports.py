@@ -14,7 +14,6 @@ from qfock.reports import (
     delta_flag_length,
     format_weight,
     graded_bgg_table,
-    parse_weight,
     quiver_presentation,
     run_verify,
     simple_character,
@@ -34,7 +33,18 @@ from qfock.reports import (
     whittaker_decomposition,
     whittaker_simple_mult,
 )
-from qfock.weightlat import Parabolic, Shape, SignedTuple, Window, WindowEscape
+from qfock.weightlat import (
+    Parabolic,
+    Shape,
+    SignedTuple,
+    Window,
+    WindowEscape,
+    block,
+    is_antidominant,
+    tuple_to_weight,
+    weight_to_tuple,
+    window_tuples,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -49,49 +59,47 @@ def P(coeffs):
 
 class TestWeightFormat:
     def test_roundtrip(self):
-        sh = Shape(2, 1)
-        lam = (3, -1, 4)
-        assert parse_weight(format_weight(sh, lam)) == (sh, lam)
+        # the printed weight parses back, through the CLI's path, to the tuple
+        f = T("5,0|-3")
+        assert format_weight(f) == str(SignedTuple(f.shape, tuple_to_weight(f))) == "3,-1|4"
+        assert weight_to_tuple(f.shape, SignedTuple.parse(format_weight(f)).entries) == f
 
     def test_rendering(self):
-        assert format_weight(Shape(1, 1), (2, -2)) == "2|-2"
-        assert format_weight(Shape(2, 0), (0, 1)) == "0,1|"
+        assert format_weight(T("3|3")) == "2|-2"
+        assert format_weight(T("2,2|")) == "0,1|"
 
 
 class TestSimpleCharacter:
     def test_atypical_chain(self):
-        row = simple_character(Shape(1, 1), (2, -2), Window(0, 3))
+        row = simple_character(T("3|3"), Window(0, 3))
         assert row.entries == {
             T("3|3"): 1,
             T("2|2"): -1,
             T("1|1"): 1,
             T("0|0"): -1,
         }
-        assert row.mult((1, -1)) == -1
-        assert row.mult((5, -5)) == 0
+        assert row.entries.get(T("2|2"), 0) == -1
+        assert row.entries.get(T("6|6"), 0) == 0
 
     def test_typical_is_verma(self):
-        row = simple_character(Shape(1, 1), (0, -2), Window(0, 3))
+        row = simple_character(T("1|3"), Window(0, 3))
         assert row.entries == {T("1|3"): 1}
 
     def test_diagonal_entry(self):
-        sh = Shape(2, 1)
         w = Window(0, 2)
-        from qfock.weightlat import tuple_to_weight
-
         f = T("2,1|1")
-        row = simple_character(sh, tuple_to_weight(f), w)
+        row = simple_character(f, w)
         assert row.ftuple == f
         assert row.entries[f] == 1
 
 
 class TestTiltingCharacter:
     def test_atypical_two_terms(self):
-        row = tilting_character(Shape(1, 1), (2, -2), Window(0, 3))
+        row = tilting_character(T("3|3"), Window(0, 3))
         assert row.entries == {T("3|3"): 1, T("2|2"): 1}
 
     def test_typical_single(self):
-        row = tilting_character(Shape(1, 1), (0, -2), Window(0, 3))
+        row = tilting_character(T("1|3"), Window(0, 3))
         assert row.entries == {T("1|3"): 1}
 
     def test_nonnegative_sweep(self):
@@ -99,32 +107,25 @@ class TestTiltingCharacter:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             for sh in (Shape(1, 1), Shape(2, 1), Shape(1, 2)):
-                from qfock.weightlat import tuple_to_weight, window_tuples
-
                 for f in window_tuples(sh, w):
-                    row = tilting_character(sh, tuple_to_weight(f), w)
+                    row = tilting_character(f, w)
                     assert all(c >= 0 for c in row.entries.values())
 
 
 class TestVermaInSimple:
     def test_atypical_bidiagonal(self):
-        row = verma_in_simple(Shape(1, 1), (2, -2), Window(0, 3))
+        row = verma_in_simple(T("3|3"), Window(0, 3))
         assert row.entries == {T("3|3"): 1, T("2|2"): 1}
 
     def test_inverts_simple_rows(self):
         # composing [M] -> [L] -> [M] lands back on the unit vector
-        sh = Shape(2, 1)
         w = Window(0, 2)
-        f = T("2,1|1")
-        from qfock.weightlat import block, tuple_to_weight
-
-        order = block(f, w)
+        order = block(T("2,1|1"), w)
         for h in order:
-            lam = tuple_to_weight(h)
-            vrow = verma_in_simple(sh, lam, w)
+            vrow = verma_in_simple(h, w)
             total = {}
             for g, c in vrow.entries.items():
-                lrow = simple_character(sh, tuple_to_weight(g), w)
+                lrow = simple_character(g, w)
                 for k, d in lrow.entries.items():
                     total[k] = total.get(k, 0) + c * d
             total = {k: v for k, v in total.items() if v}
@@ -133,21 +134,21 @@ class TestVermaInSimple:
 
 class TestCharTable:
     def test_tag_validation(self):
-        row = simple_character(Shape(1, 1), (2, -2), Window(0, 3))
+        row = simple_character(T("3|3"), Window(0, 3))
         with pytest.raises(ValueError):
             CharTable(Shape(1, 1), "nonsense", Window(0, 3), [row])
 
     def test_kinds(self):
-        sh = Shape(1, 1)
+        f = T("3|3")
         w = Window(0, 3)
-        assert character_table(sh, (2, -2), w, "simple").tag == "simple-in-Verma"
-        assert character_table(sh, (2, -2), w, "tilting").tag == "tilting-in-Verma"
-        assert character_table(sh, (2, -2), w, "verma").tag == "Verma-in-simple"
+        assert character_table(f, w, "simple").tag == "simple-in-Verma"
+        assert character_table(f, w, "tilting").tag == "tilting-in-Verma"
+        assert character_table(f, w, "verma").tag == "Verma-in-simple"
         with pytest.raises(ValueError):
-            character_table(sh, (2, -2), w, "projective")
+            character_table(f, w, "projective")
 
     def test_json(self):
-        tab = character_table(Shape(1, 1), (2, -2), Window(0, 3), "tilting")
+        tab = character_table(T("3|3"), Window(0, 3), "tilting")
         data = tab.to_json()
         assert data["tag"] == "tilting-in-Verma"
         assert data["window"] == "0..3"
@@ -159,7 +160,7 @@ class TestCharTable:
         json.dumps(data)
 
     def test_csv(self):
-        tab = character_table(Shape(1, 1), (2, -2), Window(0, 3), "simple")
+        tab = character_table(T("3|3"), Window(0, 3), "simple")
         lines = tab.to_csv().strip().splitlines()
         assert lines[0] == "tag,name,lambda,lambda_tuple,mu,mu_tuple,mult"
         assert len(lines) == 1 + 4
@@ -170,9 +171,9 @@ class TestWhittakerDecomposition:
     def test_regular_even_orbit(self):
         sh = Shape(2, 0)
         par = Parabolic.full(sh)
-        tab = whittaker_decomposition(sh, (-1, 1), par, Window(0, 3))
-        delta, tilt, simple = tab.rows
         f = T("1,2|")
+        tab = whittaker_decomposition(f, par, Window(0, 3))
+        delta, tilt, simple = tab.rows
         assert delta.entries == {f: 2}
         assert tilt.entries == {f: 2}
         assert simple.entries == {f: 1}
@@ -182,55 +183,52 @@ class TestWhittakerDecomposition:
         sh = Shape(1, 1)
         par = Parabolic.trivial(sh)
         w = Window(0, 3)
-        tab = whittaker_decomposition(sh, (2, -2), par, w)
+        f = T("3|3")
+        tab = whittaker_decomposition(f, par, w)
         delta, tilt, simple = tab.rows
-        assert delta.entries == {T("3|3"): 1}
-        assert tilt.entries == tilting_character(sh, (2, -2), w).entries
-        assert simple.entries == simple_character(sh, (2, -2), w).entries
+        assert delta.entries == {f: 1}
+        assert tilt.entries == tilting_character(f, w).entries
+        assert simple.entries == simple_character(f, w).entries
 
     def test_rejects_nondominant(self):
         sh = Shape(1, 2)
         par = Parabolic.full(sh)
         with pytest.raises(ValueError):
-            # f = (1|1,2) has increasing dual letters
-            whittaker_decomposition(sh, (0, 0, 0), par, Window(0, 3))
+            # increasing dual letters
+            whittaker_decomposition(T("1|1,2"), par, Window(0, 3))
 
 
 class TestWhittakerSimpleMult:
     def test_even_regular(self):
         sh = Shape(2, 0)
         par = Parabolic.full(sh)
-        got = whittaker_simple_mult(sh, (-1, 1), (-1, 1), par, Window(0, 3))
+        got = whittaker_simple_mult(T("1,2|"), T("1,2|"), par, Window(0, 3))
         assert got == (1, 1, True)
 
     def test_different_blocks(self):
         sh = Shape(1, 1)
         par = Parabolic.trivial(sh)
-        got = whittaker_simple_mult(sh, (2, -2), (0, -2), par, Window(0, 3))
+        got = whittaker_simple_mult(T("3|3"), T("1|3"), par, Window(0, 3))
         assert got == (0, 0, True)
 
     def test_atypical_block_sweep(self):
         sh = Shape(1, 2)
         par = Parabolic.full(sh)
         w = Window(-1, 2)
-        from qfock.weightlat import block, is_antidominant, tuple_to_weight
-
         order = block(T("1|1,0"), w)
         anti = [g for g in order if is_antidominant(g, par)]
         assert len(anti) >= 3
         for f in anti:
             for g in anti:
-                lhs, rhs, equal = whittaker_simple_mult(
-                    sh, tuple_to_weight(f), tuple_to_weight(g), par, w
-                )
+                lhs, rhs, equal = whittaker_simple_mult(f, g, par, w)
                 assert equal, (f, g, lhs, rhs)
 
     def test_non_antidominant_inputs_use_orbit_reps(self):
         sh = Shape(2, 0)
         par = Parabolic.full(sh)
-        a = whittaker_simple_mult(sh, (-1, 1), (-1, 1), par, Window(0, 3))
-        # (0, 0) is the dot-action image of (-1, 1) under the transposition
-        b = whittaker_simple_mult(sh, (0, 0), (-1, 1), par, Window(0, 3))
+        a = whittaker_simple_mult(T("1,2|"), T("1,2|"), par, Window(0, 3))
+        # 2,1| is the image of 1,2| under the transposition
+        b = whittaker_simple_mult(T("2,1|"), T("1,2|"), par, Window(0, 3))
         assert a == b
 
 
@@ -239,85 +237,72 @@ class TestStandardWhittakerColumn:
         sh = Shape(1, 2)
         par = Parabolic.full(sh)
         w = Window(0, 3)
-        from qfock.weightlat import tuple_to_weight
-
         f = T("3|2,1")  # typical: no letter shared between sectors
-        lam = tuple_to_weight(f)
-        col = standard_whittaker_column(sh, lam, par, w)
+        col = standard_whittaker_column(f, par, w)
         assert col == {f: 1}
-        assert standard_whittaker_is_simple(sh, lam, par, w)
+        assert standard_whittaker_is_simple(f, par, w)
 
     def test_atypical_length_two(self):
         sh = Shape(1, 2)
         par = Parabolic.full(sh)
         w = Window(-1, 2)
         # f = (1|1,0) atypical; the series continues one step down the chain
-        from qfock.weightlat import tuple_to_weight
-
-        col = standard_whittaker_column(sh, tuple_to_weight(T("1|1,0")), par, w)
+        col = standard_whittaker_column(T("1|1,0"), par, w)
         assert col == {T("1|1,0"): 1, T("0|0,0"): 1}
-        assert not standard_whittaker_is_simple(sh, tuple_to_weight(T("1|1,0")), par, w)
+        assert not standard_whittaker_is_simple(T("1|1,0"), par, w)
 
 
 class TestDeltaFlagLength:
     def test_regular_orbit(self):
         sh = Shape(1, 2)
         par = Parabolic.full(sh)
-        from qfock.weightlat import tuple_to_weight
-
-        assert delta_flag_length(sh, tuple_to_weight(T("1|2,0")), par) == 2
-        assert delta_flag_length(sh, tuple_to_weight(T("1|1,1")), par) == 1
+        assert delta_flag_length(T("1|2,0"), par) == 2
+        assert delta_flag_length(T("1|1,1"), par) == 1
 
     def test_two_sided(self):
         sh = Shape(2, 2)
         par = Parabolic(sh, frozenset({1, 3}))
-        from qfock.weightlat import tuple_to_weight
-
-        assert delta_flag_length(sh, tuple_to_weight(T("1,2|2,1")), par) == 4
-        assert delta_flag_length(sh, tuple_to_weight(T("1,1|2,2")), par) == 1
+        assert delta_flag_length(T("1,2|2,1"), par) == 4
+        assert delta_flag_length(T("1,1|2,2"), par) == 1
 
 
 class TestTiltingDeltaMult:
     def test_diagonal(self):
         sh = Shape(1, 1)
         par = Parabolic.full(sh)
-        got = tilting_delta_mult(sh, (2, -2), (2, -2), par, Window(-3, 3))
+        got = tilting_delta_mult(T("3|3"), T("3|3"), par, Window(-3, 3))
         assert got == (1, 1, True)
 
     def test_atypical_adjacent(self):
         sh = Shape(1, 1)
         par = Parabolic.full(sh)
-        got = tilting_delta_mult(sh, (2, -2), (1, -1), par, Window(-3, 3))
+        got = tilting_delta_mult(T("3|3"), T("2|2"), par, Window(-3, 3))
         assert got == (1, 1, True)
 
     def test_typical_unequal_pair(self):
         sh = Shape(1, 1)
         par = Parabolic.full(sh)
-        got = tilting_delta_mult(sh, (0, -2), (2, -2), par, Window(-3, 3))
+        got = tilting_delta_mult(T("1|3"), T("3|3"), par, Window(-3, 3))
         assert got == (0, 0, True)
 
     def test_window_escape(self):
         sh = Shape(1, 1)
         par = Parabolic.full(sh)
         with pytest.raises(WindowEscape):
-            tilting_delta_mult(sh, (2, -2), (1, -1), par, Window(0, 3))
+            tilting_delta_mult(T("3|3"), T("2|2"), par, Window(0, 3))
 
     def test_rejects_nondominant(self):
         sh = Shape(1, 2)
         par = Parabolic.full(sh)
-        from qfock.weightlat import tuple_to_weight
-
         with pytest.raises(ValueError):
-            tilting_delta_mult(
-                sh, tuple_to_weight(T("1|0,2")), tuple_to_weight(T("1|2,0")), par, Window(-2, 2)
-            )
+            tilting_delta_mult(T("1|0,2"), T("1|2,0"), par, Window(-2, 2))
 
     def test_table_row(self):
         sh = Shape(1, 1)
         par = Parabolic.full(sh)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            tab = tilting_delta_table(sh, (1, -1), par, Window(-2, 2))
+            tab = tilting_delta_table(T("2|2"), par, Window(-2, 2))
         assert tab.tag == "tilting-Delta"
         row = tab.rows[0]
         assert row.entries == {T("2|2"): 1, T("1|1"): 1}
@@ -342,11 +327,11 @@ class TestGradedBGG:
         assert len(tbl.anti) == 5
         assert not tbl.failures()
         # adjacent pair carries multiplicity q
-        e = tbl.entry((1, -1), (0, 0))
+        e = tbl.entry(T("2|2"), T("1|1"))
         assert e.lhs == LaurentPoly.q_power(1)
         assert e.rhs == e.lhs
         # and the reversed pair vanishes
-        assert tbl.entry((0, 0), (1, -1)).lhs == LaurentPoly.zero()
+        assert tbl.entry(T("1|1"), T("2|2")).lhs == LaurentPoly.zero()
 
     def test_parabolic_case(self):
         sh = Shape(1, 2)
@@ -385,7 +370,7 @@ class TestCommutingSquare:
     )
     def test_square_commutes(self, shape, gens):
         par = Parabolic(shape, frozenset(gens))
-        ok, msgs = commuting_square_check(shape, par, Window(0, 2))
+        ok, msgs = commuting_square_check(par, Window(0, 2))
         assert ok, msgs
 
 

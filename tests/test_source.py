@@ -51,6 +51,32 @@ def test_every_module_import_is_used():
     assert not found, f"unused imports: {found}"
 
 
+def _referenced_names(node: ast.AST) -> set:
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.FunctionDef):
+        return {node.name}
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return {alias.name for alias in node.names}
+    return set()
+
+
+def test_weights_enter_only_through_the_cli():
+    """The package is keyed by tuples; only cli turns a weight into one.
+
+    weight_to_tuple is named by weightlat (its definition) and by cli,
+    which parses `char --weight`; every other module takes tuples.
+    """
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if "weight_to_tuple" in _referenced_names(node):
+                found.add(path.name)
+    assert found == {"weightlat.py", "cli.py"}, sorted(found)
+
+
 def test_value_types_hash_and_compare_in_c():
     """Every basis key hashes and compares as a plain tuple, never in Python."""
     for cls in (Shape, Window, SignedTuple, Parabolic):
