@@ -42,6 +42,7 @@ from .fock import FockVector, act, apply_chevalley
 from .hecke import HeckeElement
 from .laurent import LaurentPoly
 from .weightlat import (
+    CheckFailed,
     Parabolic,
     Shape,
     SignedTuple,
@@ -56,14 +57,6 @@ from .weightlat import (
 _Q_MINUS_QINV = LaurentPoly({1: 1, -1: -1})
 _MINUS_QINV = LaurentPoly({-1: -1})
 _UNSEEN = object()
-
-
-class NoSolution(Exception):
-    """A defining linear condition turned out to be unsatisfiable."""
-
-
-class NonUnique(Exception):
-    """A defining linear condition failed to pin the answer down."""
 
 
 def _prefix_shape(shape: Shape, k: int) -> Shape:
@@ -213,6 +206,7 @@ def bar_oracle(
     q^-j (dual mode) in each lower coefficient; the fixed-point equation
     bar(v) = v becomes an integer linear system solved by elimination.
     Completely independent of the triangular solver built on top of bar.
+    Raises CheckFailed when the system has no unique integral solution.
     """
     if mode not in ("canonical", "dual"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -308,9 +302,9 @@ def _solve_exact(system, ncols):
     # rows that survive every pivot have zeros in all unknown columns
     for row in live:
         if row.get(ncols):
-            raise NoSolution("bar fixed-point system is inconsistent")
+            raise CheckFailed("bar fixed-point system is inconsistent")
     if len(pivot_rows) < ncols:
-        raise NonUnique(
+        raise CheckFailed(
             f"bar fixed-point system has {ncols - len(pivot_rows)} free directions"
         )
     sol: dict[int, Fraction] = {}
@@ -324,6 +318,6 @@ def _solve_exact(system, ncols):
     for c in range(ncols):
         x = sol[c]
         if x.denominator != 1:
-            raise NoSolution("bar fixed-point solution is not integral")
+            raise CheckFailed("bar fixed-point solution is not integral")
         out.append(int(x))
     return out

@@ -8,8 +8,8 @@ once every t_{hf} with h above g is known, the difference
     d_g = sum_{g < h <= f} r_{gh} bar(t_{hf}),   r_{gh} = [M_g] bar(M_h),
 
 must be killed by t_{gf} - bar(t_{gf}), which pins t_{gf} inside the chosen
-half of the coefficient ring.  Each step asserts that d_g is antisymmetric
-under bar; a violation means the bar map itself is broken.  The same
+half of the coefficient ring.  Each step checks that d_g is antisymmetric
+under bar and raises CheckFailed if not (the bar map is broken).  The same
 solver, `triangular_solve`, also runs inside the symmetrized image (qsym).
 
 Dual canonical supports legitimately run into the window floor (their full
@@ -30,7 +30,7 @@ from types import MappingProxyType
 from .barinv import bar_context
 from .fock import FockVector
 from .laurent import LaurentPoly, NotAntisymmetric, neg_part, pos_part
-from .weightlat import SignedTuple, Window, bruhat_leq, block
+from .weightlat import CheckFailed, SignedTuple, Window, bruhat_leq, block
 
 
 class TruncationWarning(UserWarning):
@@ -74,11 +74,11 @@ def triangular_solve(down, bar_column, part, target) -> dict:
     of bar applied to the basis vector at h; `part` is pos_part (canonical)
     or neg_part (dual).  Each nonzero t_{h,target} adds bar(t_{h,target})
     times bar_column(h) into one running difference, so the step at g reads
-    one entry, and only such h get a bar column.  Raises NotAntisymmetric,
+    one entry, and only such h get a bar column.  Raises CheckFailed,
     naming g and target, if the bar map is broken.
     """
     if not down or down[-1] != target:
-        raise AssertionError(f"{target} is not the top of its ordered block")
+        raise CheckFailed(f"{target} is not the top of its ordered block")
     t: dict = {}
     diff: dict = {}
     val = LaurentPoly.one()
@@ -88,7 +88,7 @@ def triangular_solve(down, bar_column, part, target) -> dict:
             try:
                 val = part(d)
             except NotAntisymmetric as exc:
-                raise NotAntisymmetric(
+                raise CheckFailed(
                     f"difference at {g} below {target} is not bar-antisymmetric: {d}"
                 ) from exc
         if val:
@@ -106,7 +106,7 @@ def inverse_column(order, column, f) -> dict:
     maps g to the entry (g, h), an int or a LaurentPoly, zero unless g is at
     or before h.  Solved downward from f by one running difference, as in
     triangular_solve: only columns h with a nonzero entry x_h are read, and
-    one whose diagonal entry is not exactly 1 raises AssertionError.
+    one whose diagonal entry is not exactly 1 raises CheckFailed.
     """
     x: dict = {}
     diff: dict = {}
@@ -117,7 +117,7 @@ def inverse_column(order, column, f) -> dict:
         col = column(h)
         one = col.get(h, 0)
         if one != 1:
-            raise AssertionError(f"diagonal entry at {h} is {one}, not 1")
+            raise CheckFailed(f"diagonal entry at {h} is {one}, not 1")
         if h == f:
             xh = one
         x[h] = xh
@@ -194,14 +194,13 @@ def dual_inverse_column(order: tuple[SignedTuple, ...], f: SignedTuple, w: Windo
     return {g: c.bar() for g, c in inv.items()}
 
 
-def inverse_relation_check(order: tuple[SignedTuple, ...], w: Window) -> bool:
+def inverse_relation_check(order: tuple[SignedTuple, ...], w: Window) -> None:
     """Inverting the dual matrix at q -> 1/q lands on the negated canonical one.
 
     With D_{g,f} = l_{g,f}(q^-1) over the given block, the inverse matrix
     must satisfy (D^-1)_{g,f} = t_{-f,-g}(q) where the canonical
     coefficients are computed on the entrywise-negated block.  Exact, no
-    specialization.  Returns False (with a warning naming the first bad
-    entry) on any mismatch.
+    specialization.  Raises CheckFailed naming the first bad entry.
     """
     negated = [g.negate() for g in order]
     for g in negated:
@@ -213,9 +212,4 @@ def inverse_relation_check(order: tuple[SignedTuple, ...], w: Window) -> bool:
             got = inv[f].get(g, LaurentPoly.zero())
             want = canonical(ng, w).coeff(nf)
             if got != want:
-                warnings.warn(
-                    f"inverse relation fails at ({g}, {f}): {got} != {want}",
-                    stacklevel=2,
-                )
-                return False
-    return True
+                raise CheckFailed(f"inverse relation fails at ({g}, {f}): {got} != {want}")

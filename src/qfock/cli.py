@@ -3,9 +3,9 @@
 Subcommands: bkl (canonical/dual canonical expansions), qsym (canonical
 basis of the symmetrized image in a choice of coordinates), char
 (character and multiplicity tables), verify (identity sweeps), quiver
-(the gl(1|n) presentation).  Exit codes: 0 on success, 2 on any
-verification failure or bad input, 3 when a computation needs letters
-outside the requested window.
+(the gl(1|n) presentation).  Exit codes: 0 on success; 2 on bad input, a
+FAIL verdict or a failed internal identity check (CheckFailed); 3 when a
+computation needs letters outside the requested window.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import re
 import sys
 
 from .canonical import canonical, dual_canonical
-from .qsym import ReexpressionFailure, base_change, qsym_canonical
+from .qsym import base_change, qsym_canonical
 from .reports import (
     TABLE_TAGS,
     VERIFY_SUITES,
@@ -27,7 +27,9 @@ from .reports import (
     run_verify,
     whittaker_decomposition,
 )
-from .weightlat import Parabolic, Shape, SignedTuple, Window, WindowEscape, weight_to_tuple
+from .weightlat import (
+    CheckFailed, Parabolic, Shape, SignedTuple, Window, WindowEscape, weight_to_tuple,
+)
 
 
 def parse_shape(text: str) -> Shape:
@@ -230,10 +232,10 @@ def main(argv=None) -> int:
     except WindowEscape as exc:
         print(f"window escape: {exc}", file=sys.stderr)
         return 3
-    except AssertionError as exc:
+    except CheckFailed as exc:
         print(f"identity verification failed: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, ReexpressionFailure) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

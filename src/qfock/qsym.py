@@ -23,7 +23,7 @@ of f) projects the whole tensor space onto the image.  Canonical bases
 come out two ways: pushing the ordinary canonical basis through phi, or
 running the triangular solver intrinsically in N- or Mtilde-coordinates
 with the bar map transported through expansion and re-expression.  The
-two constructions are asserted against each other.
+two constructions must agree, or CheckFailed is raised.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .laurent import (
     pos_part,
 )
 from .weightlat import (
+    CheckFailed,
     Parabolic,
     SignedTuple,
     Window,
@@ -57,10 +58,6 @@ from .weightlat import (
     longest_element,
     stabilizer,
 )
-
-
-class ReexpressionFailure(Exception):
-    """A vector claimed to lie in the symmetrized image does not."""
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +178,7 @@ def reexpress(v: FockVector, par: Parabolic, basis: str = "Ntilde") -> dict:
     """Coordinates of a tensor-space vector that lies in the image.
 
     Reads one exact division per orbit off the bottom monomial, then
-    checks the reconstruction reproduces v on the nose.
+    checks that the reconstruction is v on the nose (CheckFailed if not).
     """
     coords: dict[SignedTuple, LaurentPoly] = {}
     recon = FockVector.zero(v.shape)
@@ -192,15 +189,13 @@ def reexpress(v: FockVector, par: Parabolic, basis: str = "Ntilde") -> dict:
         try:
             x = div_exact(c, _scale(f, par, basis) * LaurentPoly.q_power(top_len))
         except NotDivisible as exc:
-            raise ReexpressionFailure(
+            raise CheckFailed(
                 f"orbit coefficient at {f} is not divisible in basis {basis}"
             ) from exc
         coords[f] = x
         recon.axpy(_EXPAND[basis](f, par), x)
     if recon != v:
-        raise ReexpressionFailure(
-            f"vector is not in the symmetrized image for {par}"
-        )
+        raise CheckFailed(f"vector is not in the symmetrized image for {par}")
     return coords
 
 
@@ -256,8 +251,8 @@ def qsym_canonical(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpansion:
     """Canonical basis of the image by push-forward, in N coordinates.
 
     Computes the ordinary canonical element through f.w0 (w0 the longest
-    element of the parabolic), projects it, and asserts that the resulting
-    coefficient at g equals the ordinary coefficient at g.w0.
+    element of the parabolic), projects it, and checks that the resulting
+    coefficient at g is the ordinary one at g.w0, or raises CheckFailed.
     """
     if not is_antidominant(f, par):
         raise ValueError(f"{f} is not antidominant for {par}")
@@ -269,7 +264,7 @@ def qsym_canonical(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpansion:
     for g, c in push.terms.items():
         coords[g] = div_exact(c, n_ratio(g, par))
         if coords[g] != texp.coeff(g.act(w0)):
-            raise AssertionError(
+            raise CheckFailed(
                 f"push-forward coefficient at {g} disagrees with the "
                 f"ordinary coefficient at {g.act(w0)}"
             )
@@ -281,13 +276,13 @@ def qsym_dual_canonical(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpans
 
     For antidominant f the coefficients are checked against the coset sum
     of ordinary dual coefficients; for any other f the projection must
-    cancel to zero exactly, and the returned expansion is empty.
+    cancel to zero exactly and the expansion is empty.  Failures raise CheckFailed.
     """
     lexp = dual_canonical(f, w)
     push = phi_zeta(lexp.vector(), par)
     if not is_antidominant(f, par):
         if push:
-            raise AssertionError(
+            raise CheckFailed(
                 f"projection of the dual element at non-antidominant {f} "
                 "failed to vanish"
             )
@@ -306,9 +301,7 @@ def qsym_dual_canonical(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpans
         if total:
             want[g0] = total
     if want != push.terms:
-        raise AssertionError(
-            f"coset-sum formula disagrees with the projection at {f}"
-        )
+        raise CheckFailed(f"coset-sum formula disagrees with the projection at {f}")
     return QSymExpansion(f, "dual", "Ntilde", par, w, MappingProxyType(push.terms))
 
 
@@ -326,7 +319,7 @@ def qsym_canonical_intrinsic(f: SignedTuple, par: Parabolic, w: Window):
     in N coordinates and once in Mtilde coordinates, with the bar map
     computed by expand / bar / re-express.  Returns the two expansions;
     their coefficient dictionaries must agree and do so by construction
-    (asserted).
+    (CheckFailed otherwise).
     """
     if not is_antidominant(f, par):
         raise ValueError(f"{f} is not antidominant for {par}")
@@ -341,7 +334,7 @@ def qsym_canonical_intrinsic(f: SignedTuple, par: Parabolic, w: Window):
         t = MappingProxyType(t)
         results.append(QSymExpansion(f, "canonical", basis, par, w, t))
     if results[0].coefficients != results[1].coefficients:
-        raise AssertionError(
+        raise CheckFailed(
             f"intrinsic coefficients differ between N and Mtilde bases at {f}"
         )
     return results[0], results[1]

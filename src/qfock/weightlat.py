@@ -32,6 +32,10 @@ class WindowEscape(Exception):
     """Raised when a computation needs letters outside the ambient window."""
 
 
+class CheckFailed(Exception):
+    """An identity checked against a second route failed: the code is wrong."""
+
+
 class Shape(namedtuple("Shape", "m n")):
     __slots__ = ()
 
@@ -376,16 +380,14 @@ def coset_reps(sub: Parabolic, par: Parabolic) -> list[tuple[tuple[int, ...], in
     if not sub.generators <= par.generators:
         raise ValueError("stabilizer is not a standard parabolic of the group")
     elems = par_elements(par)
-    sub_elems = par_elements(Parabolic(par.shape, sub.generators))
-    buckets: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-    for p, lp in elems.items():
-        key = min(perm_mul(u, p) for u in sub_elems)
-        best = buckets.get(key)
-        if best is None or (lp, p) < (best[1], best[0]):
-            buckets[key] = (p, lp)
-    reps = sorted(buckets.values(), key=lambda t: (t[1], t[0]))
-    if len(reps) * len(sub_elems) != len(elems):
-        raise AssertionError("coset decomposition lost elements")
+    gens = sub.generators
+    # p is minimal in sub.p iff no s_i of sub is a left descent: i-1 comes before i in p
+    reps = sorted(
+        ((p, lp) for p, lp in elems.items() if all(p.index(i - 1) < p.index(i) for i in gens)),
+        key=lambda t: (t[1], t[0]),
+    )
+    if len(reps) * len(par_elements(sub)) != len(elems):
+        raise CheckFailed("coset decomposition lost elements")
     return reps
 
 

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfock.barinv import BarContext, NoSolution, bar, bar_context, bar_oracle, pure_bar
+from qfock.barinv import BarContext, bar, bar_context, bar_oracle, pure_bar
 from qfock.fock import FockVector, act, act_gen, apply_chevalley
 from qfock.hecke import HeckeElement
 from qfock.laurent import LaurentPoly
 from qfock.weightlat import (
+    CheckFailed,
     Shape,
     SignedTuple,
     Window,
@@ -392,7 +393,7 @@ class TestBarOracle:
         assert bar_oracle(T(1, 1, 1, 3), Window(1, 3), 2) == M(1, 1, 1, 3)
 
     def test_degree_bound_too_small(self):
-        with pytest.raises(NoSolution):
+        with pytest.raises(CheckFailed, match="bar fixed-point system is inconsistent"):
             bar_oracle(T(1, 1, 2, 2), Window(0, 2), 1, mode="dual")
 
     def test_bad_mode(self):

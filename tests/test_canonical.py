@@ -1,9 +1,12 @@
 """Tests for the canonical / dual canonical solver and the matrix identities."""
 
+import dataclasses
 import warnings
+from types import MappingProxyType
 
 import pytest
 
+import qfock.canonical
 from qfock.barinv import bar, bar_oracle
 from qfock.canonical import (
     TruncationWarning,
@@ -12,10 +15,12 @@ from qfock.canonical import (
     dual_canonical,
     inverse_column,
     inverse_relation_check,
+    triangular_solve,
 )
 from qfock.fock import FockVector
-from qfock.laurent import LaurentPoly
+from qfock.laurent import LaurentPoly, NotAntisymmetric, pos_part
 from qfock.weightlat import (
+    CheckFailed,
     Shape,
     SignedTuple,
     Window,
@@ -233,17 +238,30 @@ class TestInverseColumn:
     @pytest.mark.parametrize("diagonal", [2, 0, -1, P({1: 1}), P({0: 1, 1: 1})], ids=str)
     def test_non_unit_diagonal_raises(self, diagonal):
         columns = {"a": {"a": diagonal}, "b": {"a": 1, "b": 1}}
-        with pytest.raises(AssertionError, match="diagonal entry at a"):
+        with pytest.raises(CheckFailed, match="diagonal entry at a"):
             inverse_column(["a", "b"], columns.__getitem__, "b")
         columns["b"]["b"] = diagonal
-        with pytest.raises(AssertionError, match="diagonal entry at b"):
+        with pytest.raises(CheckFailed, match="diagonal entry at b"):
             inverse_column(["a", "b"], columns.__getitem__, "b")
+
+
+class TestTriangularSolve:
+    def test_broken_bar_column_raises(self):
+        # bar(M_b) = M_b + q M_a leaves d_a = q, which is not bar-antisymmetric
+        columns = {"a": {"a": P({0: 1})}, "b": {"a": P({1: 1}), "b": P({0: 1})}}
+        with pytest.raises(CheckFailed, match="difference at a below b") as info:
+            triangular_solve(["a", "b"], columns.__getitem__, pos_part, "b")
+        assert isinstance(info.value.__cause__, NotAntisymmetric)
+
+    def test_target_must_end_the_order(self):
+        with pytest.raises(CheckFailed, match="b is not the top"):
+            triangular_solve(["b", "a"], {}.__getitem__, pos_part, "b")
 
 
 class TestInverseRelation:
     def test_singleton(self):
         w = Window(-3, 3)
-        assert inverse_relation_check([T(1, 1, 1, 3)], w)
+        inverse_relation_check([T(1, 1, 1, 3)], w)
 
     def test_atypical_chain(self):
         w = Window(-2, 2)
@@ -251,19 +269,38 @@ class TestInverseRelation:
         assert len(order) == 5
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            assert inverse_relation_check(order, w)
+            inverse_relation_check(order, w)
 
     def test_pure_rank_two(self):
         w = Window(-2, 2)
         order = block(T(2, 0, 1, 2), w)
-        assert inverse_relation_check(order, w)
+        inverse_relation_check(order, w)
 
     def test_mixed_blocks(self):
         w = Window(-2, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             for f in [T(2, 1, 1, 2, 1), T(1, 2, 0, 1, 0), T(1, 2, 1, 1, 1)]:
-                assert inverse_relation_check(block(f, w), w), f
+                inverse_relation_check(block(f, w), w)
+
+    def test_corrupted_dual_column_raises(self, monkeypatch):
+        # l_{12,21} = -q^-1; doubling it breaks the relation at (1,2|, 2,1|)
+        w = Window(-2, 2)
+        order = block(T(2, 0, 1, 2), w)
+        top, low = T(2, 0, 2, 1), T(2, 0, 1, 2)
+        honest = qfock.canonical.dual_canonical
+
+        def corrupted(f, w):
+            exp = honest(f, w)
+            if f != top:
+                return exp
+            coeffs = dict(exp.coefficients)
+            coeffs[low] = coeffs[low] * 2
+            return dataclasses.replace(exp, coefficients=MappingProxyType(coeffs))
+
+        monkeypatch.setattr(qfock.canonical, "dual_canonical", corrupted)
+        with pytest.raises(CheckFailed, match=r"inverse relation fails at \(1,2\|, 2,1\|\): 2\*q != q"):
+            inverse_relation_check(order, w)
 
     def test_rejects_asymmetric_window(self):
         w = Window(0, 2)

@@ -1,11 +1,16 @@
+import dataclasses
 import json
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
+import qfock.qsym
+import qfock.reports
 from qfock.cli import main, parse_parabolic, parse_shape, parse_window
+from qfock.laurent import LaurentPoly
 from qfock.reports import character_table
-from qfock.weightlat import Parabolic, Shape, SignedTuple, Window
+from qfock.weightlat import CheckFailed, Parabolic, Shape, SignedTuple, Window
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -91,6 +96,29 @@ class TestQsym:
         data = json.loads(capsys.readouterr().out)
         assert data["basis"] == "Ntilde"
         assert data["target"] == "1,2|3"
+
+    def test_failed_push_forward_check_exits_2(self, capsys, monkeypatch):
+        # adding [2] at the anti-dominant 1,3,2 shifts its N coordinate by one,
+        # while the ordinary coefficient at 1,3,2.w0 = 3,1,2 stays put
+        honest = qfock.qsym.canonical
+
+        def corrupted(f, w):
+            exp = honest(f, w)
+            coeffs = dict(exp.coefficients)
+            g = SignedTuple(Shape(3, 0), (1, 3, 2))
+            coeffs[g] = coeffs[g] + LaurentPoly({1: 1, -1: 1})
+            return dataclasses.replace(exp, coefficients=MappingProxyType(coeffs))
+
+        monkeypatch.setattr(qfock.qsym, "canonical", corrupted)
+        rc = main(["qsym", "--shape", "3|0", "--parabolic", "s1", "--tuple", "2,3,1",
+                   "--window", "1..3"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "identity verification failed: push-forward coefficient at 1,3,2| "
+            "disagrees with the ordinary coefficient at 3,1,2|\n"
+        )
 
     def test_rejects_non_antidominant(self, capsys):
         rc = main(
@@ -193,6 +221,35 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
         assert "--max-size must be at least 1" in captured.err
+
+    def test_bgg_honours_max_size(self, capsys):
+        assert main(["verify", "--suite", "bgg", "--window=-1..1"]) == 0
+        default = capsys.readouterr().out.splitlines()
+        assert main(["verify", "--suite", "bgg", "--max-size", "2", "--window=-1..1"]) == 0
+        small = capsys.readouterr().out.splitlines()
+        assert len(small) < len(default)
+        assert small[-1] == default[-1] == "suite bgg: PASS"
+        assert all("2|2" not in line and "1|2" not in line for line in small)
+
+    def test_bgg_rejects_a_size_without_cases(self, capsys):
+        rc = main(["verify", "--suite", "bgg", "--max-size", "1", "--window=-1..1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "no bgg case has a shape of size at most 1" in captured.err
+
+    def test_failed_oracle_exits_2(self, capsys, monkeypatch):
+        def inconsistent(*args, **kwargs):
+            raise CheckFailed("bar fixed-point system is inconsistent")
+
+        monkeypatch.setattr(qfock.reports, "bar_oracle", inconsistent)
+        rc = main(["verify", "--suite", "canonical", "--max-size", "1", "--window", "0..1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "identity verification failed: bar fixed-point system is inconsistent\n"
+        )
 
 
 class TestQuiverCommand:

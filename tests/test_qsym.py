@@ -12,7 +12,6 @@ from qfock.laurent import LaurentPoly, NotDivisible
 from qfock.qsym import (
     QSymExpansion,
     QSymVector,
-    ReexpressionFailure,
     base_change,
     mtilde_expand,
     n_expand,
@@ -24,6 +23,7 @@ from qfock.qsym import (
     reexpress,
 )
 from qfock.weightlat import (
+    CheckFailed,
     Parabolic,
     Shape,
     SignedTuple,
@@ -246,13 +246,14 @@ class TestReexpress:
 
     def test_vector_outside_image(self):
         par = Parabolic(Shape(2, 0), {1})
-        with pytest.raises(ReexpressionFailure):
+        with pytest.raises(CheckFailed, match="not in the symmetrized image"):
             reexpress(M(2, 0, 2, 1), par)
 
     def test_non_divisible_orbit_coefficient(self):
         par = Parabolic(Shape(2, 0), {1})
-        with pytest.raises(ReexpressionFailure):
+        with pytest.raises(CheckFailed, match="is not divisible in basis") as info:
             reexpress(M(2, 0, 1, 1), par)
+        assert isinstance(info.value.__cause__, NotDivisible)
 
     def test_round_trip_through_phi(self):
         par = Parabolic(Shape(2, 2), {1, 3})

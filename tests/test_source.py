@@ -1,7 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import qfock
@@ -12,13 +14,42 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def test_no_bare_assert_in_package():
-    """Checks must survive python -O, so the package raises AssertionError."""
+    """Checks must survive python -O, so the package raises CheckFailed, never assert."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"bare assert statements: {found}"
+
+
+def test_no_assertion_error_raised_in_package():
+    """A failed internal check raises CheckFailed, which the CLI maps to exit 2."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"raise AssertionError: {found}"
+
+
+def test_package_exception_classes():
+    """Five exception classes: failed checks share CheckFailed, inputs get their own."""
+    defined = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"qfock.{path.stem}".removesuffix(".__init__"))
+        for name, obj in vars(module).items():
+            if (
+                inspect.isclass(obj)
+                and issubclass(obj, BaseException)
+                and obj.__module__ == module.__name__
+            ):
+                defined.add(name)
+    assert defined == {
+        "WindowEscape", "NotDivisible", "NotAntisymmetric", "TruncationWarning", "CheckFailed"
+    }
 
 
 def test_no_module_level_empty_dict():

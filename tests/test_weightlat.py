@@ -380,6 +380,29 @@ class TestAntidominant:
         count = len(par_elements(par)) // len(sub_elems)
         assert len(reps) == count
 
+    @staticmethod
+    def bucket_coset_reps(sub, par):
+        """Reference rule: the shortest element of each coset, keyed by min(sub.p)."""
+        sub_elems = par_elements(sub)
+        buckets = {}
+        for p, lp in par_elements(par).items():
+            key = min(perm_mul(u, p) for u in sub_elems)
+            if key not in buckets or (lp, p) < (buckets[key][1], buckets[key][0]):
+                buckets[key] = (p, lp)
+        return sorted(buckets.values(), key=lambda t: (t[1], t[0]))
+
+    def test_coset_reps_match_bucket_rule(self):
+        pairs = 0
+        for size in range(1, 6):
+            for m in range(size + 1):
+                for par in all_parabolics(Shape(m, size - m)):
+                    for r in range(len(par.generators) + 1):
+                        for gens in itertools.combinations(sorted(par.generators), r):
+                            sub = Parabolic(par.shape, frozenset(gens))
+                            assert coset_reps(sub, par) == self.bucket_coset_reps(sub, par)
+                            pairs += 1
+        assert pairs == 384
+
 
 class TestBlock:
     def test_gl11_chain(self):
