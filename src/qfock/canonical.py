@@ -29,7 +29,14 @@ from types import MappingProxyType
 
 from .barinv import bar_context
 from .fock import FockVector
-from .laurent import LaurentPoly, NotAntisymmetric, neg_part, pos_part
+from .laurent import (
+    LaurentPoly,
+    NotAntisymmetric,
+    NotDivisible,
+    div_exact,
+    neg_part,
+    pos_part,
+)
 from .weightlat import CheckFailed, SignedTuple, Window, bruhat_leq, block
 
 
@@ -66,7 +73,7 @@ class BasisExpansion:
         }
 
 
-def triangular_solve(down, bar_column, part, target) -> dict:
+def triangular_solve(down, bar_column, part, target, scale=None) -> dict:
     """The coefficients t_{g,target} of the bar-fixed element through target.
 
     `down` lists every index below target in a linear extension of the
@@ -76,6 +83,12 @@ def triangular_solve(down, bar_column, part, target) -> dict:
     times bar_column(h) into one running difference, so the step at g reads
     one entry, and only such h get a bar column.  Raises CheckFailed,
     naming g and target, if the bar map is broken.
+
+    With `scale`, the coefficients are solved for the basis scale(h) e_h
+    while the columns stay in e-coordinates: scale(h) must be bar-invariant,
+    each bar(t_h) enters the difference times scale(h), and the difference
+    at g is divided once by scale(g), a failed exact division raising
+    CheckFailed too.
     """
     if not down or down[-1] != target:
         raise CheckFailed(f"{target} is not the top of its ordered block")
@@ -83,17 +96,24 @@ def triangular_solve(down, bar_column, part, target) -> dict:
     diff: dict = {}
     val = LaurentPoly.one()
     for g in reversed(down):
+        s = None if scale is None else scale(g)
         if g != target:
             d = diff.pop(g, LaurentPoly.zero())
             try:
+                if s is not None:
+                    d = div_exact(d, s)
                 val = part(d)
+            except NotDivisible as exc:
+                raise CheckFailed(
+                    f"difference at {g} below {target} is not divisible by {s}"
+                ) from exc
             except NotAntisymmetric as exc:
                 raise CheckFailed(
                     f"difference at {g} below {target} is not bar-antisymmetric: {d}"
                 ) from exc
         if val:
             t[g] = val
-            tb = val.bar()
+            tb = val.bar() if s is None else val.bar() * s
             for h, r in bar_column(g).items():
                 diff[h] = diff[h] + r * tb if h in diff else r * tb
     return t
@@ -126,28 +146,35 @@ def inverse_column(order, column, f) -> dict:
     return x
 
 
+def down_set(f: SignedTuple, w: Window, keep=None) -> list:
+    """The members of f's block at or below f in block order, those passing keep."""
+    return [g for g in block(f, w) if (keep is None or keep(g)) and bruhat_leq(g, f)]
+
+
 @lru_cache(maxsize=None)
 def _solve(f: SignedTuple, w: Window, mode: str) -> BasisExpansion:
     ctx = bar_context(f.shape, w)
-    down = [g for g in block(f, w) if bruhat_leq(g, f)]
+    down = down_set(f, w)
     part = pos_part if mode == "canonical" else neg_part
     t = triangular_solve(down, lambda g: ctx.bar_monomial(g).terms, part, f)
-    truncated = mode == "canonical" and _reaches_floor(f, t, down, w)
+    truncated = mode == "canonical" and reaches_floor(f, t.keys() - {f}, down, w)
     return BasisExpansion(f, mode, w, MappingProxyType(t), truncated)
 
 
-def _reaches_floor(target: SignedTuple, t: dict, down, w: Window) -> bool:
-    """Whether the corrections reach the block bottom and a lower floor grows it."""
-    support = [g for g in t if g != target]
-    minimal = [
+def reaches_floor(target: SignedTuple, support, down, w: Window, keep=None) -> bool:
+    """Whether support reaches the bottom of down and a lower floor grows down.
+
+    `down` is down_set(target, w, keep); a member of support is at the
+    bottom when nothing before it in down lies below it.
+    """
+    bottom = [
         g
-        for g in support
-        if not any(h != g and bruhat_leq(h, g) for h in down)
+        for i, g in enumerate(down)
+        if g in support and not any(bruhat_leq(h, g) for h in down[:i])
     ]
-    if not minimal:
+    if not bottom:
         return False
-    probe = Window(w.lo - 1, w.hi)
-    grown = [g for g in block(target, probe) if bruhat_leq(g, target)]
+    grown = down_set(target, Window(w.lo - 1, w.hi), keep)
     return len(grown) > len(down)
 
 

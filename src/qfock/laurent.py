@@ -122,6 +122,16 @@ class LaurentPoly:
             n >>= 1
         return res
 
+    def shifted(self, k: int) -> "LaurentPoly":
+        """q^k * self, by moving the exponents.
+
+        >>> print(LaurentPoly({1: 2, -1: 1}).shifted(-1))
+        2 + q^-2
+        """
+        res = LaurentPoly()
+        res.c = {e + k: a for e, a in self.c.items()}
+        return res
+
     def bar(self) -> "LaurentPoly":
         """The involution q -> q^-1.
 

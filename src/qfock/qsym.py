@@ -19,22 +19,44 @@ so a vector of the image is re-expressed per orbit by one exact division
 by s_B(f) q^top.
 
 The map phi(M_f) = q^{-len(tau)} Ntilde_{f tau} (tau the minimal sorter
-of f) projects the whole tensor space onto the image.  Canonical bases
-come out two ways: pushing the ordinary canonical basis through phi, or
-running the triangular solver intrinsically in N- or Mtilde-coordinates
-with the bar map transported through expansion and re-expression.  The
-two constructions must agree, or CheckFailed is raised.
+of f) projects the whole tensor space onto the image; it is v S in
+Ntilde coordinates.  Since S is bar-fixed and bar commutes with the Hecke
+action, bar(Ntilde_g) = phi(bar(M_g)).  Canonical bases come out three
+ways:
+
+- the image solve (the default, `qsym_canonical` and, at antidominant f,
+  `qsym_dual_canonical`): the triangular solver over the antidominant
+  down-set of f, one projected tensor bar column per solved index;
+- the push-forward (`qsym_canonical_push`, `qsym_dual_canonical_push`):
+  the ordinary (dual) canonical element through f.w0 (or f) pushed
+  through phi and checked against the coefficients at g.w0 (or against
+  the coset sums); the dual at a non-antidominant f, whose projection
+  must vanish, always takes this route;
+- the intrinsic solve (`qsym_canonical_intrinsic`): the solver in N- and
+  Mtilde-coordinates with the bar map transported through expansion and
+  re-expression.
+
+The routes must agree (the tests and `verify --suite qsym` compare
+them); a failed internal check raises CheckFailed.
 """
 
 from __future__ import annotations
 
+import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
 from .barinv import bar_context
-from .canonical import canonical, dual_canonical, triangular_solve
+from .canonical import (
+    TruncationWarning,
+    canonical,
+    down_set,
+    dual_canonical,
+    reaches_floor,
+    triangular_solve,
+)
 from .fock import FockVector, act
 from .hecke import symmetrizer
 from .laurent import (
@@ -42,6 +64,7 @@ from .laurent import (
     LaurentPoly,
     NotDivisible,
     div_exact,
+    neg_part,
     pos_part,
 )
 from .weightlat import (
@@ -50,8 +73,6 @@ from .weightlat import (
     SignedTuple,
     Window,
     antidominant_rep,
-    block,
-    bruhat_leq,
     coset_reps,
     group_qfactorial,
     is_antidominant,
@@ -66,10 +87,11 @@ from .weightlat import (
 
 @lru_cache(maxsize=None)
 def _orbit_data(f: SignedTuple, par: Parabolic):
-    """(stabilizer qfactorial, coset reps, length of the longest rep)."""
+    """(stabilizer qfactorial, coset reps, length of the longest rep, [W] / [W_f])."""
     stab = stabilizer(f, par)
     reps = coset_reps(stab, par)
-    return group_qfactorial(stab), reps, reps[-1][1]
+    stab_q = group_qfactorial(stab)
+    return stab_q, reps, reps[-1][1], div_exact(group_qfactorial(par), stab_q)
 
 
 def _scale(f: SignedTuple, par: Parabolic, basis: str) -> LaurentPoly:
@@ -84,8 +106,11 @@ def _scale(f: SignedTuple, par: Parabolic, basis: str) -> LaurentPoly:
 
 
 def n_ratio(f: SignedTuple, par: Parabolic) -> LaurentPoly:
-    """[W] / [W_f], the exact quantum index of the stabilizer."""
-    return div_exact(_scale(f, par, "N"), _scale(f, par, "Ntilde"))
+    """[W] / [W_f], the exact quantum index of the stabilizer.
+
+    A quotient of balanced q-factorials, hence bar-invariant.
+    """
+    return _orbit_data(f, par)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +126,7 @@ def ntilde_expand(f: SignedTuple, par: Parabolic) -> FockVector:
 
 def mtilde_expand(f: SignedTuple, par: Parabolic) -> FockVector:
     """Mtilde_f = Ntilde_f / [W_f]; integral by the orbit closed form."""
-    stab_q, _, _ = _orbit_data(f, par)
+    stab_q = _orbit_data(f, par)[0]
     big = ntilde_expand(f, par)
     return FockVector(
         f.shape, {g: div_exact(c, stab_q) for g, c in big.terms.items()}
@@ -185,7 +210,7 @@ def reexpress(v: FockVector, par: Parabolic, basis: str = "Ntilde") -> dict:
     for f, c in v.terms.items():
         if not is_antidominant(f, par):
             continue
-        _, _, top_len = _orbit_data(f, par)
+        top_len = _orbit_data(f, par)[2]
         try:
             x = div_exact(c, _scale(f, par, basis) * LaurentPoly.q_power(top_len))
         except NotDivisible as exc:
@@ -208,7 +233,7 @@ def phi_zeta(v: FockVector, par: Parabolic) -> QSymVector:
     out = QSymVector(v.shape, par, "Ntilde")
     for f, c in v.terms.items():
         f0, _, ltau = antidominant_rep(f, par)
-        out.add_term(f0, c * LaurentPoly.q_power(-ltau))
+        out.add_term(f0, c.shifted(-ltau))
     return out
 
 
@@ -247,7 +272,56 @@ class QSymExpansion:
         }
 
 
+def _image_solve(f: SignedTuple, par: Parabolic, w: Window, mode: str) -> dict:
+    """The (dual) canonical image column through f, solved on its anti-dominant down-set.
+
+    The bar column of Ntilde_g is phi(bar(M_g)) in Ntilde coordinates: phi is
+    right multiplication by the bar-fixed S, and bar commutes with the Hecke
+    action.  The canonical column is solved for N_g = n_ratio(g) Ntilde_g
+    (n_ratio is bar-invariant), the dual one for Ntilde_g.  Warns with a
+    TruncationWarning when the canonical support reaches the bottom of the
+    down-set and a lower window floor would grow it.
+    """
+    if not is_antidominant(f, par):
+        raise ValueError(f"{f} is not antidominant for {par}")
+    anti = lambda g: is_antidominant(g, par)
+    down = down_set(f, w, anti)
+    ctx = bar_context(f.shape, w)
+    column = lambda g: phi_zeta(ctx.bar_monomial(g), par).terms
+    if mode == "dual":
+        return triangular_solve(down, column, neg_part, f)
+    t = triangular_solve(down, column, pos_part, f, lambda g: n_ratio(g, par))
+    # unlike a tensor column, the target counts: f lies below f.w0, so it
+    # stands for corrections of the tensor column pushed forward onto it
+    if reaches_floor(f, t, down, w, anti):
+        warnings.warn(
+            f"image canonical expansion of {f} for {par} reaches the bottom "
+            f"of its anti-dominant down-set and window {w} may truncate it",
+            TruncationWarning,
+            stacklevel=3,
+        )
+    return t
+
+
 def qsym_canonical(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpansion:
+    """Canonical basis of the image, in N coordinates, solved inside the image."""
+    t = _image_solve(f, par, w, "canonical")
+    return QSymExpansion(f, "canonical", "N", par, w, MappingProxyType(t))
+
+
+def qsym_dual_canonical(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpansion:
+    """Dual canonical image basis in Ntilde coordinates, or zero.
+
+    Solved inside the image for antidominant f; for any other f the
+    projection phi(L_f) vanishes, which qsym_dual_canonical_push checks.
+    """
+    if not is_antidominant(f, par):
+        return qsym_dual_canonical_push(f, par, w)
+    t = _image_solve(f, par, w, "dual")
+    return QSymExpansion(f, "dual", "Ntilde", par, w, MappingProxyType(t))
+
+
+def qsym_canonical_push(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpansion:
     """Canonical basis of the image by push-forward, in N coordinates.
 
     Computes the ordinary canonical element through f.w0 (w0 the longest
@@ -262,7 +336,13 @@ def qsym_canonical(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpansion:
     push = phi_zeta(texp.vector(), par)
     coords = {}
     for g, c in push.terms.items():
-        coords[g] = div_exact(c, n_ratio(g, par))
+        try:
+            coords[g] = div_exact(c, n_ratio(g, par))
+        except NotDivisible as exc:
+            raise CheckFailed(
+                f"push-forward coefficient at {g} is not divisible by its "
+                f"index {n_ratio(g, par)}"
+            ) from exc
         if coords[g] != texp.coeff(g.act(w0)):
             raise CheckFailed(
                 f"push-forward coefficient at {g} disagrees with the "
@@ -271,8 +351,8 @@ def qsym_canonical(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpansion:
     return QSymExpansion(f, "canonical", "N", par, w, MappingProxyType(coords))
 
 
-def qsym_dual_canonical(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpansion:
-    """Dual canonical image basis in Ntilde coordinates, or zero.
+def qsym_dual_canonical_push(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpansion:
+    """Dual canonical image basis by push-forward, in Ntilde coordinates, or zero.
 
     For antidominant f the coefficients are checked against the coset sum
     of ordinary dual coefficients; for any other f the projection must
@@ -294,7 +374,7 @@ def qsym_dual_canonical(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpans
         if g0 in seen:
             continue
         seen.add(g0)
-        _, reps, _ = _orbit_data(g0, par)
+        reps = _orbit_data(g0, par)[1]
         total = LaurentPoly.zero()
         for x, lx in reps:
             total = total + lexp.coeff(g0.act(x)) * LaurentPoly.q_power(-lx)
@@ -323,9 +403,7 @@ def qsym_canonical_intrinsic(f: SignedTuple, par: Parabolic, w: Window):
     """
     if not is_antidominant(f, par):
         raise ValueError(f"{f} is not antidominant for {par}")
-    down = [
-        g for g in block(f, w) if is_antidominant(g, par) and bruhat_leq(g, f)
-    ]
+    down = down_set(f, w, lambda g: is_antidominant(g, par))
     results = []
     for basis in ("N", "Mtilde"):
         t = triangular_solve(

@@ -40,7 +40,9 @@ from .qsym import (
     ntilde_expand,
     qsym_canonical,
     qsym_canonical_intrinsic,
+    qsym_canonical_push,
     qsym_dual_canonical,
+    qsym_dual_canonical_push,
 )
 from .weightlat import (
     CheckFailed,
@@ -783,7 +785,10 @@ def verify_qsym(
 
     The projection formula is swept exhaustively over the push window; the
     canonical-basis identities (which run triangular solves) sweep every
-    block of the solve window, optionally capped by block size.
+    block of the solve window, optionally capped by block size: the image
+    solve against the push-forward for both bases at every anti-dominant
+    member, the vanishing projection at every other member, and the
+    intrinsic solve at the top of each block.
     """
     fails: list[str] = []
     checked = 0
@@ -807,17 +812,28 @@ def verify_qsym(
                 for order in _blocks_in(shape, solve_w, cap=max_block):
                     anti = [g for g in order if is_antidominant(g, par)]
                     for f in order:
+                        if is_antidominant(f, par):
+                            continue
                         try:
                             qsym_dual_canonical(f, par, solve_w)
                         except CheckFailed:
                             fails.append(f"dual image expansion fails at {f}, {par}")
                         checked += 1
+                    routes = (
+                        ("canonical", qsym_canonical, qsym_canonical_push),
+                        ("dual", qsym_dual_canonical, qsym_dual_canonical_push),
+                    )
                     for f in anti:
-                        try:
-                            qsym_canonical(f, par, solve_w)
-                        except CheckFailed:
-                            fails.append(f"image canonical push fails at {f}, {par}")
-                        checked += 1
+                        for mode, image, push in routes:
+                            try:
+                                got = image(f, par, solve_w).coefficients
+                                if got != push(f, par, solve_w).coefficients:
+                                    fails.append(
+                                        f"image and push-forward {mode} disagree at {f}, {par}"
+                                    )
+                            except CheckFailed:
+                                fails.append(f"{mode} image routes fail at {f}, {par}")
+                            checked += 1
                     if anti and (max_block is None or len(anti) <= max_block):
                         # under any linear extension the last anti-dominant
                         # member is Bruhat-maximal among them; when several
@@ -826,10 +842,10 @@ def verify_qsym(
                         top = anti[-1]
                         try:
                             nexp, _ = qsym_canonical_intrinsic(top, par, solve_w)
-                            push = qsym_canonical(top, par, solve_w)
-                            if dict(nexp.coefficients) != dict(push.coefficients):
+                            image = qsym_canonical(top, par, solve_w)
+                            if nexp.coefficients != image.coefficients:
                                 fails.append(
-                                    f"intrinsic and push-forward disagree at {top}, {par}"
+                                    f"intrinsic and image solves disagree at {top}, {par}"
                                 )
                         except (CheckFailed, ArithmeticError):
                             fails.append(f"intrinsic solve fails at {top}, {par}")

@@ -344,21 +344,35 @@ def is_antidominant(f: SignedTuple, par: Parabolic) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _sort_ranges(par: Parabolic) -> tuple[tuple[int, int, bool], ...]:
+    """The intervals of par as 0-based slices [lo, hi), each flagged dual or not."""
+    return tuple((a - 1, b, a > par.shape.m) for a, b in par.intervals())
+
+
 def antidominant_rep(f: SignedTuple, par: Parabolic) -> tuple[SignedTuple, tuple[int, ...], int]:
     """The antidominant tuple in the orbit f.W and the minimal sorter.
 
     Returns (f0, tau, l(tau)) with f0 = f.act(tau) antidominant and tau of
     minimal length among permutations in W with that property (stable sort).
+    tau permutes inside each interval only, so l(tau) is the sum of the
+    intervals' inversion counts: the pairs that sort out of order.  An
+    interval without inversions is already sorted.
     """
-    k = f.shape.size
-    tau = list(range(k))
-    for a, b in par.intervals():
-        idx = list(range(a - 1, b))
-        reverse = a > f.shape.m
-        idx.sort(key=lambda j: -f.entries[j] if reverse else f.entries[j])
-        tau[a - 1 : b] = idx
+    e = f.entries
+    tau = list(range(len(e)))
+    length = 0
+    for lo, hi, dual in _sort_ranges(par):
+        inversions = 0
+        for i in range(lo, hi - 1):
+            for j in range(i + 1, hi):
+                if (e[i] < e[j]) if dual else (e[i] > e[j]):
+                    inversions += 1
+        if inversions:
+            tau[lo:hi] = sorted(range(lo, hi), key=e.__getitem__, reverse=dual)
+            length += inversions
     tau_t = tuple(tau)
-    return f.act(tau_t), tau_t, perm_length(tau_t)
+    return (f.act(tau_t) if length else f), tau_t, length
 
 
 def stabilizer(f: SignedTuple, par: Parabolic) -> Parabolic:

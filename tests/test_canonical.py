@@ -18,7 +18,7 @@ from qfock.canonical import (
     triangular_solve,
 )
 from qfock.fock import FockVector
-from qfock.laurent import LaurentPoly, NotAntisymmetric, pos_part
+from qfock.laurent import LaurentPoly, NotAntisymmetric, NotDivisible, pos_part
 from qfock.weightlat import (
     CheckFailed,
     Shape,
@@ -256,6 +256,24 @@ class TestTriangularSolve:
     def test_target_must_end_the_order(self):
         with pytest.raises(CheckFailed, match="b is not the top"):
             triangular_solve(["b", "a"], {}.__getitem__, pos_part, "b")
+
+    def test_scale_solves_for_the_scaled_basis(self):
+        # with N_a = [2] e_a and N_b = e_b, bar(N_b) = N_b + (q - q^-1) N_a
+        # reads bar(e_b) = e_b + (q^2 - q^-2) e_a in e-coordinates
+        two = P({1: 1, -1: 1})
+        columns = {"a": {"a": P({0: 1})}, "b": {"a": P({2: 1, -2: -1}), "b": P({0: 1})}}
+        scale = {"a": two, "b": P({0: 1})}
+        got = triangular_solve(["a", "b"], columns.__getitem__, pos_part, "b", scale.get)
+        assert got == {"b": P({0: 1}), "a": P({1: 1})}
+        plain = triangular_solve(["a", "b"], columns.__getitem__, pos_part, "b")
+        assert plain == {"b": P({0: 1}), "a": P({2: 1})}
+
+    def test_indivisible_scaled_difference_raises(self):
+        columns = {"a": {"a": P({0: 1})}, "b": {"a": P({1: 1, -1: -1}), "b": P({0: 1})}}
+        scale = {"a": P({1: 1, -1: 1}), "b": P({0: 1})}
+        with pytest.raises(CheckFailed, match="difference at a below b is not divisible") as info:
+            triangular_solve(["a", "b"], columns.__getitem__, pos_part, "b", scale.get)
+        assert isinstance(info.value.__cause__, NotDivisible)
 
 
 class TestInverseRelation:

@@ -5,10 +5,13 @@ from types import MappingProxyType
 
 import pytest
 
+import qfock.cli
 import qfock.qsym
 import qfock.reports
+from qfock.barinv import BarContext
 from qfock.cli import main, parse_parabolic, parse_shape, parse_window
-from qfock.laurent import LaurentPoly
+from qfock.fock import FockVector
+from qfock.laurent import LaurentPoly, NotDivisible
 from qfock.reports import character_table
 from qfock.weightlat import CheckFailed, Parabolic, Shape, SignedTuple, Window
 
@@ -99,7 +102,8 @@ class TestQsym:
 
     def test_failed_push_forward_check_exits_2(self, capsys, monkeypatch):
         # adding [2] at the anti-dominant 1,3,2 shifts its N coordinate by one,
-        # while the ordinary coefficient at 1,3,2.w0 = 3,1,2 stays put
+        # while the ordinary coefficient at 1,3,2.w0 = 3,1,2 stays put; the
+        # CLI is pointed at the push-forward, the second route
         honest = qfock.qsym.canonical
 
         def corrupted(f, w):
@@ -110,6 +114,7 @@ class TestQsym:
             return dataclasses.replace(exp, coefficients=MappingProxyType(coeffs))
 
         monkeypatch.setattr(qfock.qsym, "canonical", corrupted)
+        monkeypatch.setattr(qfock.cli, "qsym_canonical", qfock.qsym.qsym_canonical_push)
         rc = main(["qsym", "--shape", "3|0", "--parabolic", "s1", "--tuple", "2,3,1",
                    "--window", "1..3"])
         assert rc == 2
@@ -118,6 +123,54 @@ class TestQsym:
         assert captured.err == (
             "identity verification failed: push-forward coefficient at 1,3,2| "
             "disagrees with the ordinary coefficient at 3,1,2|\n"
+        )
+
+    def test_indivisible_push_forward_exits_2(self, capsys, monkeypatch):
+        # adding q at 1,2 makes the projected coefficient there
+        # q^-1 + 2q, which its index [2] = q + q^-1 does not divide
+        honest = qfock.qsym.canonical
+
+        def corrupted(f, w):
+            exp = honest(f, w)
+            coeffs = dict(exp.coefficients)
+            g = SignedTuple(Shape(2, 0), (1, 2))
+            coeffs[g] = coeffs[g] + LaurentPoly({1: 1})
+            return dataclasses.replace(exp, coefficients=MappingProxyType(coeffs))
+
+        monkeypatch.setattr(qfock.qsym, "canonical", corrupted)
+        with pytest.raises(CheckFailed, match="is not divisible") as info:
+            qfock.qsym.qsym_canonical_push(
+                SignedTuple(Shape(2, 0), (1, 2)), Parabolic(Shape(2, 0), {1}), Window(0, 2)
+            )
+        assert isinstance(info.value.__cause__, NotDivisible)
+        monkeypatch.setattr(qfock.cli, "qsym_canonical", qfock.qsym.qsym_canonical_push)
+        rc = main(["qsym", "--shape", "2|0", "--parabolic", "s1", "--tuple", "1,2",
+                   "--window", "0..2"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("identity verification failed: ")
+
+    def test_failed_image_solve_exits_2(self, capsys, monkeypatch):
+        # a bar column with an extra q at 1,3,2 is no longer an involution:
+        # the difference there stops being bar-antisymmetric
+        honest = BarContext.bar_monomial
+        top = SignedTuple(Shape(3, 0), (2, 3, 1))
+
+        def broken(self, g):
+            col = honest(self, g)
+            if g == top:
+                extra = FockVector.monomial(SignedTuple(Shape(3, 0), (1, 3, 2)))
+                col = col + extra.scaled(LaurentPoly({1: 1}))
+            return col
+
+        monkeypatch.setattr(BarContext, "bar_monomial", broken)
+        rc = main(["qsym", "--shape", "3|0", "--parabolic", "s1", "--tuple", "2,3,1",
+                   "--window", "1..3"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "identity verification failed: difference at 1,3,2| below 2,3,1| "
+            "is not bar-antisymmetric: 2*q - q^-1\n"
         )
 
     def test_rejects_non_antidominant(self, capsys):
@@ -268,6 +321,7 @@ CLI_GOLDENS = {
     "bkl_canonical": "bkl --shape 2|2 --tuple 1,2|1,2 --window=-1..4 --mode canonical",
     "bkl_dual": "bkl --shape 2|1 --tuple 1,2|2 --window=-1..3 --mode dual",
     "qsym_N": "qsym --shape 2|3 --parabolic s3,s4 --tuple 1,2|2,2,1 --window=-1..3 --basis N",
+    "qsym_N_4x4": "qsym --shape 4|4 --parabolic s1,s2,s3 --tuple 1,2,3,4|1,2,3,4 --window 0..4 --basis N",
     "char_simple": "char --algebra gl(1|1) --weight=2|-2 --window 0..3 --kind simple",
     "char_whittaker": "char --algebra gl(2|2) --weight=0,1|0,1 --window=-1..3 --parabolic s1,s3 --kind whittaker",
     "char_tilting": "char --algebra gl(2|2) --weight=-1,1|0,0 --window=-1..3 --kind tilting",

@@ -4,22 +4,27 @@ import warnings
 
 import pytest
 
-from qfock.barinv import bar
+import qfock.qsym
+from qfock.barinv import bar, bar_context
 from qfock.canonical import TruncationWarning, canonical, dual_canonical
 from qfock.fock import FockVector, act, apply_chevalley
 from qfock.hecke import HeckeElement, symmetrizer
-from qfock.laurent import LaurentPoly, NotDivisible
+from qfock.laurent import LaurentPoly, NotDivisible, div_exact
 from qfock.qsym import (
     QSymExpansion,
     QSymVector,
+    _image_bar,
     base_change,
     mtilde_expand,
     n_expand,
+    n_ratio,
     ntilde_expand,
     phi_zeta,
     qsym_canonical,
     qsym_canonical_intrinsic,
+    qsym_canonical_push,
     qsym_dual_canonical,
+    qsym_dual_canonical_push,
     reexpress,
 )
 from qfock.weightlat import (
@@ -397,9 +402,127 @@ class TestIntrinsic:
                     )
                     assert n_anti <= 12
                     tn, tm = qsym_canonical_intrinsic(f, par, w)
-                    push = qsym_canonical(f, par, w)
+                    push = qsym_canonical_push(f, par, w)
                     assert tn.coefficients == push.coefficients
                     assert tm.coefficients == push.coefficients
+
+
+SMALL_CASES = [
+    (Parabolic(Shape(2, 0), {1}), Window(1, 3)),
+    (Parabolic.trivial(Shape(1, 1)), Window(0, 2)),
+    (Parabolic(Shape(2, 1), {1}), Window(1, 2)),
+    (Parabolic(Shape(1, 2), {2}), Window(1, 2)),
+    (Parabolic(Shape(2, 2), {1, 3}), Window(1, 2)),
+    (Parabolic.full(Shape(3, 0)), Window(0, 2)),
+    (Parabolic(Shape(2, 2), {1}), Window(0, 2)),
+]
+
+
+def anti_members(par, w):
+    return [f for f in window_tuples(par.shape, w) if is_antidominant(f, par)]
+
+
+class TestImageSolve:
+    """The default route solves inside the image; the push-forward is the second route."""
+
+    def test_agrees_with_push_forward_on_every_member(self):
+        seen = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            for par, w in SMALL_CASES:
+                for f in anti_members(par, w):
+                    image = qsym_canonical(f, par, w)
+                    assert image.coefficients == qsym_canonical_push(f, par, w).coefficients
+                    dual = qsym_dual_canonical(f, par, w)
+                    assert dual.coefficients == qsym_dual_canonical_push(f, par, w).coefficients
+                    assert (image.basis, dual.basis) == ("N", "Ntilde")
+                    seen += 1
+        assert seen == 100
+
+    def test_answers_without_the_tensor_solve(self, monkeypatch):
+        cases = [(f, par, w) for par, w in SMALL_CASES[2:5] for f in anti_members(par, w)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            want = [
+                (qsym_canonical_push(*c).coefficients, qsym_dual_canonical_push(*c).coefficients)
+                for c in cases
+            ]
+
+            def forbidden(f, w):
+                raise AssertionError(f"tensor solve called at {f}")
+
+            monkeypatch.setattr(qfock.qsym, "canonical", forbidden)
+            monkeypatch.setattr(qfock.qsym, "dual_canonical", forbidden)
+            got = [
+                (qsym_canonical(*c).coefficients, qsym_dual_canonical(*c).coefficients)
+                for c in cases
+            ]
+        assert got == want
+        with pytest.raises(AssertionError, match="tensor solve called"):
+            qsym_canonical_push(*cases[0])
+
+    def test_truncation_flag_reads_the_image_down_set(self):
+        # the tensor column through f.w0 = f stops above the bottom of its
+        # block, but f itself is the bottom of its anti-dominant down-set,
+        # which a lower floor grows, and the image column does grow there
+        par, w = Parabolic(Shape(2, 2), {1}), Window(-1, 3)
+        f = T(2, 2, -1, -1, -1, -1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            push = qsym_canonical_push(f, par, w)
+            assert caught == []
+            image = qsym_canonical(f, par, w)
+            assert [x.category for x in caught] == [TruncationWarning]
+            lower = qsym_canonical(f, par, Window(-2, 3))
+        assert image.coefficients == push.coefficients
+        assert len(lower.coefficients) > len(image.coefficients)
+
+    def test_truncated_image_column_warns(self):
+        par, w = Parabolic(Shape(2, 2), {1, 3}), Window(1, 2)
+        f = T(2, 2, 1, 2, 2, 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            qsym_canonical(f, par, w)
+            qsym_canonical(f, par, w)
+        assert [x.category for x in caught] == [TruncationWarning] * 2
+        assert "anti-dominant down-set" in str(caught[0].message)
+
+
+def certify_image_bar(par, w):
+    """The failures of bar(Ntilde_g) = phi(bar(M_g)) and its N form on par's image in w.
+
+    The reference is `_image_bar`: expand the basis vector, bar every orbit
+    member, re-express.  In N coordinates the column is
+    n_ratio(g) phi(bar(M_g)), divided at h by n_ratio(h).
+    """
+    ctx = bar_context(par.shape, w)
+    fails = []
+    for g in anti_members(par, w):
+        col = phi_zeta(ctx.bar_monomial(g), par).terms
+        if col != _image_bar(g, par, w, "Ntilde"):
+            fails.append(f"Ntilde column differs at {g}")
+        ncol = {h: div_exact(c * n_ratio(g, par), n_ratio(h, par)) for h, c in col.items()}
+        if ncol != _image_bar(g, par, w, "N"):
+            fails.append(f"N column differs at {g}")
+    return fails
+
+
+@pytest.mark.parametrize(
+    "par",
+    [
+        Parabolic(Shape(2, 0), {1}),
+        Parabolic(Shape(2, 1), {1}),
+        Parabolic(Shape(1, 2), {2}),
+        Parabolic.full(Shape(0, 3)),
+        Parabolic(Shape(2, 2), {1, 3}),
+        Parabolic(Shape(2, 2), {3}),
+    ],
+    ids=lambda par: f"{par.shape}-{par}",
+)
+def test_image_bar_identity_certifies(par):
+    w = Window(-1, 2)
+    assert anti_members(par, w)
+    assert certify_image_bar(par, w) == []
 
 
 class TestBarTriangularity:
