@@ -8,8 +8,10 @@ The package computes, over Z[q, q^-1] with no floating point:
 - the type A Hecke-algebra action and q-symmetrizers (hecke);
 - the q-symmetrized quotient space with its three distinguished bases and
   the symmetrization map (qsym);
-- character, multiplicity, reciprocity and quiver-presentation reports that
-  specialize the above at q = 1 (reports);
+- character and multiplicity tables that specialize the above at q = 1
+  (reports);
+- graded reciprocity, the quiver presentation and the identity sweeps
+  (verify);
 - a command line interface (cli).
 """
 

@@ -34,7 +34,6 @@ only holds exactly for coefficients of tuples inside the window.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -265,26 +264,33 @@ def _solve_exact(system, ncols):
 
     Rows are sparse {column: value} dicts over Z with the augmented
     right-hand side stored at column index ncols.  Elimination combines
-    rows by cross-multiplication, dividing out the content afterwards, so
-    no rationals appear until the final back-substitution.
+    rows by cross-multiplication, dividing out the content afterwards, and
+    back-substitution divides exactly, so no rationals appear.  Column c is
+    pivoted on the shortest row holding it, the lowest row index breaking
+    ties; `holders` maps each column to the live rows with a nonzero entry
+    there, so a pivot step touches only those rows.
     """
-    live = [dict(r) for r in system]
+    live = {i: dict(r) for i, r in enumerate(system)}
+    holders: dict[int, set[int]] = {}
+    for i, row in live.items():
+        for k, a in row.items():
+            if a:
+                holders.setdefault(k, set()).add(i)
     pivot_rows: list[tuple[int, dict[int, int]]] = []
     for c in range(ncols):
-        best = None
-        for i, row in enumerate(live):
-            if row.get(c) and (best is None or len(row) < len(live[best])):
-                best = i
-        if best is None:
+        ids = holders.pop(c, None)
+        if not ids:
             continue
+        best = min(ids, key=lambda i: (len(live[i]), i))
+        ids.discard(best)
         prow = live.pop(best)
+        for k, b in prow.items():
+            if b and k != c:
+                holders[k].discard(best)
         p = prow[c]
-        reduced = []
-        for row in live:
-            v = row.get(c)
-            if not v:
-                reduced.append(row)
-                continue
+        for i in ids:
+            row = live[i]
+            v = row[c]
             combined = {k: a * p for k, a in row.items()}
             for k, b in prow.items():
                 x = combined.get(k, 0) - v * b
@@ -292,32 +298,37 @@ def _solve_exact(system, ncols):
                     combined[k] = x
                 else:
                     combined.pop(k, None)
+            # only prow's columns can change between zero and nonzero
+            for k in prow:
+                if k != c and bool(row.get(k)) != bool(combined.get(k)):
+                    if combined.get(k):
+                        holders.setdefault(k, set()).add(i)
+                    else:
+                        holders[k].discard(i)
             if combined:
                 content = gcd(*combined.values())
                 if content > 1:
                     combined = {k: x // content for k, x in combined.items()}
-                reduced.append(combined)
-        live = reduced
+                live[i] = combined
+            else:
+                del live[i]
         pivot_rows.append((c, prow))
     # rows that survive every pivot have zeros in all unknown columns
-    for row in live:
+    for row in live.values():
         if row.get(ncols):
             raise CheckFailed("bar fixed-point system is inconsistent")
     if len(pivot_rows) < ncols:
         raise CheckFailed(
             f"bar fixed-point system has {ncols - len(pivot_rows)} free directions"
         )
-    sol: dict[int, Fraction] = {}
+    sol: dict[int, int] = {}
     for c, prow in reversed(pivot_rows):
-        acc = Fraction(prow.get(ncols, 0))
+        acc = prow.get(ncols, 0)
         for k, v in prow.items():
             if k != c and k != ncols:
                 acc -= v * sol[k]
-        sol[c] = acc / prow[c]
-    out = []
-    for c in range(ncols):
-        x = sol[c]
-        if x.denominator != 1:
+        x, r = divmod(acc, prow[c])
+        if r:
             raise CheckFailed("bar fixed-point solution is not integral")
-        out.append(int(x))
-    return out
+        sol[c] = x
+    return [sol[c] for c in range(ncols)]

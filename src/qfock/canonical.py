@@ -22,8 +22,7 @@ TruncationWarning instead of being trusted silently.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -44,15 +43,16 @@ class TruncationWarning(UserWarning):
     """A canonical expansion may have been cut off by the window floor."""
 
 
-@dataclass(frozen=True)
-class BasisExpansion:
-    """One column of a (dual) canonical basis matrix; cached, so read-only."""
+class BasisExpansion(
+    namedtuple("BasisExpansion", "target mode window coefficients truncated", defaults=(False,))
+):
+    """One column of a (dual) canonical basis matrix; cached, so read-only.
 
-    target: SignedTuple
-    mode: str
-    window: Window
-    coefficients: Mapping[SignedTuple, LaurentPoly]
-    truncated: bool = False
+    Fields: target, mode ("canonical" or "dual"), window, coefficients (a
+    read-only mapping from tuples to LaurentPoly) and truncated.
+    """
+
+    __slots__ = ()
 
     def coeff(self, g: SignedTuple) -> LaurentPoly:
         return self.coefficients.get(g, LaurentPoly.zero())

@@ -43,8 +43,7 @@ them); a failed internal check raises CheckFailed.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -241,16 +240,16 @@ def phi_zeta(v: FockVector, par: Parabolic) -> QSymVector:
 # canonical bases of the image
 
 
-@dataclass(frozen=True)
-class QSymExpansion:
-    """One column of a canonical basis of the image, in one basis; read-only."""
+class QSymExpansion(
+    namedtuple("QSymExpansion", "target mode basis parabolic window coefficients")
+):
+    """One column of a canonical basis of the image, in one basis; read-only.
 
-    target: SignedTuple
-    mode: str
-    basis: str
-    parabolic: Parabolic
-    window: Window
-    coefficients: Mapping[SignedTuple, LaurentPoly]
+    coefficients is a read-only mapping from anti-dominant tuples to
+    LaurentPoly, in the coordinates named by basis.
+    """
+
+    __slots__ = ()
 
     def coeff(self, g: SignedTuple) -> LaurentPoly:
         return self.coefficients.get(g, LaurentPoly.zero())

@@ -8,7 +8,7 @@ the sweep reports a violation or exceeds its wall-clock budget.
 import time
 from pathlib import Path
 
-from qfock.reports import (
+from qfock.verify import (
     quiver_presentation,
     verify_bar,
     verify_bgg,

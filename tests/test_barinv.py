@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfock.barinv import BarContext, bar, bar_context, bar_oracle, pure_bar
+from qfock.barinv import BarContext, _solve_exact, bar, bar_context, bar_oracle, pure_bar
 from qfock.fock import FockVector, act, act_gen, apply_chevalley
 from qfock.hecke import HeckeElement
 from qfock.laurent import LaurentPoly
@@ -407,3 +407,28 @@ class TestBarOracle:
             assert bar(got, w) == got, f
             got = bar_oracle(f, w, 4, mode="dual")
             assert bar(got, w) == got, f
+
+
+class TestSolveExact:
+    """The oracle's integer elimination; rows are {column: value}, rhs at ncols."""
+
+    def test_unique_integral_solution(self):
+        # 2x + y = 3, x - y = 0, -3z = 6, and a redundant row x + y + z = 0
+        system = [{0: 2, 1: 1, 3: 3}, {0: 1, 1: -1}, {2: -3, 3: 6}, {0: 1, 1: 1, 2: 1}]
+        assert _solve_exact(system, 3) == [1, 1, -2]
+
+    def test_eliminated_rows_may_vanish(self):
+        # the second row is twice the first and cancels entirely
+        assert _solve_exact([{0: 1, 1: 2, 2: 5}, {0: 2, 1: 4, 2: 10}, {1: 1, 2: 2}], 2) == [1, 2]
+
+    def test_inconsistent(self):
+        with pytest.raises(CheckFailed, match="bar fixed-point system is inconsistent"):
+            _solve_exact([{0: 1, 1: 1}, {0: 1, 1: 2}], 1)
+
+    def test_free_directions(self):
+        with pytest.raises(CheckFailed, match="has 1 free directions"):
+            _solve_exact([{0: 1, 1: 1, 2: 2}], 2)
+
+    def test_not_integral(self):
+        with pytest.raises(CheckFailed, match="bar fixed-point solution is not integral"):
+            _solve_exact([{0: 2, 1: 5}], 1)

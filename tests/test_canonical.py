@@ -1,6 +1,5 @@
 """Tests for the canonical / dual canonical solver and the matrix identities."""
 
-import dataclasses
 import warnings
 from types import MappingProxyType
 
@@ -9,6 +8,7 @@ import pytest
 import qfock.canonical
 from qfock.barinv import bar, bar_oracle
 from qfock.canonical import (
+    BasisExpansion,
     TruncationWarning,
     bkl_matrices,
     canonical,
@@ -88,10 +88,18 @@ class TestFrozenValues:
         ]
         for read, mutate in cases:
             before = repr(read())
-            # FrozenInstanceError and a missing mutator are AttributeErrors
+            # setting a field and a missing mutator raise AttributeError
             with pytest.raises((TypeError, AttributeError)):
                 mutate(read())
             assert repr(read()) == before
+
+    def test_expansion_is_a_tuple_of_its_fields(self):
+        f, w = T(2, 0, 1, 2), Window(1, 2)
+        exp = BasisExpansion(f, "canonical", w, MappingProxyType({f: P({0: 1})}))
+        assert exp.truncated is False
+        assert exp == canonical(f, w) == (f, "canonical", w, {f: P({0: 1})}, False)
+        with pytest.raises(AttributeError):
+            exp.mode = "dual"
 
     def test_json(self):
         data = canonical(T(2, 0, 2, 1), Window(1, 2)).to_json()
@@ -314,7 +322,7 @@ class TestInverseRelation:
                 return exp
             coeffs = dict(exp.coefficients)
             coeffs[low] = coeffs[low] * 2
-            return dataclasses.replace(exp, coefficients=MappingProxyType(coeffs))
+            return exp._replace(coefficients=MappingProxyType(coeffs))
 
         monkeypatch.setattr(qfock.canonical, "dual_canonical", corrupted)
         with pytest.raises(CheckFailed, match=r"inverse relation fails at \(1,2\|, 2,1\|\): 2\*q != q"):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from pathlib import Path
 from types import MappingProxyType
@@ -7,7 +6,7 @@ import pytest
 
 import qfock.cli
 import qfock.qsym
-import qfock.reports
+import qfock.verify
 from qfock.barinv import BarContext
 from qfock.cli import main, parse_parabolic, parse_shape, parse_window
 from qfock.fock import FockVector
@@ -111,7 +110,7 @@ class TestQsym:
             coeffs = dict(exp.coefficients)
             g = SignedTuple(Shape(3, 0), (1, 3, 2))
             coeffs[g] = coeffs[g] + LaurentPoly({1: 1, -1: 1})
-            return dataclasses.replace(exp, coefficients=MappingProxyType(coeffs))
+            return exp._replace(coefficients=MappingProxyType(coeffs))
 
         monkeypatch.setattr(qfock.qsym, "canonical", corrupted)
         monkeypatch.setattr(qfock.cli, "qsym_canonical", qfock.qsym.qsym_canonical_push)
@@ -135,7 +134,7 @@ class TestQsym:
             coeffs = dict(exp.coefficients)
             g = SignedTuple(Shape(2, 0), (1, 2))
             coeffs[g] = coeffs[g] + LaurentPoly({1: 1})
-            return dataclasses.replace(exp, coefficients=MappingProxyType(coeffs))
+            return exp._replace(coefficients=MappingProxyType(coeffs))
 
         monkeypatch.setattr(qfock.qsym, "canonical", corrupted)
         with pytest.raises(CheckFailed, match="is not divisible") as info:
@@ -295,7 +294,7 @@ class TestVerifyCommand:
         def inconsistent(*args, **kwargs):
             raise CheckFailed("bar fixed-point system is inconsistent")
 
-        monkeypatch.setattr(qfock.reports, "bar_oracle", inconsistent)
+        monkeypatch.setattr(qfock.verify, "bar_oracle", inconsistent)
         rc = main(["verify", "--suite", "canonical", "--max-size", "1", "--window", "0..1"])
         assert rc == 2
         captured = capsys.readouterr()
@@ -336,6 +335,35 @@ def test_cli_output_matches_golden(capsys, name, fmt):
     assert main(CLI_GOLDENS[name].split() + flags) == 0
     want = (GOLDEN / "cli" / f"{name}.{fmt}").read_bytes()
     assert capsys.readouterr().out.encode() == want
+
+
+# stdout of the two subcommands that import qfock.verify, which print text
+# only, stored byte for byte as tests/golden/<path>
+CLI_TEXT_GOLDENS = {
+    "quiver_gl11.txt": "quiver --n 1",
+    "quiver_gl12.txt": "quiver --n 2",
+    **{
+        f"cli/verify_{suite}.txt": f"verify --suite {suite} --max-size 2"
+        for suite in ("hecke", "bar", "canonical", "qsym", "bgg", "inverse")
+    },
+}
+
+
+@pytest.mark.parametrize("path", CLI_TEXT_GOLDENS)
+def test_cli_text_output_matches_golden(capsys, path):
+    assert main(CLI_TEXT_GOLDENS[path].split()) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / path).read_bytes()
+
+
+class TestVerifySuiteNames:
+    def test_names_match_the_suites(self):
+        assert qfock.cli.VERIFY_SUITE_NAMES == tuple(sorted(qfock.verify.VERIFY_SUITES))
+
+    def test_help_lists_the_suites(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        out = capsys.readouterr().out
+        assert "--suite {bar,bgg,canonical,hecke,inverse,qsym}" in out
 
 
 class TestArgparseBehavior:

@@ -567,3 +567,13 @@ class TestSerialization:
         assert blob["mode"] == "canonical"
         assert blob["basis"] == "N"
         assert blob["coefficients"] == [{"tuple": "1,2|", "poly": {"0": 1}}]
+
+    def test_expansion_is_a_read_only_tuple_of_its_fields(self):
+        par = Parabolic(Shape(2, 0), {1})
+        f, w = T(2, 0, 1, 2), Window(1, 2)
+        exp = qsym_canonical(f, par, w)
+        assert isinstance(exp, QSymExpansion)
+        assert exp == (f, "canonical", "N", par, w, {f: LaurentPoly.one()})
+        with pytest.raises(AttributeError):
+            exp.basis = "Ntilde"
+        assert exp.basis == "N"

@@ -10,18 +10,23 @@ from qfock.reports import (
     CharRow,
     CharTable,
     character_table,
-    commuting_square_check,
     delta_flag_length,
     format_weight,
-    graded_bgg_table,
-    quiver_presentation,
-    run_verify,
     simple_character,
     standard_whittaker_column,
     standard_whittaker_is_simple,
     tilting_character,
     tilting_delta_mult,
     tilting_delta_table,
+    verma_in_simple,
+    whittaker_decomposition,
+    whittaker_simple_mult,
+)
+from qfock.verify import (
+    commuting_square_check,
+    graded_bgg_table,
+    quiver_presentation,
+    run_verify,
     verify_bar,
     verify_bgg,
     verify_canonical,
@@ -29,9 +34,6 @@ from qfock.reports import (
     verify_inverse,
     verify_qsym,
     verify_symmetrizer,
-    verma_in_simple,
-    whittaker_decomposition,
-    whittaker_simple_mult,
 )
 from qfock.weightlat import (
     Parabolic,
@@ -135,8 +137,20 @@ class TestVermaInSimple:
 class TestCharTable:
     def test_tag_validation(self):
         row = simple_character(T("3|3"), Window(0, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown table tag 'nonsense'"):
             CharTable(Shape(1, 1), "nonsense", Window(0, 3), [row])
+
+    def test_rows_and_tables_are_read_only_tuples(self):
+        f, w = T("3|3"), Window(0, 3)
+        row = simple_character(f, w)
+        assert isinstance(row, CharRow)
+        assert row == ("L(2|-2)", f, row.entries)
+        tab = character_table(f, w, "simple")
+        assert tab == (Shape(1, 1), "simple-in-Verma", w, [row])
+        with pytest.raises(AttributeError):
+            row.name = "L(0|0)"
+        with pytest.raises(AttributeError):
+            tab.tag = "tilting-in-Verma"
 
     def test_kinds(self):
         f = T("3|3")

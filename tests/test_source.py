@@ -4,6 +4,8 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import qfock
@@ -115,14 +117,19 @@ def test_value_types_hash_and_compare_in_c():
         assert cls.__eq__ is tuple.__eq__, cls.__name__
 
 
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def test_benchmark_trace_points_exist():
     """Every function and method the benchmark tracer wraps is still there.
 
     A renamed trace point would otherwise fail only when the benchmark runs.
     """
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load_tracer()
     by_metric: dict = {}
     for modname, attr, name, _ in tracer.FUNCTIONS:
         fn = getattr(importlib.import_module(modname), attr, None)
@@ -135,3 +142,26 @@ def test_benchmark_trace_points_exist():
     for modname, cls, meth, _, _ in tracer.METHODS:
         klass = getattr(importlib.import_module(modname), cls)
         assert callable(vars(klass).get(meth)), f"{cls}.{meth} is not defined on {cls}"
+
+
+def test_cli_import_loads_the_traced_modules_and_nothing_unused():
+    """`import qfock.cli` loads what bkl, qsym and char run, and no more.
+
+    The tracer wraps only modules loaded when it installs, so every module it
+    names must come with the CLI; dataclasses, fractions and inspect cost
+    start-up time on every query, and verify is for `verify` and `quiver`.
+    """
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import qfock.cli; "
+        "print(*sorted(sys.modules), sep=chr(10))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    loaded = set(out.split())
+    unwanted = {"dataclasses", "fractions", "inspect", "qfock.verify"} & loaded
+    assert not unwanted, sorted(unwanted)
+    tracer = _load_tracer()
+    traced = {row[0] for row in tracer.FUNCTIONS + tracer.METHODS}
+    assert traced <= loaded, sorted(traced - loaded)
