@@ -228,15 +228,18 @@ def bar_oracle(
 
     base = bars[f] - FockVector.monomial(f)
     add_vec(base, const)
+    # unknown (g, j) contributes bar(M_g) q^-j - q^j M_g: entry a at
+    # (h, e - j) for each a q^e in bar(M_g) at h, and -1 at (g, j)
     for idx, (g, j) in enumerate(unknowns):
-        contrib = bars[g].scaled(LaurentPoly.q_power(-j)) - FockVector.monomial(
-            g, LaurentPoly.q_power(j)
-        )
-        tmp: dict[tuple[SignedTuple, int], int] = {}
-        add_vec(contrib, tmp)
-        for key, val in tmp.items():
-            if val:
-                rows.setdefault(key, {})[idx] = val
+        for h, c in bars[g].terms.items():
+            for e, a in c.c.items():
+                rows.setdefault((h, e - j), {})[idx] = a
+        row = rows.setdefault((g, j), {})
+        val = row.get(idx, 0) - 1
+        if val:
+            row[idx] = val
+        else:
+            del row[idx]
 
     ncols = len(unknowns)
     keys = sorted(

@@ -10,7 +10,11 @@ once every t_{hf} with h above g is known, the difference
 must be killed by t_{gf} - bar(t_{gf}), which pins t_{gf} inside the chosen
 half of the coefficient ring.  Each step checks that d_g is antisymmetric
 under bar and raises CheckFailed if not (the bar map is broken).  The same
-solver, `triangular_solve`, also runs inside the symmetrized image (qsym).
+solver, `triangular_solve`, also runs inside the symmetrized image of a
+parabolic (`image_solve`, shared with qsym).  `canonical` takes that image
+route whenever f tops a nontrivial parabolic orbit, and the tensor solve
+otherwise; `tensor_canonical` and `dual_canonical` always solve in the
+tensor space.
 
 Dual canonical supports legitimately run into the window floor (their full
 expansions are infinite).  Canonical supports should not; a canonical
@@ -36,7 +40,17 @@ from .laurent import (
     neg_part,
     pos_part,
 )
-from .weightlat import CheckFailed, SignedTuple, Window, bruhat_leq, block
+from .weightlat import (
+    CheckFailed,
+    Parabolic,
+    SignedTuple,
+    Window,
+    antidominant_rep,
+    block,
+    bruhat_leq,
+    group_qfactorial,
+    stabilizer,
+)
 
 
 class TruncationWarning(UserWarning):
@@ -153,6 +167,7 @@ def down_set(f: SignedTuple, w: Window, keep=None) -> list:
 
 @lru_cache(maxsize=None)
 def _solve(f: SignedTuple, w: Window, mode: str) -> BasisExpansion:
+    """The tensor solve: triangular_solve over down_set(f, w) with tensor bar columns."""
     ctx = bar_context(f.shape, w)
     down = down_set(f, w)
     part = pos_part if mode == "canonical" else neg_part
@@ -178,21 +193,134 @@ def reaches_floor(target: SignedTuple, support, down, w: Window, keep=None) -> b
     return len(grown) > len(down)
 
 
+# ---------------------------------------------------------------------------
+# the symmetrized image of a parabolic W, as far as the solvers need it
+
+
+def project(terms: dict, par: Parabolic) -> dict:
+    """phi(v) in Ntilde coordinates, for v the sum of terms[f] M_f.
+
+    M_f goes to q^-l(tau) Ntilde_{f.tau}, where f.tau is the anti-dominant
+    member of f's orbit and tau the minimal sorter.
+    """
+    out: dict = {}
+    for f, c in terms.items():
+        f0, _, ltau = antidominant_rep(f, par)
+        if ltau:
+            c = c.shifted(-ltau)
+        s = out[f0] + c if f0 in out else c
+        if s:
+            out[f0] = s
+        else:
+            out.pop(f0, None)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _index(sub: Parabolic, par: Parabolic) -> LaurentPoly:
+    return div_exact(group_qfactorial(par), group_qfactorial(sub))
+
+
+def n_ratio(f: SignedTuple, par: Parabolic) -> LaurentPoly:
+    """[W] / [W_f], the exact quantum index of the stabilizer of f in W.
+
+    A quotient of balanced q-factorials, hence bar-invariant.  Cached per
+    stabilizer, so nothing is stored per tuple.
+    """
+    return _index(stabilizer(f, par), par)
+
+
+def image_solve(down, target: SignedTuple, par: Parabolic, w: Window, mode: str) -> dict:
+    """The (dual) canonical image column through target, solved on down.
+
+    `down` is the anti-dominant down-set of target in block order.  The bar
+    column of Ntilde_g is project(bar(M_g)): phi is right multiplication by
+    the bar-fixed symmetrizer, and bar commutes with the Hecke action.  The
+    canonical column is solved for N_g = n_ratio(g) Ntilde_g (n_ratio is
+    bar-invariant), the dual one for Ntilde_g.  The one core of qsym's image
+    solve and of canonical's orbit-top route; it never warns.
+    """
+    ctx = bar_context(target.shape, w)
+    column = lambda g: project(ctx.bar_monomial(g).terms, par)
+    if mode == "dual":
+        return triangular_solve(down, column, neg_part, target)
+    return triangular_solve(down, column, pos_part, target, lambda g: n_ratio(g, par))
+
+
+def _tops(f: SignedTuple, gens) -> list:
+    """The s_i in gens at which f is weakly decreasing (covariant) or increasing (dual)."""
+    e, m = f.entries, f.shape.m
+    return [i for i in gens if (e[i - 1] >= e[i] if i < m else e[i - 1] <= e[i])]
+
+
+def top_parabolic(f: SignedTuple) -> Parabolic:
+    """J(f), the largest parabolic whose orbit through f has f at its top."""
+    m = f.shape.m
+    return Parabolic(f.shape, _tops(f, (i for i in range(1, f.shape.size) if i != m)))
+
+
+@lru_cache(maxsize=None)
+def _canonical(f: SignedTuple, w: Window) -> BasisExpansion:
+    """T_f by the route that J(f) picks; see canonical."""
+    par = top_parabolic(f)
+    if not par.generators:
+        return _solve(f, w, "canonical")
+    down = down_set(f, w)
+    # k = b.x with b the bottom of its orbit; at the orbit's top l(x) = top(b),
+    # and the anti-dominant down-set of g is the bottoms of the tops in down
+    reps = [(k, antidominant_rep(k, par)) for k in down]
+    gens = sorted(par.generators)
+    top_len = {b: lx for k, (b, _, lx) in reps if _tops(k, gens) == gens}
+    anti = [h for h in down if h in top_len]
+    image = image_solve(anti, antidominant_rep(f, par)[0], par, w, "canonical")
+    t = {}
+    for k, (b, _, lx) in reversed(reps):
+        c = image.get(b)
+        if c is not None:
+            t[k] = c.shifted(top_len[b] - lx)
+    truncated = reaches_floor(f, t.keys() - {f}, down, w)
+    return BasisExpansion(f, "canonical", w, MappingProxyType(t), truncated)
+
+
+def _warned(exp: BasisExpansion) -> BasisExpansion:
+    if exp.truncated:
+        warnings.warn(
+            f"canonical expansion of {exp.target} reaches the bottom of its "
+            f"block and window {exp.window} may truncate it",
+            TruncationWarning,
+            stacklevel=3,
+        )
+    return exp
+
+
 def canonical(f: SignedTuple, w: Window) -> BasisExpansion:
-    """The canonical basis element through f, coefficients in qZ[q].
+    """The canonical basis element T_f through f, coefficients in qZ[q].
+
+    The route is chosen by f alone.  If J(f) = top_parabolic(f) is
+    trivial, the tensor solve runs over down_set(f, w).  Otherwise f tops
+    its W_J-orbit, whose bottom g is anti-dominant, and the q-symmetrizer
+    carries T_f onto the image's canonical element through g: with
+    Mtilde_h = sum_x q^(top(h) - l(x)) M_{h.x} over the minimal coset reps
+    x, the vector sum_h t^N_{h,g} Mtilde_h of the image column (N
+    coordinates) is bar-fixed, is 1 at M_f and lies in qZ[q] elsewhere, so
+    by uniqueness it is T_f:
+
+        t_{k,f} = t^N_{b,g} q^(top(b) - l),   (b, _, l) = antidominant_rep(k, J).
+
+    The image solve (image_solve) runs over the bottoms of the W_J-orbit
+    tops in down_set(f, w), in block order, which is g's anti-dominant
+    down-set; only anti-dominant bar columns are built.  Both routes flag
+    truncation by the same rule on the tensor support.
 
     Warns with a TruncationWarning on every call whose expansion is
     truncated, cached or not.
     """
-    exp = _solve(f, w, "canonical")
-    if exp.truncated:
-        warnings.warn(
-            f"canonical expansion of {f} reaches the bottom of its "
-            f"block and window {w} may truncate it",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return exp
+    return _warned(_canonical(f, w))
+
+
+def tensor_canonical(f: SignedTuple, w: Window) -> BasisExpansion:
+    """T_f by the tensor solve at every f: the second route, warning as canonical does."""
+    return _warned(_solve(f, w, "canonical"))
 
 
 def dual_canonical(f: SignedTuple, w: Window) -> BasisExpansion:

@@ -25,13 +25,13 @@ action, bar(Ntilde_g) = phi(bar(M_g)).  Canonical bases come out three
 ways:
 
 - the image solve (the default, `qsym_canonical` and, at antidominant f,
-  `qsym_dual_canonical`): the triangular solver over the antidominant
+  `qsym_dual_canonical`): `canonical.image_solve` over the antidominant
   down-set of f, one projected tensor bar column per solved index;
 - the push-forward (`qsym_canonical_push`, `qsym_dual_canonical_push`):
-  the ordinary (dual) canonical element through f.w0 (or f) pushed
-  through phi and checked against the coefficients at g.w0 (or against
-  the coset sums); the dual at a non-antidominant f, whose projection
-  must vanish, always takes this route;
+  the ordinary (dual) canonical element through f.w0 (or f), from the
+  tensor solve, pushed through phi and checked against the coefficients
+  at g.w0 (or against the coset sums); the dual at a non-antidominant f,
+  whose projection must vanish, always takes this route;
 - the intrinsic solve (`qsym_canonical_intrinsic`): the solver in N- and
   Mtilde-coordinates with the bar map transported through expansion and
   re-expression.
@@ -50,22 +50,18 @@ from types import MappingProxyType
 from .barinv import bar_context
 from .canonical import (
     TruncationWarning,
-    canonical,
     down_set,
     dual_canonical,
+    image_solve,
+    n_ratio,
+    project,
     reaches_floor,
+    tensor_canonical,
     triangular_solve,
 )
 from .fock import FockVector, act
 from .hecke import symmetrizer
-from .laurent import (
-    LaurentCombination,
-    LaurentPoly,
-    NotDivisible,
-    div_exact,
-    neg_part,
-    pos_part,
-)
+from .laurent import LaurentCombination, LaurentPoly, NotDivisible, div_exact, pos_part
 from .weightlat import (
     CheckFailed,
     Parabolic,
@@ -86,11 +82,10 @@ from .weightlat import (
 
 @lru_cache(maxsize=None)
 def _orbit_data(f: SignedTuple, par: Parabolic):
-    """(stabilizer qfactorial, coset reps, length of the longest rep, [W] / [W_f])."""
+    """(stabilizer qfactorial, coset reps, length of the longest rep)."""
     stab = stabilizer(f, par)
     reps = coset_reps(stab, par)
-    stab_q = group_qfactorial(stab)
-    return stab_q, reps, reps[-1][1], div_exact(group_qfactorial(par), stab_q)
+    return group_qfactorial(stab), reps, reps[-1][1]
 
 
 def _scale(f: SignedTuple, par: Parabolic, basis: str) -> LaurentPoly:
@@ -102,14 +97,6 @@ def _scale(f: SignedTuple, par: Parabolic, basis: str) -> LaurentPoly:
     if basis == "N":
         return group_qfactorial(par)
     raise ValueError(f"unknown basis {basis!r}")
-
-
-def n_ratio(f: SignedTuple, par: Parabolic) -> LaurentPoly:
-    """[W] / [W_f], the exact quantum index of the stabilizer.
-
-    A quotient of balanced q-factorials, hence bar-invariant.
-    """
-    return _orbit_data(f, par)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +217,7 @@ def phi_zeta(v: FockVector, par: Parabolic) -> QSymVector:
     is the antidominant representative and tau the minimal sorter.
     """
     out = QSymVector(v.shape, par, "Ntilde")
-    for f, c in v.terms.items():
-        f0, _, ltau = antidominant_rep(f, par)
-        out.add_term(f0, c.shifted(-ltau))
+    out.terms = project(v.terms, par)
     return out
 
 
@@ -274,25 +259,18 @@ class QSymExpansion(
 def _image_solve(f: SignedTuple, par: Parabolic, w: Window, mode: str) -> dict:
     """The (dual) canonical image column through f, solved on its anti-dominant down-set.
 
-    The bar column of Ntilde_g is phi(bar(M_g)) in Ntilde coordinates: phi is
-    right multiplication by the bar-fixed S, and bar commutes with the Hecke
-    action.  The canonical column is solved for N_g = n_ratio(g) Ntilde_g
-    (n_ratio is bar-invariant), the dual one for Ntilde_g.  Warns with a
-    TruncationWarning when the canonical support reaches the bottom of the
-    down-set and a lower window floor would grow it.
+    canonical.image_solve does the solve.  Warns with a TruncationWarning
+    when the canonical support reaches the bottom of the down-set and a
+    lower window floor would grow it.
     """
     if not is_antidominant(f, par):
         raise ValueError(f"{f} is not antidominant for {par}")
     anti = lambda g: is_antidominant(g, par)
     down = down_set(f, w, anti)
-    ctx = bar_context(f.shape, w)
-    column = lambda g: phi_zeta(ctx.bar_monomial(g), par).terms
-    if mode == "dual":
-        return triangular_solve(down, column, neg_part, f)
-    t = triangular_solve(down, column, pos_part, f, lambda g: n_ratio(g, par))
+    t = image_solve(down, f, par, w, mode)
     # unlike a tensor column, the target counts: f lies below f.w0, so it
     # stands for corrections of the tensor column pushed forward onto it
-    if reaches_floor(f, t, down, w, anti):
+    if mode == "canonical" and reaches_floor(f, t, down, w, anti):
         warnings.warn(
             f"image canonical expansion of {f} for {par} reaches the bottom "
             f"of its anti-dominant down-set and window {w} may truncate it",
@@ -324,14 +302,15 @@ def qsym_canonical_push(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpans
     """Canonical basis of the image by push-forward, in N coordinates.
 
     Computes the ordinary canonical element through f.w0 (w0 the longest
-    element of the parabolic), projects it, and checks that the resulting
-    coefficient at g is the ordinary one at g.w0, or raises CheckFailed.
+    element of the parabolic) by the tensor solve, never by canonical's
+    image route, projects it, and checks that the resulting coefficient at
+    g is the ordinary one at g.w0, or raises CheckFailed.
     """
     if not is_antidominant(f, par):
         raise ValueError(f"{f} is not antidominant for {par}")
     w0, _ = longest_element(par)
     top = f.act(w0)
-    texp = canonical(top, w)
+    texp = tensor_canonical(top, w)
     push = phi_zeta(texp.vector(), par)
     coords = {}
     for g, c in push.terms.items():

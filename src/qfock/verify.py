@@ -24,6 +24,7 @@ from .canonical import (
     dual_canonical,
     dual_inverse_column,
     inverse_relation_check,
+    tensor_canonical,
 )
 from .fock import FockVector, act, apply_chevalley
 from .hecke import HeckeElement, symmetrizer
@@ -477,16 +478,24 @@ def verify_canonical(
 ) -> tuple[bool, list[str]]:
     """Defining properties of both canonical bases, against the bar oracle.
 
-    Also checks positivity: every canonical coefficient t_{gf} lies in N[q].
+    Also checks positivity: every canonical coefficient t_{gf} lies in N[q],
+    and that canonical's route (the image one at an orbit top) gives the
+    tensor solve's coefficients and truncation flag at every target visited.
     """
     fails: list[str] = []
     checked = 0
+
+    def same_route(f: SignedTuple, w: Window) -> None:
+        if canonical(f, w) != tensor_canonical(f, w):
+            fails.append(f"canonical route disagrees with the tensor solve at {f}")
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         for shape in _shapes_up_to(max_size):
             for order in _blocks_in(shape, w, cap=max_block):
                 for f in order:
                     texp = canonical(f, w)
+                    same_route(f, w)
                     tv = texp.vector()
                     if bar(tv, w) != tv:
                         fails.append(f"canonical element not bar-fixed at {f}")
@@ -516,6 +525,7 @@ def verify_canonical(
             f = SignedTuple(shape, (a, a))
             down = SignedTuple(shape, (a - 1, a - 1))
             texp = canonical(f, w)
+            same_route(f, w)
             want = {f: LaurentPoly.one(), down: LaurentPoly.q_power(1)}
             if dict(texp.coefficients) != want:
                 fails.append(f"atypical tilting expansion wrong at {f}")
@@ -528,6 +538,11 @@ def verify_canonical(
         n, inverse_fails = _inverse_relations(max_size, sym_w, max_block)
         checked += n
         fails.extend(inverse_fails)
+        # the inverse relations read the negated blocks, which are blocks too
+        for shape in _shapes_up_to(max_size):
+            for order in _blocks_in(shape, sym_w, cap=max_block):
+                for f in order:
+                    same_route(f, sym_w)
     msgs = [f"canonical bases: {checked} elements checked, windows {w} and {sym_w}"]
     msgs.extend(fails)
     return not fails, msgs

@@ -6,7 +6,7 @@ from types import MappingProxyType
 import pytest
 
 import qfock.canonical
-from qfock.barinv import bar, bar_oracle
+from qfock.barinv import bar, bar_context, bar_oracle
 from qfock.canonical import (
     BasisExpansion,
     TruncationWarning,
@@ -15,18 +15,23 @@ from qfock.canonical import (
     dual_canonical,
     inverse_column,
     inverse_relation_check,
+    tensor_canonical,
+    top_parabolic,
     triangular_solve,
 )
 from qfock.fock import FockVector
 from qfock.laurent import LaurentPoly, NotAntisymmetric, NotDivisible, pos_part
 from qfock.weightlat import (
     CheckFailed,
+    Parabolic,
     Shape,
     SignedTuple,
     Window,
+    antidominant_rep,
     block,
     blocks,
     bruhat_leq,
+    is_antidominant,
     weight,
     window_tuples,
 )
@@ -163,6 +168,63 @@ class TestDefiningProperties:
                         for g in inner.support() | outer.support():
                             if g.in_window(inner_w):
                                 assert inner.coeff(g) == outer.coeff(g), (f, g)
+
+
+class TestOrbitTopRoute:
+    """At f with nontrivial J(f), canonical expands the image column of the orbit bottom."""
+
+    def test_top_parabolic(self):
+        assert top_parabolic(T(3, 3, 3, 2, 1, 1, 2, 3)) == Parabolic(Shape(3, 3), {1, 2, 4, 5})
+        assert top_parabolic(T(2, 2, 1, 2, 2, 1)) == Parabolic.trivial(Shape(2, 2))
+        assert top_parabolic(T(2, 2, 1, 1, 1, 1)) == Parabolic.full(Shape(2, 2))
+        assert top_parabolic(T(1, 1, 3, 3)) == Parabolic.trivial(Shape(1, 1))
+
+    # (shape, window, targets that take the route, of them truncated)
+    CASES = [
+        (Shape(2, 2), Window(-1, 3), 525, 108),
+        (Shape(3, 1), Window(0, 3), 240, 69),
+        (Shape(1, 3), Window(0, 3), 240, 69),
+        (Shape(2, 1), Window(-1, 4), 126, 11),
+        (Shape(3, 2), Window(0, 3), 1000, 386),
+        (Shape(3, 3), Window(0, 2), 728, 449),
+    ]
+
+    @pytest.mark.parametrize("shape, w, routed, truncated", CASES, ids=str)
+    def test_agrees_with_the_tensor_solve(self, shape, w, routed, truncated):
+        seen = flagged = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            for f in window_tuples(shape, w):
+                got, want = canonical(f, w), tensor_canonical(f, w)
+                assert dict(got.coefficients) == dict(want.coefficients), f
+                assert got.truncated == want.truncated, f
+                if top_parabolic(f).generators:
+                    seen += 1
+                    flagged += got.truncated
+        assert (seen, flagged) == (routed, truncated)
+
+    @pytest.fixture
+    def fresh(self):
+        def clear():
+            bar_context.cache_clear()
+            qfock.canonical._canonical.cache_clear()
+
+        clear()
+        yield
+        clear()
+
+    def test_builds_only_anti_dominant_bar_columns(self, fresh):
+        # a silent fallback to the tensor solve would build every column
+        f, w = T(3, 3, 3, 2, 1, 1, 2, 3), Window(0, 3)
+        par = top_parabolic(f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            exp = canonical(f, w)
+        size = f.shape.size
+        full = [SignedTuple(f.shape, e) for e in bar_context(f.shape, w)._memo if len(e) == size]
+        assert antidominant_rep(f, par)[0] in full
+        assert all(is_antidominant(g, par) for g in full)
+        assert len(full) < len(exp.coefficients)
 
 
 class TestFloorWarning:

@@ -103,7 +103,7 @@ class TestQsym:
         # adding [2] at the anti-dominant 1,3,2 shifts its N coordinate by one,
         # while the ordinary coefficient at 1,3,2.w0 = 3,1,2 stays put; the
         # CLI is pointed at the push-forward, the second route
-        honest = qfock.qsym.canonical
+        honest = qfock.qsym.tensor_canonical
 
         def corrupted(f, w):
             exp = honest(f, w)
@@ -112,7 +112,7 @@ class TestQsym:
             coeffs[g] = coeffs[g] + LaurentPoly({1: 1, -1: 1})
             return exp._replace(coefficients=MappingProxyType(coeffs))
 
-        monkeypatch.setattr(qfock.qsym, "canonical", corrupted)
+        monkeypatch.setattr(qfock.qsym, "tensor_canonical", corrupted)
         monkeypatch.setattr(qfock.cli, "qsym_canonical", qfock.qsym.qsym_canonical_push)
         rc = main(["qsym", "--shape", "3|0", "--parabolic", "s1", "--tuple", "2,3,1",
                    "--window", "1..3"])
@@ -127,7 +127,7 @@ class TestQsym:
     def test_indivisible_push_forward_exits_2(self, capsys, monkeypatch):
         # adding q at 1,2 makes the projected coefficient there
         # q^-1 + 2q, which its index [2] = q + q^-1 does not divide
-        honest = qfock.qsym.canonical
+        honest = qfock.qsym.tensor_canonical
 
         def corrupted(f, w):
             exp = honest(f, w)
@@ -136,7 +136,7 @@ class TestQsym:
             coeffs[g] = coeffs[g] + LaurentPoly({1: 1})
             return exp._replace(coefficients=MappingProxyType(coeffs))
 
-        monkeypatch.setattr(qfock.qsym, "canonical", corrupted)
+        monkeypatch.setattr(qfock.qsym, "tensor_canonical", corrupted)
         with pytest.raises(CheckFailed, match="is not divisible") as info:
             qfock.qsym.qsym_canonical_push(
                 SignedTuple(Shape(2, 0), (1, 2)), Parabolic(Shape(2, 0), {1}), Window(0, 2)

@@ -1,9 +1,11 @@
 """Tests for the symmetrized image space: bases, projection, canonical bases."""
 
+import itertools
 import warnings
 
 import pytest
 
+import qfock.canonical
 import qfock.qsym
 from qfock.barinv import bar, bar_context
 from qfock.canonical import TruncationWarning, canonical, dual_canonical
@@ -37,6 +39,7 @@ from qfock.weightlat import (
     block,
     bruhat_leq,
     is_antidominant,
+    longest_element,
     window_tuples,
 )
 
@@ -96,6 +99,31 @@ class TestExpansions:
         par = Parabolic(Shape(0, 2), {1})
         got = ntilde_expand(T(0, 2, 2, 1), par)
         assert got == M(0, 2, 2, 1).scaled(Q) + M(0, 2, 1, 2)
+
+    def test_mtilde_closed_form(self):
+        # Mtilde_h = sum over minimal coset reps x of q^(top(h) - l(x)) M_{h.x},
+        # the identity behind canonical's orbit-top route
+        cases = [
+            (Shape(2, 2), Window(0, 2)),
+            (Shape(3, 1), Window(0, 2)),
+            (Shape(1, 3), Window(0, 2)),
+            (Shape(4, 0), Window(0, 2)),
+            (Shape(0, 4), Window(0, 2)),
+            (Shape(2, 1), Window(-1, 2)),
+            (Shape(3, 2), Window(0, 1)),
+        ]
+        pairs = 0
+        for shape, w in cases:
+            gens = sorted(Parabolic.full(shape).generators)
+            for r in range(1, len(gens) + 1):
+                for sub in itertools.combinations(gens, r):
+                    par = Parabolic(shape, sub)
+                    for h in anti_members(par, w):
+                        _, reps, top = qfock.qsym._orbit_data(h, par)
+                        terms = {h.act(x): LaurentPoly.q_power(top - lx) for x, lx in reps}
+                        assert FockVector(shape, terms) == mtilde_expand(h, par), (h, par)
+                        pairs += 1
+        assert pairs == 1142
 
 
 class TestBaseChange:
@@ -451,7 +479,7 @@ class TestImageSolve:
             def forbidden(f, w):
                 raise AssertionError(f"tensor solve called at {f}")
 
-            monkeypatch.setattr(qfock.qsym, "canonical", forbidden)
+            monkeypatch.setattr(qfock.qsym, "tensor_canonical", forbidden)
             monkeypatch.setattr(qfock.qsym, "dual_canonical", forbidden)
             got = [
                 (qsym_canonical(*c).coefficients, qsym_dual_canonical(*c).coefficients)
@@ -460,6 +488,30 @@ class TestImageSolve:
         assert got == want
         with pytest.raises(AssertionError, match="tensor solve called"):
             qsym_canonical_push(*cases[0])
+
+    def test_push_forward_survives_a_broken_image_core(self, monkeypatch):
+        # the push-forward calls the tensor solve, so it answers while the
+        # core shared by qsym's image solve and canonical's route is broken
+        par, w = Parabolic(Shape(2, 2), {1, 3}), Window(0, 2)
+        f = T(2, 2, 0, 1, 2, 1)
+        top = f.act(longest_element(par)[0])
+
+        def broken(*args):
+            raise CheckFailed("image core broken")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            want = qsym_canonical(f, par, w).coefficients
+            monkeypatch.setattr(qfock.canonical, "image_solve", broken)
+            monkeypatch.setattr(qfock.qsym, "image_solve", broken)
+            # nothing may come from a cache: both routes solve afresh
+            qfock.canonical._canonical.cache_clear()
+            qfock.canonical._solve.cache_clear()
+            with pytest.raises(CheckFailed, match="image core broken"):
+                canonical(top, w)
+            with pytest.raises(CheckFailed, match="image core broken"):
+                qsym_canonical(f, par, w)
+            assert qsym_canonical_push(f, par, w).coefficients == want
 
     def test_truncation_flag_reads_the_image_down_set(self):
         # the tensor column through f.w0 = f stops above the bottom of its

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import qfock.verify
 from qfock.canonical import TruncationWarning
 from qfock.laurent import LaurentPoly
 from qfock.reports import (
@@ -440,6 +441,22 @@ class TestVerifySuites:
             max_size=2, w=Window(0, 2), sym_w=Window(-1, 1), max_block=8, degree_bound=6
         )
         assert ok, msgs
+
+    def test_canonical_flags_a_route_mismatch(self, monkeypatch):
+        # a tensor solve whose truncation flag differs at one target
+        honest = qfock.verify.tensor_canonical
+        bad = T("2,1|")
+
+        def flipped(f, w):
+            exp = honest(f, w)
+            return exp._replace(truncated=not exp.truncated) if f == bad else exp
+
+        monkeypatch.setattr(qfock.verify, "tensor_canonical", flipped)
+        ok, msgs = verify_canonical(
+            max_size=2, w=Window(0, 2), sym_w=Window(-1, 1), max_block=8, degree_bound=6
+        )
+        assert not ok
+        assert msgs[1:] == ["canonical route disagrees with the tensor solve at 2,1|"]
 
     def test_qsym(self):
         ok, msgs = verify_qsym(
