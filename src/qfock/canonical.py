@@ -2,25 +2,28 @@
 
 For a tuple f inside a window, the canonical element T_f (dual: L_f) is the
 unique bar-fixed vector M_f + sum over g strictly below f of t_{gf} M_g with
-t_{gf} in q Z[q] (dual: in q^-1 Z[q^-1]).  The solver works down the block:
+t_{gf} in q Z[q] (dual: in q^-1 Z[q^-1]).  The solver walks f's block
+downward from f, in block order (a linear extension of the Bruhat order):
 once every t_{hf} with h above g is known, the difference
 
     d_g = sum_{g < h <= f} r_{gh} bar(t_{hf}),   r_{gh} = [M_g] bar(M_h),
 
 must be killed by t_{gf} - bar(t_{gf}), which pins t_{gf} inside the chosen
-half of the coefficient ring.  Each step checks that d_g is antisymmetric
-under bar and raises CheckFailed if not (the bar map is broken).  The same
-solver, `triangular_solve`, also runs inside the symmetrized image of a
-parabolic (`image_solve`, shared with qsym).  `canonical` takes that image
-route whenever f tops a nontrivial parabolic orbit, and the tensor solve
-otherwise; `tensor_canonical` and `dual_canonical` always solve in the
-tensor space.
+half of the coefficient ring.  A member that no solved bar column reaches
+is skipped, so no Bruhat comparison is needed.  Each step checks that d_g
+is antisymmetric under bar and raises CheckFailed if not (the bar map is
+broken).  The same solver, `triangular_solve`, also runs inside the
+symmetrized image of a parabolic (`image_solve`, shared with qsym).
+`canonical` takes that image route whenever f tops a nontrivial parabolic
+orbit, and the tensor solve otherwise; `tensor_canonical` and
+`dual_canonical` always solve in the tensor space.
 
 Dual canonical supports legitimately run into the window floor (their full
 expansions are infinite).  Canonical supports should not; a canonical
 expansion whose correction terms reach the bottom of the current block,
 when a one-step floor extension would enlarge the block, triggers a
-TruncationWarning instead of being trusted silently.
+TruncationWarning instead of being trusted silently.  That flag
+(`reaches_floor`) is a heuristic: it can miss a truncated column.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .weightlat import (
     antidominant_rep,
     block,
     bruhat_leq,
+    coset_reps,
     group_qfactorial,
     stabilizer,
 )
@@ -87,16 +91,17 @@ class BasisExpansion(
         }
 
 
-def triangular_solve(down, bar_column, part, target, scale=None) -> dict:
+def triangular_solve(order, bar_column, part, target, scale=None) -> dict:
     """The coefficients t_{g,target} of the bar-fixed element through target.
 
-    `down` lists every index below target in a linear extension of the
-    Bruhat order and ends at target; `bar_column(h)` is the coefficient dict
-    of bar applied to the basis vector at h; `part` is pos_part (canonical)
-    or neg_part (dual).  Each nonzero t_{h,target} adds bar(t_{h,target})
-    times bar_column(h) into one running difference, so the step at g reads
-    one entry, and only such h get a bar column.  Raises CheckFailed,
-    naming g and target, if the bar map is broken.
+    `order` is any linear extension of the Bruhat order holding target,
+    such as its block; `bar_column(h)` is the coefficient dict of bar
+    applied to the basis vector at h; `part` is pos_part (canonical) or
+    neg_part (dual).  Each nonzero t_{h,target} adds bar(t_{h,target})
+    times bar_column(h) into one running difference, which lies strictly
+    below h; an index it never reaches is skipped, and only solved indices
+    get a bar column.  Raises CheckFailed, naming g and target, if target
+    is not in order or the bar map is broken.
 
     With `scale`, the coefficients are solved for the basis scale(h) e_h
     while the columns stay in e-coordinates: scale(h) must be bar-invariant,
@@ -104,15 +109,17 @@ def triangular_solve(down, bar_column, part, target, scale=None) -> dict:
     at g is divided once by scale(g), a failed exact division raising
     CheckFailed too.
     """
-    if not down or down[-1] != target:
-        raise CheckFailed(f"{target} is not the top of its ordered block")
+    if target not in order:
+        raise CheckFailed(f"{target} is not in its ordered block")
     t: dict = {}
     diff: dict = {}
     val = LaurentPoly.one()
-    for g in reversed(down):
+    for g in reversed(order[: order.index(target) + 1]):
+        if g != target and g not in diff:
+            continue
         s = None if scale is None else scale(g)
         if g != target:
-            d = diff.pop(g, LaurentPoly.zero())
+            d = diff.pop(g)
             try:
                 if s is not None:
                     d = div_exact(d, s)
@@ -160,37 +167,38 @@ def inverse_column(order, column, f) -> dict:
     return x
 
 
-def down_set(f: SignedTuple, w: Window, keep=None) -> list:
-    """The members of f's block at or below f in block order, those passing keep."""
-    return [g for g in block(f, w) if (keep is None or keep(g)) and bruhat_leq(g, f)]
-
-
 @lru_cache(maxsize=None)
 def _solve(f: SignedTuple, w: Window, mode: str) -> BasisExpansion:
-    """The tensor solve: triangular_solve over down_set(f, w) with tensor bar columns."""
+    """The tensor solve: triangular_solve over block(f, w) with tensor bar columns."""
     ctx = bar_context(f.shape, w)
-    down = down_set(f, w)
     part = pos_part if mode == "canonical" else neg_part
-    t = triangular_solve(down, lambda g: ctx.bar_monomial(g).terms, part, f)
-    truncated = mode == "canonical" and reaches_floor(f, t.keys() - {f}, down, w)
+    t = triangular_solve(block(f, w), lambda g: ctx.bar_monomial(g).terms, part, f)
+    truncated = mode == "canonical" and reaches_floor(f, t.keys() - {f}, w)
     return BasisExpansion(f, mode, w, MappingProxyType(t), truncated)
 
 
-def reaches_floor(target: SignedTuple, support, down, w: Window, keep=None) -> bool:
-    """Whether support reaches the bottom of down and a lower floor grows down.
+def reaches_floor(target: SignedTuple, support, w: Window, keep=None) -> bool:
+    """Whether support reaches the bottom of target's block and a lower floor grows it.
 
-    `down` is down_set(target, w, keep); a member of support is at the
-    bottom when nothing before it in down lies below it.
+    Only block members passing keep count.  A member of support is at the
+    bottom when no kept member before it in block order lies below it; the
+    block grows when the window with floor w.lo - 1 holds a kept member
+    below target that w does not.
     """
-    bottom = [
-        g
-        for i, g in enumerate(down)
-        if g in support and not any(bruhat_leq(h, g) for h in down[:i])
-    ]
-    if not bottom:
+    order = block(target, w)
+    kept = []
+    for g in order[: order.index(target) + 1]:
+        if keep is None or keep(g):
+            if g in support and not any(bruhat_leq(h, g) for h in kept):
+                break
+            kept.append(g)
+    else:
         return False
-    grown = down_set(target, Window(w.lo - 1, w.hi), keep)
-    return len(grown) > len(down)
+    wider = block(target, Window(w.lo - 1, w.hi))
+    return any(
+        not h.in_window(w) and (keep is None or keep(h)) and bruhat_leq(h, target)
+        for h in wider[: wider.index(target)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +225,14 @@ def project(terms: dict, par: Parabolic) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _index(sub: Parabolic, par: Parabolic) -> LaurentPoly:
-    return div_exact(group_qfactorial(par), group_qfactorial(sub))
+def orbit_data(sub: Parabolic, par: Parabolic) -> tuple:
+    """([W_f], reps, top, n_ratio) for an orbit whose stabilizer in par is sub.
+
+    reps is the tuple of coset_reps(sub, par), top the length of the last.
+    """
+    stab_q = group_qfactorial(sub)
+    reps = tuple(coset_reps(sub, par))
+    return stab_q, reps, reps[-1][1], div_exact(group_qfactorial(par), stab_q)
 
 
 def n_ratio(f: SignedTuple, par: Parabolic) -> LaurentPoly:
@@ -227,36 +241,36 @@ def n_ratio(f: SignedTuple, par: Parabolic) -> LaurentPoly:
     A quotient of balanced q-factorials, hence bar-invariant.  Cached per
     stabilizer, so nothing is stored per tuple.
     """
-    return _index(stabilizer(f, par), par)
+    return orbit_data(stabilizer(f, par), par)[3]
 
 
-def image_solve(down, target: SignedTuple, par: Parabolic, w: Window, mode: str) -> dict:
-    """The (dual) canonical image column through target, solved on down.
+def image_solve(target: SignedTuple, par: Parabolic, w: Window, mode: str) -> dict:
+    """The (dual) canonical image column through an anti-dominant target.
 
-    `down` is the anti-dominant down-set of target in block order.  The bar
-    column of Ntilde_g is project(bar(M_g)): phi is right multiplication by
-    the bar-fixed symmetrizer, and bar commutes with the Hecke action.  The
-    canonical column is solved for N_g = n_ratio(g) Ntilde_g (n_ratio is
-    bar-invariant), the dual one for Ntilde_g.  The one core of qsym's image
-    solve and of canonical's orbit-top route; it never warns.
+    Solved over block(target, w).  The bar column of Ntilde_g is
+    project(bar(M_g)): phi is right multiplication by the bar-fixed
+    symmetrizer, and bar commutes with the Hecke action.  project lands
+    at or below each tuple on an anti-dominant one, so only anti-dominant
+    indices are solved.  The canonical column is solved for
+    N_g = n_ratio(g) Ntilde_g (n_ratio is bar-invariant), the dual one for
+    Ntilde_g.  The one core of qsym's image solve and of canonical's
+    orbit-top route; it never warns.
     """
     ctx = bar_context(target.shape, w)
+    order = block(target, w)
     column = lambda g: project(ctx.bar_monomial(g).terms, par)
     if mode == "dual":
-        return triangular_solve(down, column, neg_part, target)
-    return triangular_solve(down, column, pos_part, target, lambda g: n_ratio(g, par))
-
-
-def _tops(f: SignedTuple, gens) -> list:
-    """The s_i in gens at which f is weakly decreasing (covariant) or increasing (dual)."""
-    e, m = f.entries, f.shape.m
-    return [i for i in gens if (e[i - 1] >= e[i] if i < m else e[i - 1] <= e[i])]
+        return triangular_solve(order, column, neg_part, target)
+    return triangular_solve(order, column, pos_part, target, lambda g: n_ratio(g, par))
 
 
 def top_parabolic(f: SignedTuple) -> Parabolic:
-    """J(f), the largest parabolic whose orbit through f has f at its top."""
-    m = f.shape.m
-    return Parabolic(f.shape, _tops(f, (i for i in range(1, f.shape.size) if i != m)))
+    """J(f): the s_i where f weakly falls (covariant) or rises (dual), so f tops its orbit."""
+    e, m = f.entries, f.shape.m
+    gens = range(1, f.shape.size)
+    return Parabolic(
+        f.shape, [i for i in gens if i != m and (e[i - 1] >= e[i] if i < m else e[i - 1] <= e[i])]
+    )
 
 
 @lru_cache(maxsize=None)
@@ -265,20 +279,12 @@ def _canonical(f: SignedTuple, w: Window) -> BasisExpansion:
     par = top_parabolic(f)
     if not par.generators:
         return _solve(f, w, "canonical")
-    down = down_set(f, w)
-    # k = b.x with b the bottom of its orbit; at the orbit's top l(x) = top(b),
-    # and the anti-dominant down-set of g is the bottoms of the tops in down
-    reps = [(k, antidominant_rep(k, par)) for k in down]
-    gens = sorted(par.generators)
-    top_len = {b: lx for k, (b, _, lx) in reps if _tops(k, gens) == gens}
-    anti = [h for h in down if h in top_len]
-    image = image_solve(anti, antidominant_rep(f, par)[0], par, w, "canonical")
     t = {}
-    for k, (b, _, lx) in reversed(reps):
-        c = image.get(b)
-        if c is not None:
-            t[k] = c.shifted(top_len[b] - lx)
-    truncated = reaches_floor(f, t.keys() - {f}, down, w)
+    for b, c in image_solve(antidominant_rep(f, par)[0], par, w, "canonical").items():
+        _, reps, top, _ = orbit_data(stabilizer(b, par), par)
+        for x, lx in reps:
+            t[b.act(x)] = c.shifted(top - lx)
+    truncated = reaches_floor(f, t.keys() - {f}, w)
     return BasisExpansion(f, "canonical", w, MappingProxyType(t), truncated)
 
 
@@ -297,20 +303,18 @@ def canonical(f: SignedTuple, w: Window) -> BasisExpansion:
     """The canonical basis element T_f through f, coefficients in qZ[q].
 
     The route is chosen by f alone.  If J(f) = top_parabolic(f) is
-    trivial, the tensor solve runs over down_set(f, w).  Otherwise f tops
-    its W_J-orbit, whose bottom g is anti-dominant, and the q-symmetrizer
+    trivial, the tensor solve runs over block(f, w).  Otherwise f tops its
+    W_J-orbit, whose bottom g is anti-dominant, and the q-symmetrizer
     carries T_f onto the image's canonical element through g: with
-    Mtilde_h = sum_x q^(top(h) - l(x)) M_{h.x} over the minimal coset reps
-    x, the vector sum_h t^N_{h,g} Mtilde_h of the image column (N
-    coordinates) is bar-fixed, is 1 at M_f and lies in qZ[q] elsewhere, so
-    by uniqueness it is T_f:
+    Mtilde_b = sum_x q^(top(b) - l(x)) M_{b.x} over the minimal coset reps
+    x, the vector sum_b t^N_{b,g} Mtilde_b of the image column (N
+    coordinates, image_solve) is bar-fixed, is 1 at M_f and lies in qZ[q]
+    elsewhere, so by uniqueness it is T_f:
 
-        t_{k,f} = t^N_{b,g} q^(top(b) - l),   (b, _, l) = antidominant_rep(k, J).
+        t_{b.x,f} = t^N_{b,g} q^(top(b) - l(x)).
 
-    The image solve (image_solve) runs over the bottoms of the W_J-orbit
-    tops in down_set(f, w), in block order, which is g's anti-dominant
-    down-set; only anti-dominant bar columns are built.  Both routes flag
-    truncation by the same rule on the tensor support.
+    Only anti-dominant bar columns are built.  Both routes flag truncation
+    by the same rule on the tensor support.
 
     Warns with a TruncationWarning on every call whose expansion is
     truncated, cached or not.

@@ -25,8 +25,9 @@ action, bar(Ntilde_g) = phi(bar(M_g)).  Canonical bases come out three
 ways:
 
 - the image solve (the default, `qsym_canonical` and, at antidominant f,
-  `qsym_dual_canonical`): `canonical.image_solve` over the antidominant
-  down-set of f, one projected tensor bar column per solved index;
+  `qsym_dual_canonical`): `canonical.image_solve` down the block of f,
+  one projected tensor bar column per solved index, every one of them
+  antidominant;
 - the push-forward (`qsym_canonical_push`, `qsym_dual_canonical_push`):
   the ordinary (dual) canonical element through f.w0 (or f), from the
   tensor solve, pushed through phi and checked against the coefficients
@@ -44,16 +45,15 @@ from __future__ import annotations
 
 import warnings
 from collections import namedtuple
-from functools import lru_cache
 from types import MappingProxyType
 
 from .barinv import bar_context
 from .canonical import (
     TruncationWarning,
-    down_set,
     dual_canonical,
     image_solve,
     n_ratio,
+    orbit_data,
     project,
     reaches_floor,
     tensor_canonical,
@@ -68,7 +68,7 @@ from .weightlat import (
     SignedTuple,
     Window,
     antidominant_rep,
-    coset_reps,
+    block,
     group_qfactorial,
     is_antidominant,
     longest_element,
@@ -80,18 +80,10 @@ from .weightlat import (
 # orbit bookkeeping
 
 
-@lru_cache(maxsize=None)
-def _orbit_data(f: SignedTuple, par: Parabolic):
-    """(stabilizer qfactorial, coset reps, length of the longest rep)."""
-    stab = stabilizer(f, par)
-    reps = coset_reps(stab, par)
-    return group_qfactorial(stab), reps, reps[-1][1]
-
-
 def _scale(f: SignedTuple, par: Parabolic, basis: str) -> LaurentPoly:
     """s_B(f) in B_f = s_B(f) Mtilde_f: [W_f], 1 or [W] for Ntilde, Mtilde, N."""
     if basis == "Ntilde":
-        return _orbit_data(f, par)[0]
+        return orbit_data(stabilizer(f, par), par)[0]
     if basis == "Mtilde":
         return LaurentPoly.one()
     if basis == "N":
@@ -112,7 +104,7 @@ def ntilde_expand(f: SignedTuple, par: Parabolic) -> FockVector:
 
 def mtilde_expand(f: SignedTuple, par: Parabolic) -> FockVector:
     """Mtilde_f = Ntilde_f / [W_f]; integral by the orbit closed form."""
-    stab_q = _orbit_data(f, par)[0]
+    stab_q = orbit_data(stabilizer(f, par), par)[0]
     big = ntilde_expand(f, par)
     return FockVector(
         f.shape, {g: div_exact(c, stab_q) for g, c in big.terms.items()}
@@ -196,7 +188,7 @@ def reexpress(v: FockVector, par: Parabolic, basis: str = "Ntilde") -> dict:
     for f, c in v.terms.items():
         if not is_antidominant(f, par):
             continue
-        top_len = _orbit_data(f, par)[2]
+        top_len = orbit_data(stabilizer(f, par), par)[2]
         try:
             x = div_exact(c, _scale(f, par, basis) * LaurentPoly.q_power(top_len))
         except NotDivisible as exc:
@@ -257,20 +249,19 @@ class QSymExpansion(
 
 
 def _image_solve(f: SignedTuple, par: Parabolic, w: Window, mode: str) -> dict:
-    """The (dual) canonical image column through f, solved on its anti-dominant down-set.
+    """The (dual) canonical image column through f, solved in block order.
 
     canonical.image_solve does the solve.  Warns with a TruncationWarning
-    when the canonical support reaches the bottom of the down-set and a
-    lower window floor would grow it.
+    when the canonical support reaches the bottom of the anti-dominant
+    members of the block and a lower window floor would add one below f.
     """
     if not is_antidominant(f, par):
         raise ValueError(f"{f} is not antidominant for {par}")
+    t = image_solve(f, par, w, mode)
     anti = lambda g: is_antidominant(g, par)
-    down = down_set(f, w, anti)
-    t = image_solve(down, f, par, w, mode)
     # unlike a tensor column, the target counts: f lies below f.w0, so it
     # stands for corrections of the tensor column pushed forward onto it
-    if mode == "canonical" and reaches_floor(f, t, down, w, anti):
+    if mode == "canonical" and reaches_floor(f, t, w, anti):
         warnings.warn(
             f"image canonical expansion of {f} for {par} reaches the bottom "
             f"of its anti-dominant down-set and window {w} may truncate it",
@@ -352,7 +343,7 @@ def qsym_dual_canonical_push(f: SignedTuple, par: Parabolic, w: Window) -> QSymE
         if g0 in seen:
             continue
         seen.add(g0)
-        reps = _orbit_data(g0, par)[1]
+        reps = orbit_data(stabilizer(g0, par), par)[1]
         total = LaurentPoly.zero()
         for x, lx in reps:
             total = total + lexp.coeff(g0.act(x)) * LaurentPoly.q_power(-lx)
@@ -373,7 +364,7 @@ def _image_bar(g: SignedTuple, par: Parabolic, w: Window, basis: str) -> dict:
 def qsym_canonical_intrinsic(f: SignedTuple, par: Parabolic, w: Window):
     """Canonical image basis solved inside the image, in both coordinates.
 
-    Runs the triangular bar solver directly on antidominant indices, once
+    Runs the triangular bar solver down the block of f, once
     in N coordinates and once in Mtilde coordinates, with the bar map
     computed by expand / bar / re-express.  Returns the two expansions;
     their coefficient dictionaries must agree and do so by construction
@@ -381,11 +372,10 @@ def qsym_canonical_intrinsic(f: SignedTuple, par: Parabolic, w: Window):
     """
     if not is_antidominant(f, par):
         raise ValueError(f"{f} is not antidominant for {par}")
-    down = down_set(f, w, lambda g: is_antidominant(g, par))
     results = []
     for basis in ("N", "Mtilde"):
         t = triangular_solve(
-            down, lambda g: _image_bar(g, par, w, basis), pos_part, f
+            block(f, w), lambda g: _image_bar(g, par, w, basis), pos_part, f
         )
         t = MappingProxyType(t)
         results.append(QSymExpansion(f, "canonical", basis, par, w, t))

@@ -1,5 +1,6 @@
 """Tests for the canonical / dual canonical solver and the matrix identities."""
 
+import itertools
 import warnings
 from types import MappingProxyType
 
@@ -13,14 +14,17 @@ from qfock.canonical import (
     bkl_matrices,
     canonical,
     dual_canonical,
+    image_solve,
     inverse_column,
     inverse_relation_check,
+    reaches_floor,
     tensor_canonical,
     top_parabolic,
     triangular_solve,
 )
 from qfock.fock import FockVector
-from qfock.laurent import LaurentPoly, NotAntisymmetric, NotDivisible, pos_part
+from qfock.laurent import LaurentPoly, NotAntisymmetric, NotDivisible, neg_part, pos_part
+from qfock.qsym import qsym_dual_canonical
 from qfock.weightlat import (
     CheckFailed,
     Parabolic,
@@ -227,6 +231,81 @@ class TestOrbitTopRoute:
         assert len(full) < len(exp.coefficients)
 
 
+def ref_down_set(f, w, keep=None):
+    """The members of f's block at or below f in block order, those passing keep."""
+    return [g for g in block(f, w) if (keep is None or keep(g)) and bruhat_leq(g, f)]
+
+
+def ref_reaches_floor(target, support, down, w, keep=None):
+    """The floor flag read off the down-set: the reference for reaches_floor.
+
+    `down` is ref_down_set(target, w, keep); a member of support is at the
+    bottom when nothing before it in down lies below it.
+    """
+    bottom = [
+        g
+        for i, g in enumerate(down)
+        if g in support and not any(bruhat_leq(h, g) for h in down[:i])
+    ]
+    if not bottom:
+        return False
+    grown = ref_down_set(target, Window(w.lo - 1, w.hi), keep)
+    return len(grown) > len(down)
+
+
+def parabolics(shape):
+    gens = sorted(Parabolic.full(shape).generators)
+    for r in range(len(gens) + 1):
+        for sub in itertools.combinations(gens, r):
+            yield Parabolic(shape, sub)
+
+
+class TestFloorFlag:
+    """reaches_floor, read off block order, agrees with the down-set reference."""
+
+    CASES = [
+        (Shape(2, 2), Window(-1, 3)),
+        (Shape(3, 1), Window(0, 3)),
+        (Shape(2, 1), Window(-1, 4)),
+    ]
+
+    @pytest.mark.parametrize("shape, w", CASES, ids=str)
+    def test_tensor_flag(self, shape, w):
+        flagged = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            for f in window_tuples(shape, w):
+                exp = canonical(f, w)
+                support = exp.coefficients.keys() - {f}
+                want = ref_reaches_floor(f, support, ref_down_set(f, w), w)
+                assert reaches_floor(f, support, w) == want == exp.truncated, f
+                flagged += want
+        assert flagged
+
+    @pytest.mark.parametrize("shape, w", CASES, ids=str)
+    def test_image_flag(self, shape, w):
+        flagged = 0
+        for par in parabolics(shape):
+            anti = lambda g: is_antidominant(g, par)
+            for f in filter(anti, window_tuples(shape, w)):
+                t = image_solve(f, par, w, "canonical")
+                want = ref_reaches_floor(f, t, ref_down_set(f, w, anti), w, anti)
+                assert reaches_floor(f, t, w, anti) == want, (f, par)
+                flagged += want
+        assert flagged
+
+    def test_dual_solves_make_no_bruhat_comparison(self):
+        w = Window(-1, 3)
+        qfock.canonical._solve.cache_clear()
+        before = bruhat_leq.cache_info()
+        for f in window_tuples(Shape(2, 2), w):
+            dual_canonical(f, w)
+            for par in parabolics(f.shape):
+                qsym_dual_canonical(f, par, w)
+        after = bruhat_leq.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses
+
+
 class TestFloorWarning:
     def test_warns_when_block_would_grow(self):
         with pytest.warns(TruncationWarning):
@@ -323,9 +402,33 @@ class TestTriangularSolve:
             triangular_solve(["a", "b"], columns.__getitem__, pos_part, "b")
         assert isinstance(info.value.__cause__, NotAntisymmetric)
 
-    def test_target_must_end_the_order(self):
-        with pytest.raises(CheckFailed, match="b is not the top"):
-            triangular_solve(["b", "a"], {}.__getitem__, pos_part, "b")
+    def test_target_missing_from_the_order_raises(self):
+        with pytest.raises(CheckFailed, match="c is not in its ordered block"):
+            triangular_solve(["a", "b"], {}.__getitem__, pos_part, "c")
+
+    @pytest.mark.parametrize("mode", ["canonical", "dual"])
+    def test_block_order_solves_as_the_down_set(self, mode):
+        # the block also holds members incomparable with the target and
+        # members after it; the solve must not read a bar column there
+        w = Window(-1, 3)
+        ctx = bar_context(Shape(2, 2), w)
+        part = pos_part if mode == "canonical" else neg_part
+        incomparable = later = 0
+        for f in window_tuples(Shape(2, 2), w):
+            order = block(f, w)
+            down = ref_down_set(f, w)
+            incomparable += len(down) < order.index(f) + 1
+            later += order[-1] != f
+            read = []
+
+            def column(g):
+                read.append(g)
+                return ctx.bar_monomial(g).terms
+
+            t = triangular_solve(order, column, part, f)
+            assert t == triangular_solve(down, lambda g: ctx.bar_monomial(g).terms, part, f), f
+            assert read == list(t), f
+        assert (incomparable, later) == (292, 494)
 
     def test_scale_solves_for_the_scaled_basis(self):
         # with N_a = [2] e_a and N_b = e_b, bar(N_b) = N_b + (q - q^-1) N_a

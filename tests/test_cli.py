@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 from types import MappingProxyType
@@ -335,6 +336,18 @@ def test_cli_output_matches_golden(capsys, name, fmt):
     assert main(CLI_GOLDENS[name].split() + flags) == 0
     want = (GOLDEN / "cli" / f"{name}.{fmt}").read_bytes()
     assert capsys.readouterr().out.encode() == want
+
+
+def test_tensor_wall_output_is_pinned(capsys):
+    # the 4|4 orbit-top tensor column: 128,409 bytes, pinned by digest
+    # instead of a stored file
+    argv = "bkl --shape 4|4 --tuple 4,3,2,1|1,2,3,4 --window 0..4".split()
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 128409
+    assert hashlib.sha256(out).hexdigest() == (
+        "234158c30dba10db86c97bd1ec385e06eced15299b742c03f0cd718b6e6c7927"
+    )
 
 
 # stdout of the two subcommands that import qfock.verify, which print text

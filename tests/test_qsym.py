@@ -8,7 +8,7 @@ import pytest
 import qfock.canonical
 import qfock.qsym
 from qfock.barinv import bar, bar_context
-from qfock.canonical import TruncationWarning, canonical, dual_canonical
+from qfock.canonical import TruncationWarning, canonical, dual_canonical, orbit_data
 from qfock.fock import FockVector, act, apply_chevalley
 from qfock.hecke import HeckeElement, symmetrizer
 from qfock.laurent import LaurentPoly, NotDivisible, div_exact
@@ -40,6 +40,7 @@ from qfock.weightlat import (
     bruhat_leq,
     is_antidominant,
     longest_element,
+    stabilizer,
     window_tuples,
 )
 
@@ -119,11 +120,28 @@ class TestExpansions:
                 for sub in itertools.combinations(gens, r):
                     par = Parabolic(shape, sub)
                     for h in anti_members(par, w):
-                        _, reps, top = qfock.qsym._orbit_data(h, par)
+                        _, reps, top, _ = orbit_data(stabilizer(h, par), par)
                         terms = {h.act(x): LaurentPoly.q_power(top - lx) for x, lx in reps}
                         assert FockVector(shape, terms) == mtilde_expand(h, par), (h, par)
                         pairs += 1
         assert pairs == 1142
+
+    def test_orbit_data_is_one_immutable_entry_per_stabilizer(self):
+        par, w = Parabolic.full(Shape(2, 2)), Window(-1, 2)
+        members = anti_members(par, w)
+        orbit_data.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            for f in members:
+                base_change(qsym_canonical(f, par, w).vector(), "Ntilde")
+                qsym_dual_canonical_push(f, par, w)
+                reexpress(mtilde_expand(f, par), par, "Mtilde")
+        stabs = {stabilizer(f, par) for f in members}
+        assert orbit_data.cache_info().currsize == len(stabs) < len(members)
+        _, reps, _, _ = orbit_data(stabilizer(members[0], par), par)
+        assert isinstance(reps, tuple) and all(isinstance(r, tuple) for r in reps)
+        with pytest.raises(TypeError):
+            reps[0] = reps[-1]
 
 
 class TestBaseChange:

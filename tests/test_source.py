@@ -110,6 +110,28 @@ def test_weights_enter_only_through_the_cli():
     assert found == {"weightlat.py", "cli.py"}, sorted(found)
 
 
+def test_solvers_do_not_read_the_bruhat_order():
+    """The solvers walk block order; no down-set is built.
+
+    bruhat_leq is named only by weightlat (its definition), barinv.bar_oracle
+    (the independent oracle), canonical.reaches_floor (the truncation flag)
+    and verify, besides the module-level imports that bring it in.
+    """
+    allowed = {"barinv.py": "bar_oracle", "canonical.py": "reaches_floor"}
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            names = set().union(*map(_referenced_names, ast.walk(top)))
+            if "down_set" in names:
+                found.add(f"{path.name} down_set")
+            if "bruhat_leq" not in names or path.name in ("weightlat.py", "verify.py"):
+                continue
+            where = getattr(top, "name", None)
+            if not isinstance(top, ast.ImportFrom) and where != allowed.get(path.name):
+                found.add(f"{path.name}:{top.lineno} bruhat_leq")
+    assert not found, sorted(found)
+
+
 def test_value_types_hash_and_compare_in_c():
     """Every basis key hashes and compares as a plain tuple, never in Python."""
     for cls in (Shape, Window, SignedTuple, Parabolic):
