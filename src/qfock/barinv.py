@@ -39,7 +39,7 @@ from math import gcd
 
 from .fock import FockVector, act, apply_chevalley
 from .hecke import HeckeElement
-from .laurent import LaurentPoly
+from .laurent import MINUS_QINV, Q_MINUS_QINV, LaurentPoly
 from .weightlat import (
     CheckFailed,
     Parabolic,
@@ -53,8 +53,6 @@ from .weightlat import (
     perm_inv,
 )
 
-_Q_MINUS_QINV = LaurentPoly({1: 1, -1: -1})
-_MINUS_QINV = LaurentPoly({-1: -1})
 _UNSEEN = object()
 
 
@@ -101,7 +99,7 @@ class BarContext:
         """T_{c,d}(M_g), None when it vanishes; memoized beyond one step, then read-only."""
         if d == c + 1:
             step = apply_chevalley(FockVector.monomial(g), "E", c)
-            return step.scaled(_Q_MINUS_QINV)
+            return step.scaled(Q_MINUS_QINV)
         key = (g, c, d, right_dual)
         got = self._transfer_memo.get(key, _UNSEEN)
         if got is _UNSEEN:
@@ -112,7 +110,7 @@ class BarContext:
                 lead, trail = inner(E(v)), E(inner(v))
             else:
                 lead, trail = E(inner(v)), inner(E(v))
-            got = self._transfer_memo[key] = lead.axpy(trail, _MINUS_QINV) or None
+            got = self._transfer_memo[key] = lead.axpy(trail, MINUS_QINV) or None
         return got
 
     def theta(self, x: FockVector, b: int, shape: Shape) -> FockVector:

@@ -78,17 +78,19 @@ class BasisExpansion(
     def vector(self) -> FockVector:
         return FockVector(self.target.shape, dict(self.coefficients))
 
-    def support(self):
-        return set(self.coefficients)
-
     def to_json(self) -> dict:
-        rows = sorted(self.coefficients.items(), key=lambda t: t[0].entries)
         return {
             "target": str(self.target),
             "mode": self.mode,
             "window": str(self.window),
-            "coefficients": [{"tuple": str(g), **c.to_json()} for g, c in rows],
+            "coefficients": json_rows(self.coefficients),
         }
+
+
+def json_rows(terms) -> list[dict]:
+    """The --json rows {"tuple", "poly"} of a tuple-keyed mapping, in tuple order."""
+    rows = sorted(terms.items(), key=lambda t: t[0].entries)
+    return [{"tuple": str(g), **c.to_json()} for g, c in rows]
 
 
 def triangular_solve(order, bar_column, part, target, scale=None) -> dict:
@@ -330,18 +332,6 @@ def tensor_canonical(f: SignedTuple, w: Window) -> BasisExpansion:
 def dual_canonical(f: SignedTuple, w: Window) -> BasisExpansion:
     """The dual canonical basis element through f, coefficients in 1/q Z[1/q]."""
     return _solve(f, w, "dual")
-
-
-def bkl_matrices(order: tuple[SignedTuple, ...], w: Window):
-    """Both polynomial matrices over an ordered block: ({t_{gf}}, {l_{gf}})."""
-    tmat: dict[tuple[SignedTuple, SignedTuple], LaurentPoly] = {}
-    lmat: dict[tuple[SignedTuple, SignedTuple], LaurentPoly] = {}
-    for f in order:
-        for g, c in canonical(f, w).coefficients.items():
-            tmat[(g, f)] = c
-        for g, c in dual_canonical(f, w).coefficients.items():
-            lmat[(g, f)] = c
-    return tmat, lmat
 
 
 def dual_inverse_column(order: tuple[SignedTuple, ...], f: SignedTuple, w: Window) -> dict:

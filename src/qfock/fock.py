@@ -35,10 +35,8 @@ The two actions commute; tests pin this down.
 
 from __future__ import annotations
 
-from .laurent import LaurentCombination, LaurentPoly, div_exact, q_fact
+from .laurent import QINV_MINUS_Q, LaurentCombination, LaurentPoly
 from .weightlat import Shape, SignedTuple, apply_s, reduced_word
-
-_QINV_MINUS_Q = LaurentPoly({-1: 1, 1: -1})
 
 
 class FockVector(LaurentCombination):
@@ -53,23 +51,6 @@ class FockVector(LaurentCombination):
     @classmethod
     def monomial(cls, f: SignedTuple, coeff=None) -> "FockVector":
         return cls(f.shape, {f: LaurentPoly.one() if coeff is None else coeff})
-
-    def to_json(self) -> dict:
-        rows = sorted(self.terms.items(), key=lambda t: t[0].entries)
-        return {
-            "shape": str(self.shape),
-            "terms": [{"tuple": str(f), **c.to_json()} for f, c in rows],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FockVector":
-        m, _, n = data["shape"].partition("|")
-        shape = Shape(int(m), int(n))
-        terms = {}
-        for row in data["terms"]:
-            f = SignedTuple.parse(row["tuple"], shape)
-            terms[f] = LaurentPoly.from_json(row)
-        return cls(shape, terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -113,27 +94,6 @@ def apply_chevalley(v: FockVector, kind: str, a: int) -> FockVector:
     return res
 
 
-def apply_divided(v: FockVector, kind: str, a: int, r: int) -> FockVector:
-    """The divided power E_a^{(r)} or F_a^{(r)} = (.)^r / [r]!."""
-    if r < 0:
-        raise ValueError("negative divided power")
-    cur = v
-    for _ in range(r):
-        cur = apply_chevalley(cur, kind, a)
-    fact = q_fact(r)
-    return FockVector(v.shape, {f: div_exact(c, fact) for f, c in cur.terms.items()})
-
-
-def dual_pair(a: int, b: int) -> LaurentPoly:
-    """The contravariant pairing of the dual letter w_a against v_b.
-
-    <w_a, v_b> = (-1)^a q^{-a} delta_{ab}.
-    """
-    if a != b:
-        return LaurentPoly.zero()
-    return LaurentPoly.q_power(-a, 1 if a % 2 == 0 else -1)
-
-
 # ---------------------------------------------------------------------------
 # Hecke action
 
@@ -154,7 +114,7 @@ def act_gen(v: FockVector, i: int) -> FockVector:
         ascent = (x < y) if not dual else (x > y)
         res.add_term(swapped, c)
         if not ascent:
-            res.add_term(f, c * _QINV_MINUS_Q)
+            res.add_term(f, c * QINV_MINUS_Q)
     return res
 
 

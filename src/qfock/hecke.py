@@ -16,7 +16,7 @@ S^2 = [|W'|] S.
 
 from __future__ import annotations
 
-from .laurent import LaurentCombination, LaurentPoly
+from .laurent import QINV_MINUS_Q, Q_MINUS_QINV, LaurentCombination, LaurentPoly
 from .weightlat import (
     Parabolic,
     Shape,
@@ -27,9 +27,6 @@ from .weightlat import (
     apply_s,
     reduced_word,
 )
-
-_Q_MINUS_QINV = LaurentPoly({1: 1, -1: -1})
-_QINV_MINUS_Q = LaurentPoly({-1: 1, 1: -1})
 
 
 def _sector_preserving(shape: Shape, perm: tuple[int, ...]) -> bool:
@@ -63,7 +60,7 @@ class HeckeElement(LaurentCombination):
         for p, c in self.terms.items():
             out.add_term(apply_s(p, i), c)
             if not is_right_ascent(p, i):
-                out.add_term(p, c * _QINV_MINUS_Q)
+                out.add_term(p, c * QINV_MINUS_Q)
         return out
 
     def __mul__(self, other):
@@ -93,7 +90,7 @@ class HeckeElement(LaurentCombination):
             cur = HeckeElement.unit(self.shape).scaled(c.bar())
             for i in reduced_word(p):
                 # bar(H_i) = H_i + (q - q^-1), multiplied in word order
-                cur = cur.times_gen(i).axpy(cur, _Q_MINUS_QINV)
+                cur = cur.times_gen(i).axpy(cur, Q_MINUS_QINV)
             total.axpy(cur)
         return total
 

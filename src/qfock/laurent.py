@@ -56,6 +56,9 @@ class LaurentPoly:
         return self.c == other.c
 
     def __hash__(self) -> int:
+        """A constant hashes as its integer, since it compares equal to it."""
+        if self.c.keys() <= {0}:
+            return hash(self.c.get(0, 0))
         return hash(frozenset(self.c.items()))
 
     def __add__(self, other) -> "LaurentPoly":
@@ -110,18 +113,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined in Z[q, q^-1]")
-        res = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                res = res * base
-            base = base * base
-            n >>= 1
-        return res
-
     def shifted(self, k: int) -> "LaurentPoly":
         """q^k * self, by moving the exponents.
 
@@ -163,10 +154,6 @@ class LaurentPoly:
     def to_json(self) -> dict:
         return {"poly": {str(e): a for e, a in sorted(self.c.items())}}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "LaurentPoly":
-        return cls({int(e): a for e, a in data["poly"].items()})
-
     def __str__(self) -> str:
         if not self.c:
             return "0"
@@ -190,6 +177,9 @@ class LaurentPoly:
 
 ONE = LaurentPoly.one()
 Q = LaurentPoly.q_power(1)
+Q_MINUS_QINV = LaurentPoly({1: 1, -1: -1})
+QINV_MINUS_Q = LaurentPoly({-1: 1, 1: -1})
+MINUS_QINV = LaurentPoly({-1: -1})
 
 
 def q_int(r: int) -> LaurentPoly:
@@ -314,9 +304,7 @@ class LaurentCombination:
         return res
 
     def coeff(self, key) -> LaurentPoly:
-        """The coefficient at key, zero when absent; a list key means its tuple."""
-        if isinstance(key, list):
-            key = tuple(key)
+        """The coefficient at key, zero when absent."""
         return self.terms.get(key, LaurentPoly.zero())
 
     def support(self) -> set:
@@ -368,7 +356,3 @@ class LaurentCombination:
         if not c:
             return self._with({})
         return self._with({k: a * c for k, a in self.terms.items()})
-
-    def bar_coeffs(self) -> "LaurentCombination":
-        """q -> q^-1 on every coefficient, keys untouched."""
-        return self._with({k: c.bar() for k, c in self.terms.items()})

@@ -52,6 +52,7 @@ from .canonical import (
     TruncationWarning,
     dual_canonical,
     image_solve,
+    json_rows,
     n_ratio,
     orbit_data,
     project,
@@ -159,12 +160,11 @@ class QSymVector(LaurentCombination):
         return f"QSymVector({self.shape}, {self.parabolic}, {self.basis}, {self.terms!r})"
 
     def to_json(self) -> dict:
-        rows = sorted(self.terms.items(), key=lambda t: t[0].entries)
         return {
             "shape": str(self.shape),
             "parabolic": str(self.parabolic),
             "basis": self.basis,
-            "terms": [{"tuple": str(f), **c.to_json()} for f, c in rows],
+            "terms": json_rows(self.terms),
         }
 
 
@@ -237,14 +237,13 @@ class QSymExpansion(
         )
 
     def to_json(self) -> dict:
-        rows = sorted(self.coefficients.items(), key=lambda t: t[0].entries)
         return {
             "target": str(self.target),
             "mode": self.mode,
             "basis": self.basis,
             "parabolic": str(self.parabolic),
             "window": str(self.window),
-            "coefficients": [{"tuple": str(g), **c.to_json()} for g, c in rows],
+            "coefficients": json_rows(self.coefficients),
         }
 
 

@@ -49,7 +49,6 @@ TABLE_TAGS = {
     "tilting-in-Verma": "M",
     "Verma-in-simple": "L",
     "standard-Whittaker": "pstd",
-    "tilting-Delta": "Delta",
 }
 
 
@@ -139,14 +138,14 @@ def tilting_character(f: SignedTuple, w: Window) -> CharRow:
     return CharRow(f"T({format_weight(f)})", f, entries)
 
 
-def _verma_column(f: SignedTuple, w: Window) -> dict[SignedTuple, int]:
+def verma_column(f: SignedTuple, w: Window) -> dict[SignedTuple, int]:
     """[M_f : L_g] over the block of f: column f of the inverse dual matrix at q = 1."""
     return inverse_column(block(f, w), lambda g: _at_one(dual_canonical(g, w)), f)
 
 
 def verma_in_simple(f: SignedTuple, w: Window) -> CharRow:
     """The Verma class in the basis of irreducibles (composition multiplicities)."""
-    return CharRow(f"M({format_weight(f)})", f, _verma_column(f, w))
+    return CharRow(f"M({format_weight(f)})", f, verma_column(f, w))
 
 
 def character_table(f: SignedTuple, w: Window, kind: str) -> CharTable:
@@ -208,30 +207,7 @@ def standard_whittaker_column(
     return inverse_column(anti, lambda g: _at_one(qsym_dual_canonical(g, par, w)), f0)
 
 
-def standard_whittaker_is_simple(f: SignedTuple, par: Parabolic, w: Window) -> bool:
-    f0, _, _ = antidominant_rep(f, par)
-    return standard_whittaker_column(f, par, w) == {f0: 1}
-
-
-def whittaker_simple_mult(
-    f_l: SignedTuple, f_m: SignedTuple, par: Parabolic, w: Window
-) -> tuple[int, int, bool]:
-    """Standard-to-simple multiplicity in the quotient, both ways.
-
-    The first value is computed inside the quotient category, the second
-    is the ordinary composition multiplicity at the anti-dominant orbit
-    representatives.  The two must agree.
-    """
-    f_l0, _, _ = antidominant_rep(f_l, par)
-    f_m0, _, _ = antidominant_rep(f_m, par)
-    if weight(f_l0) != weight(f_m0):
-        return 0, 0, True
-    lhs = standard_whittaker_column(f_l, par, w).get(f_m0, 0)
-    rhs = _verma_column(f_l0, w).get(f_m0, 0)
-    return lhs, rhs, lhs == rhs
-
-
-def _ringel_twist(f: SignedTuple, par: Parabolic, w: Window) -> SignedTuple:
+def ringel_twist(f: SignedTuple, par: Parabolic, w: Window) -> SignedTuple:
     """f.w0 negated, w0 the longest element of par; WindowEscape outside w."""
     t = f.act(longest_element(par)[0]).negate()
     if not t.in_window(w):
@@ -252,19 +228,10 @@ def tilting_delta_mult(
     """
     _check_antidominant(f_l, par)
     _check_antidominant(f_m, par)
-    f_kappa = _ringel_twist(f_l, par, w)
-    f_gamma = _ringel_twist(f_m, par, w)
+    f_kappa = ringel_twist(f_l, par, w)
+    f_gamma = ringel_twist(f_m, par, w)
     lhs = qsym_canonical(f_l, par, w).coeff(f_m).at_one()
     if weight(f_kappa) != weight(f_gamma):
         return lhs, 0, lhs == 0
-    rhs = _verma_column(f_gamma, w).get(f_kappa, 0)
+    rhs = verma_column(f_gamma, w).get(f_kappa, 0)
     return lhs, rhs, lhs == rhs
-
-
-def tilting_delta_table(f: SignedTuple, par: Parabolic, w: Window) -> CharTable:
-    """One row: the quotient tilting class in the standard basis."""
-    _check_antidominant(f, par)
-    entries = _at_one(qsym_canonical(f, par, w))
-    _check_diagonal(entries, f)
-    row = CharRow(f"TObar({format_weight(f)})", f, entries)
-    return CharTable(f.shape, "tilting-Delta", w, [row])

@@ -2,9 +2,10 @@
 
 The verify_* sweeps re-run the defining identities of the other modules
 over small exhaustive ranges; they are shared between the test suite and
-the `verify` command.  The graded BGG table and the decategorification
-square check the report layer against a second route, and the quiver
-presentation backs the `quiver` command.
+the `verify` command.  Graded reciprocity, the Whittaker two-route
+comparison and the decategorification square check the report layer
+against a second route, and the quiver presentation backs the `quiver`
+command.
 
 The command line imports this module only for `verify` and `quiver`, so
 that `bkl`, `qsym` and `char` never load it.
@@ -28,7 +29,7 @@ from .canonical import (
 )
 from .fock import FockVector, act, apply_chevalley
 from .hecke import HeckeElement, symmetrizer
-from .laurent import LaurentPoly, q_fact
+from .laurent import QINV_MINUS_Q, LaurentPoly, q_fact
 from .qsym import (
     ntilde_expand,
     qsym_canonical,
@@ -38,11 +39,11 @@ from .qsym import (
     qsym_dual_canonical_push,
 )
 from .reports import (
-    _ringel_twist,
-    _verma_column,
     delta_flag_length,
+    ringel_twist,
     standard_whittaker_column,
     tilting_delta_mult,
+    verma_column,
 )
 from .weightlat import (
     CheckFailed,
@@ -62,95 +63,52 @@ from .weightlat import (
     longest_element,
     par_elements,
     stabilizer,
-    tuple_to_weight,
     weight,
     window_tuples,
 )
 
 
 # ---------------------------------------------------------------------------
-# graded reciprocity
+# two-route checks on the anti-dominant members of one block
 
 
-@dataclass
-class GradedEntry:
-    f_lam: SignedTuple
-    f_mu: SignedTuple
-    lhs: LaurentPoly
-    rhs: LaurentPoly
+def graded_reciprocity(par: Parabolic, anti: list[SignedTuple], w: Window) -> list[tuple]:
+    """Graded BGG reciprocity on anti-dominant members of one block, at least one.
 
-    @property
-    def ok(self) -> bool:
-        return self.lhs == self.rhs
-
-    def to_json(self) -> dict:
-        return {
-            "lambda": list(tuple_to_weight(self.f_lam)),
-            "mu": list(tuple_to_weight(self.f_mu)),
-            "lambda_tuple": str(self.f_lam),
-            "mu_tuple": str(self.f_mu),
-            "lhs": self.lhs.to_json(),
-            "rhs": self.rhs.to_json(),
-            "ok": self.ok,
-        }
-
-
-@dataclass
-class GradedBGGTable:
-    """Graded projective-to-standard multiplicities of a quotient block.
-
-    For each pair of anti-dominant weights the left value inverts the
-    graded simple-to-Verma matrix of the whole ordinary block; the right
-    value is the symmetrized canonical coefficient at the negated weights
-    twisted by the longest parabolic element.  Equality entrywise is the
-    graded reciprocity statement.
+    Returns (f_lam, f_mu, lhs, rhs) for every ordered pair from anti.  The
+    left value, a graded projective-to-standard multiplicity of the
+    quotient, inverts the graded simple-to-Verma matrix of the whole
+    ordinary block; the right value is the symmetrized canonical
+    coefficient at the negated weights twisted by the longest parabolic
+    element.  Reciprocity is lhs == rhs entrywise.  Raises WindowEscape
+    when a twist leaves w.
     """
-
-    shape: Shape
-    parabolic: Parabolic
-    window: Window
-    order: tuple[SignedTuple, ...]
-    anti: list[SignedTuple]
-    entries: list[GradedEntry]
-
-    @property
-    def verified(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def failures(self) -> list[GradedEntry]:
-        return [e for e in self.entries if not e.ok]
-
-    def entry(self, f_lam: SignedTuple, f_mu: SignedTuple) -> GradedEntry:
-        for e in self.entries:
-            if e.f_lam == f_lam and e.f_mu == f_mu:
-                return e
-        raise KeyError((f_lam, f_mu))
-
-    def to_json(self) -> dict:
-        return {
-            "shape": str(self.shape),
-            "parabolic": str(self.parabolic),
-            "window": str(self.window),
-            "block": [str(g) for g in self.order],
-            "antidominant": [str(g) for g in self.anti],
-            "verified": self.verified,
-            "entries": [e.to_json() for e in self.entries],
-        }
-
-
-def graded_bgg_table(par: Parabolic, f: SignedTuple, w: Window) -> GradedBGGTable:
-    order = block(f, w)
-    anti = [g for g in order if is_antidominant(g, par)]
-    twisted = {g: _ringel_twist(g, par, w) for g in anti}
+    order = block(anti[0], w)
+    twisted = {g: ringel_twist(g, par, w) for g in anti}
     dinv = {f_lam: dual_inverse_column(order, f_lam, w) for f_lam in anti}
-    entries = []
+    rows = []
     for f_mu in anti:
         texp = qsym_canonical(twisted[f_mu], par, w)
         for f_lam in anti:
             lhs = dinv[f_lam].get(f_mu, LaurentPoly.zero())
-            rhs = texp.coeff(twisted[f_lam])
-            entries.append(GradedEntry(f_lam, f_mu, lhs, rhs))
-    return GradedBGGTable(f.shape, par, w, order, anti, entries)
+            rows.append((f_lam, f_mu, lhs, texp.coeff(twisted[f_lam])))
+    return rows
+
+
+def whittaker_routes(par: Parabolic, anti: list[SignedTuple], w: Window) -> list[tuple]:
+    """Standard-to-simple multiplicities of the quotient on anti-dominant members of one block.
+
+    Returns (f_l, f_m, lhs, rhs) for every ordered pair from anti: lhs is
+    computed inside the quotient (standard_whittaker_column), rhs is the
+    ordinary composition multiplicity [M_{f_l} : L_{f_m}] (verma_column).
+    The two must agree.
+    """
+    rows = []
+    for f_l in anti:
+        quotient = standard_whittaker_column(f_l, par, w)
+        ordinary = verma_column(f_l, w)
+        rows.extend((f_l, f_m, quotient.get(f_m, 0), ordinary.get(f_m, 0)) for f_m in anti)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +133,7 @@ def commuting_square_check(par: Parabolic, w: Window) -> tuple[bool, list[str]]:
         bcols = {h: qsym_dual_canonical(h, par, w) for h in anti}
         for fo in order:
             f0, _, _ = antidominant_rep(fo, par)
-            column = _verma_column(fo, w)
+            column = verma_column(fo, w)
             for g0 in anti:
                 got = sum(
                     bcols[h].coeff(g0).at_one() * column.get(h, 0) for h in anti
@@ -216,13 +174,6 @@ class QuiverPresentation:
 
     def degree_y(self, i: int) -> int:
         return self.degree_x(i)
-
-    def arrow_degrees(self, lo: int = -3, hi: int = 3) -> dict[str, int]:
-        out = {}
-        for i in range(lo, hi + 1):
-            out[f"x_{i}"] = self.degree_x(i)
-            out[f"y_{i}"] = self.degree_y(i)
-        return out
 
     def loop_relation_exponents(self, i: int) -> tuple[int, int]:
         """Exponents (left, right) in (y_{i+1}x_{i+1})^a = -(x_i y_i)^b."""
@@ -312,10 +263,9 @@ def verify_hecke(max_size: int = 4, seed: int = 0) -> tuple[bool, list[str]]:
     for shape in _shapes_up_to(max_size):
         gens = [i for i in range(1, shape.size) if i != shape.m]
         one = HeckeElement.unit(shape)
-        qdiff = LaurentPoly({-1: 1, 1: -1})
         for i in gens:
             h = HeckeElement.generator(shape, i)
-            if h * h != h.scaled(qdiff) + one:
+            if h * h != h.scaled(QINV_MINUS_Q) + one:
                 fails.append(f"quadratic relation fails at {shape}, i={i}")
             checked += 1
         for i in gens:
@@ -634,7 +584,13 @@ def verify_qsym(
 def verify_bgg(
     w: Window = Window(-2, 2), max_block: int = 14, max_size: int = 4
 ) -> tuple[bool, list[str]]:
-    """The commuting square, duality routes and block facts on shapes of size <= max_size."""
+    """The commuting square, the two-route checks and block facts on shapes of size <= max_size.
+
+    On every block of at most max_block members of each duality case, the
+    tilting multiplicities by Ringel duality, graded reciprocity and the
+    Whittaker standard-to-simple multiplicities are each compared between
+    their two routes and counted in pairs.
+    """
 
     def sized(cases: list[Parabolic]) -> list[Parabolic]:
         return [par for par in cases if par.shape.size <= max_size]
@@ -652,6 +608,7 @@ def verify_bgg(
         Parabolic.full(Shape(1, 1)),
         Parabolic(Shape(2, 1), frozenset({1})),
         Parabolic(Shape(1, 2), frozenset({2})),
+        Parabolic(Shape(3, 3), frozenset({1, 2})),
     ])
     fact_cases = sized([Parabolic.full(Shape(1, 2))])
     if not (square_cases or duality_cases or fact_cases):
@@ -666,25 +623,32 @@ def verify_bgg(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         for par in duality_cases:
-            pairs = 0
+            rows = {"duality two-route": [], "graded reciprocity": [], "Whittaker two-route": []}
             for order in _blocks_in(par.shape, w, cap=max_block):
                 inside = []
                 for g in order:
                     if is_antidominant(g, par):
                         try:
-                            _ringel_twist(g, par, w)
+                            ringel_twist(g, par, w)
                         except WindowEscape:
                             continue
                         inside.append(g)
-                for f_l in inside:
-                    for f_m in inside:
-                        lhs, rhs, equal = tilting_delta_mult(f_l, f_m, par, w)
-                        if not equal:
-                            fails.append(
-                                f"duality routes disagree at {f_l}, {f_m}: {lhs} != {rhs}"
-                            )
-                        pairs += 1
-            msgs.append(f"duality two-route: {pairs} pairs on {par.shape}, parabolic {par}")
+                if not inside:
+                    continue
+                rows["duality two-route"] += [
+                    (f_l, f_m, *tilting_delta_mult(f_l, f_m, par, w)[:2])
+                    for f_l in inside
+                    for f_m in inside
+                ]
+                rows["graded reciprocity"] += graded_reciprocity(par, inside, w)
+                rows["Whittaker two-route"] += whittaker_routes(par, inside, w)
+            for check, found in rows.items():
+                msgs.append(f"{check}: {len(found)} pairs on {par.shape}, parabolic {par}")
+                fails.extend(
+                    f"{check} fails at {a}, {b}: {lhs} != {rhs}"
+                    for a, b, lhs, rhs in found
+                    if lhs != rhs
+                )
         for par in fact_cases:
             shape = par.shape
             # the composition series of an atypical standard object reaches one

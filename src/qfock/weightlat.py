@@ -204,21 +204,11 @@ def identity_perm(k: int) -> tuple[int, ...]:
     return tuple(range(k))
 
 
-def perm_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """(a*b)(i) = a(b(i))."""
-    return tuple(a[j] for j in b)
-
-
 def perm_inv(a: tuple[int, ...]) -> tuple[int, ...]:
     out = [0] * len(a)
     for i, j in enumerate(a):
         out[j] = i
     return tuple(out)
-
-
-def perm_length(a: tuple[int, ...]) -> int:
-    """Inversion count, the Coxeter length."""
-    return sum(1 for i, j in itertools.combinations(range(len(a)), 2) if a[i] > a[j])
 
 
 def apply_s(a: tuple[int, ...], i: int) -> tuple[int, ...]:

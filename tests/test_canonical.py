@@ -11,7 +11,6 @@ from qfock.barinv import bar, bar_context, bar_oracle
 from qfock.canonical import (
     BasisExpansion,
     TruncationWarning,
-    bkl_matrices,
     canonical,
     dual_canonical,
     image_solve,
@@ -169,7 +168,7 @@ class TestDefiningProperties:
                         inner, outer = solver(f, inner_w), solver(f, outer_w)
                         if inner.truncated:
                             continue
-                        for g in inner.support() | outer.support():
+                        for g in inner.coefficients.keys() | outer.coefficients.keys():
                             if g.in_window(inner_w):
                                 assert inner.coeff(g) == outer.coeff(g), (f, g)
 
@@ -334,21 +333,18 @@ class TestFloorWarning:
 class TestMatrices:
     def test_rank_two_block(self):
         w = Window(1, 2)
-        order = block(T(2, 0, 2, 1), w)
-        tmat, lmat = bkl_matrices(order, w)
         lo, hi = T(2, 0, 1, 2), T(2, 0, 2, 1)
-        assert tmat[(lo, lo)] == LaurentPoly.one()
-        assert tmat[(hi, hi)] == LaurentPoly.one()
-        assert tmat[(lo, hi)] == P({1: 1})
-        assert (hi, lo) not in tmat
-        assert lmat[(lo, hi)] == P({-1: -1})
+        assert block(hi, w) == (lo, hi)
+        assert canonical(lo, w).coefficients == {lo: LaurentPoly.one()}
+        assert canonical(hi, w).coefficients == {hi: LaurentPoly.one(), lo: P({1: 1})}
+        assert dual_canonical(hi, w).coefficients == {hi: LaurentPoly.one(), lo: P({-1: -1})}
 
     def test_singleton(self):
         w = Window(1, 3)
-        order = block(T(1, 1, 1, 3), w)
-        tmat, lmat = bkl_matrices(order, w)
-        assert tmat == {(T(1, 1, 1, 3), T(1, 1, 1, 3)): LaurentPoly.one()}
-        assert lmat == tmat
+        f = T(1, 1, 1, 3)
+        assert block(f, w) == (f,)
+        assert canonical(f, w).coefficients == {f: LaurentPoly.one()}
+        assert dual_canonical(f, w).coefficients == {f: LaurentPoly.one()}
 
 
 class TestInverseColumn:

@@ -1,4 +1,4 @@
-"""Tests for the tensor space: quantum group action, Hecke action, pairing.
+"""Tests for the tensor space: quantum group action and Hecke action.
 
 Expected vectors in the frozen tests were computed by hand from the
 letter-level rules and the twisted coproduct before the module was written.
@@ -8,16 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfock.fock import (
-    FockVector,
-    act,
-    act_gen,
-    apply_chevalley,
-    apply_divided,
-    dual_pair,
-)
+from qfock.barinv import bar
+from qfock.fock import FockVector, act, act_gen, apply_chevalley
 from qfock.hecke import HeckeElement, symmetrizer
-from qfock.laurent import LaurentPoly, q_fact, q_int
+from qfock.laurent import LaurentPoly, div_exact, q_fact, q_int
 from qfock.weightlat import (
     Parabolic,
     Shape,
@@ -42,6 +36,17 @@ def M(m, n, *entries):
 
 def P(d):
     return LaurentPoly(d)
+
+
+def apply_divided(v, kind, a, r):
+    """The divided power E_a^{(r)} or F_a^{(r)} = (.)^r / [r]!, exactly."""
+    if r < 0:
+        raise ValueError("negative divided power")
+    cur = v
+    for _ in range(r):
+        cur = apply_chevalley(cur, kind, a)
+    fact = q_fact(r)
+    return FockVector(v.shape, {f: div_exact(c, fact) for f, c in cur.terms.items()})
 
 
 SHAPES = [Shape(2, 0), Shape(1, 1), Shape(0, 2), Shape(2, 1), Shape(1, 2)]
@@ -91,12 +96,9 @@ class TestVectorArithmetic:
 
     def test_scaling_and_bar(self):
         v = M(1, 1, 1, 1).scaled(P({1: 1}))
-        assert v.bar_coeffs().coeff(T(1, 1, 1, 1)) == P({-1: 1})
+        # 1|1 is alone in its block in 1..1, so bar only conjugates the scalar
+        assert bar(v, Window(1, 1)) == M(1, 1, 1, 1).scaled(P({-1: 1}))
         assert v.scaled(0) == FockVector.zero(Shape(1, 1))
-
-    def test_json_roundtrip(self):
-        v = M(2, 1, 3, 1, 2).scaled(P({-2: 5})) + M(2, 1, 1, 3, 2)
-        assert FockVector.from_json(v.to_json()) == v
 
     def test_str(self):
         v = M(1, 1, 1, 2).scaled(P({1: 1}))
@@ -321,15 +323,6 @@ class TestDividedPowers:
         f = SignedTuple(shape, (a,) * r)
         got = apply_divided(FockVector.monomial(f), "F", a, r)
         assert got.coeff(SignedTuple(shape, (a + 1,) * r)) == LaurentPoly.one()
-
-
-class TestDualPair:
-    def test_frozen(self):
-        assert dual_pair(0, 0) == LaurentPoly.one()
-        assert dual_pair(1, 1) == P({-1: -1})
-        assert dual_pair(2, 2) == P({-2: 1})
-        assert dual_pair(-1, -1) == P({1: -1})
-        assert dual_pair(1, 2) == LaurentPoly.zero()
 
 
 class TestHeckeAction:

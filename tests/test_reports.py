@@ -6,7 +6,9 @@ import pytest
 
 import qfock.verify
 from qfock.canonical import TruncationWarning
+from qfock.cli import main
 from qfock.laurent import LaurentPoly
+from qfock.qsym import qsym_canonical
 from qfock.reports import (
     CharRow,
     CharTable,
@@ -15,17 +17,15 @@ from qfock.reports import (
     format_weight,
     simple_character,
     standard_whittaker_column,
-    standard_whittaker_is_simple,
     tilting_character,
     tilting_delta_mult,
-    tilting_delta_table,
+    verma_column,
     verma_in_simple,
     whittaker_decomposition,
-    whittaker_simple_mult,
 )
 from qfock.verify import (
     commuting_square_check,
-    graded_bgg_table,
+    graded_reciprocity,
     quiver_presentation,
     run_verify,
     verify_bar,
@@ -35,6 +35,7 @@ from qfock.verify import (
     verify_inverse,
     verify_qsym,
     verify_symmetrizer,
+    whittaker_routes,
 )
 from qfock.weightlat import (
     Parabolic,
@@ -58,6 +59,11 @@ def T(text):
 
 def P(coeffs):
     return LaurentPoly(coeffs)
+
+
+def anti_block(f, par, w):
+    """The anti-dominant members of the block of f, in block order."""
+    return [g for g in block(f, w) if is_antidominant(g, par)]
 
 
 class TestWeightFormat:
@@ -217,34 +223,34 @@ class TestWhittakerSimpleMult:
     def test_even_regular(self):
         sh = Shape(2, 0)
         par = Parabolic.full(sh)
-        got = whittaker_simple_mult(T("1,2|"), T("1,2|"), par, Window(0, 3))
-        assert got == (1, 1, True)
+        f = T("1,2|")
+        assert whittaker_routes(par, [f], Window(0, 3)) == [(f, f, 1, 1)]
 
     def test_different_blocks(self):
         sh = Shape(1, 1)
         par = Parabolic.trivial(sh)
-        got = whittaker_simple_mult(T("3|3"), T("1|3"), par, Window(0, 3))
-        assert got == (0, 0, True)
+        f, g, w = T("3|3"), T("1|3"), Window(0, 3)
+        assert standard_whittaker_column(f, par, w).get(g, 0) == 0
+        assert verma_column(f, w).get(g, 0) == 0
 
     def test_atypical_block_sweep(self):
         sh = Shape(1, 2)
         par = Parabolic.full(sh)
         w = Window(-1, 2)
-        order = block(T("1|1,0"), w)
-        anti = [g for g in order if is_antidominant(g, par)]
+        anti = anti_block(T("1|1,0"), par, w)
         assert len(anti) >= 3
-        for f in anti:
-            for g in anti:
-                lhs, rhs, equal = whittaker_simple_mult(f, g, par, w)
-                assert equal, (f, g, lhs, rhs)
+        rows = whittaker_routes(par, anti, w)
+        assert len(rows) == len(anti) ** 2
+        for f, g, lhs, rhs in rows:
+            assert lhs == rhs, (f, g, lhs, rhs)
 
     def test_non_antidominant_inputs_use_orbit_reps(self):
         sh = Shape(2, 0)
         par = Parabolic.full(sh)
-        a = whittaker_simple_mult(T("1,2|"), T("1,2|"), par, Window(0, 3))
+        w = Window(0, 3)
         # 2,1| is the image of 1,2| under the transposition
-        b = whittaker_simple_mult(T("2,1|"), T("1,2|"), par, Window(0, 3))
-        assert a == b
+        a = standard_whittaker_column(T("1,2|"), par, w)
+        assert standard_whittaker_column(T("2,1|"), par, w) == a == {T("1,2|"): 1}
 
 
 class TestStandardWhittakerColumn:
@@ -255,7 +261,6 @@ class TestStandardWhittakerColumn:
         f = T("3|2,1")  # typical: no letter shared between sectors
         col = standard_whittaker_column(f, par, w)
         assert col == {f: 1}
-        assert standard_whittaker_is_simple(f, par, w)
 
     def test_atypical_length_two(self):
         sh = Shape(1, 2)
@@ -264,7 +269,6 @@ class TestStandardWhittakerColumn:
         # f = (1|1,0) atypical; the series continues one step down the chain
         col = standard_whittaker_column(T("1|1,0"), par, w)
         assert col == {T("1|1,0"): 1, T("0|0,0"): 1}
-        assert not standard_whittaker_is_simple(T("1|1,0"), par, w)
 
 
 class TestDeltaFlagLength:
@@ -317,60 +321,54 @@ class TestTiltingDeltaMult:
         par = Parabolic.full(sh)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            tab = tilting_delta_table(T("2|2"), par, Window(-2, 2))
-        assert tab.tag == "tilting-Delta"
-        row = tab.rows[0]
-        assert row.entries == {T("2|2"): 1, T("1|1"): 1}
+            exp = qsym_canonical(T("2|2"), par, Window(-2, 2))
+        # the quotient tilting class in the standard basis
+        assert {g: c.at_one() for g, c in exp.coefficients.items()} == {T("2|2"): 1, T("1|1"): 1}
 
 
 class TestGradedBGG:
     def test_singleton(self):
         sh = Shape(1, 1)
         par = Parabolic.trivial(sh)
-        tbl = graded_bgg_table(par, T("1|3"), Window(-3, 3))
-        assert tbl.verified
-        assert len(tbl.entries) == 1
-        assert tbl.entries[0].lhs == LaurentPoly.one()
+        w = Window(-3, 3)
+        anti = anti_block(T("1|3"), par, w)
+        assert anti == [T("1|3")]
+        assert graded_reciprocity(par, anti, w) == [(T("1|3"), T("1|3"), 1, 1)]
 
     def test_atypical_chain_depth_three(self):
         sh = Shape(1, 1)
         par = Parabolic.trivial(sh)
+        w = Window(-2, 2)
+        anti = anti_block(T("1|1"), par, w)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            tbl = graded_bgg_table(par, T("1|1"), Window(-2, 2))
-        assert tbl.verified
-        assert len(tbl.anti) == 5
-        assert not tbl.failures()
+            rows = graded_reciprocity(par, anti, w)
+        assert len(anti) == 5
+        assert len(rows) == 25
+        assert all(lhs == rhs for _, _, lhs, rhs in rows)
+        entry = {(f_lam, f_mu): lhs for f_lam, f_mu, lhs, _ in rows}
         # adjacent pair carries multiplicity q
-        e = tbl.entry(T("2|2"), T("1|1"))
-        assert e.lhs == LaurentPoly.q_power(1)
-        assert e.rhs == e.lhs
+        assert entry[(T("2|2"), T("1|1"))] == LaurentPoly.q_power(1)
         # and the reversed pair vanishes
-        assert tbl.entry(T("1|1"), T("2|2")).lhs == LaurentPoly.zero()
+        assert entry[(T("1|1"), T("2|2"))] == LaurentPoly.zero()
 
     def test_parabolic_case(self):
         sh = Shape(1, 2)
         par = Parabolic.full(sh)
+        w = Window(-2, 2)
+        anti = anti_block(T("1|1,0"), par, w)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            tbl = graded_bgg_table(par, T("1|1,0"), Window(-2, 2))
-        assert tbl.verified
-        assert len(tbl.anti) >= 2
+            rows = graded_reciprocity(par, anti, w)
+        assert len(anti) >= 2
+        assert all(lhs == rhs for _, _, lhs, rhs in rows)
 
     def test_window_escape(self):
         sh = Shape(1, 1)
         par = Parabolic.trivial(sh)
+        w = Window(0, 3)
         with pytest.raises(WindowEscape):
-            graded_bgg_table(par, T("2|2"), Window(0, 3))
-
-    def test_json(self):
-        sh = Shape(1, 1)
-        par = Parabolic.trivial(sh)
-        tbl = graded_bgg_table(par, T("1|3"), Window(-3, 3))
-        data = tbl.to_json()
-        assert data["verified"] is True
-        assert data["entries"][0]["ok"] is True
-        json.dumps(data)
+            graded_reciprocity(par, anti_block(T("2|2"), par, w), w)
 
 
 class TestCommutingSquare:
@@ -404,8 +402,7 @@ class TestQuiver:
         assert qp.degree_y(0) == 3
         assert qp.degree_x(1) == 1
         assert qp.degree_x(-1) == 1
-        degs = qp.arrow_degrees(-1, 1)
-        assert degs == {"x_-1": 1, "x_0": 3, "x_1": 1, "y_-1": 1, "y_0": 3, "y_1": 1}
+        assert qp.degree_y(1) == 1
 
     def test_loop_exponents(self):
         qp = quiver_presentation(2)
@@ -467,6 +464,33 @@ class TestVerifySuites:
     def test_bgg(self):
         ok, msgs = verify_bgg(w=Window(-1, 1))
         assert ok, msgs
+
+    @pytest.mark.parametrize(
+        "route,at,line",
+        [
+            ("dual_inverse_column", 1, "graded reciprocity fails at 1|1, 0|0: q + 1 != q"),
+            ("standard_whittaker_column", 0, "Whittaker two-route fails at 1|1, 0|0: 2 != 1"),
+        ],
+        ids=["graded", "whittaker"],
+    )
+    def test_bgg_fails_loudly_on_a_wrong_route(self, monkeypatch, capsys, route, at, line):
+        # one route gains 1 in column 1|1 at 0|0; the other route is left alone
+        honest = getattr(qfock.verify, route)
+
+        def wrong(*args):
+            col = dict(honest(*args))
+            if args[at] == T("1|1"):
+                col[T("0|0")] = col.get(T("0|0"), 0) + 1
+            return col
+
+        monkeypatch.setattr(qfock.verify, route, wrong)
+        ok, msgs = verify_bgg(w=Window(-1, 1))
+        assert not ok
+        assert line in msgs
+        assert main(["verify", "--suite", "bgg"]) == 2
+        out = capsys.readouterr().out
+        assert line in out.splitlines()
+        assert out.endswith("suite bgg: FAIL\n")
 
     def test_inverse(self):
         ok, msgs = verify_inverse(max_size=2, w=Window(-1, 1))

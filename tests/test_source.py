@@ -132,6 +132,43 @@ def test_solvers_do_not_read_the_bruhat_order():
     assert not found, sorted(found)
 
 
+def test_every_top_level_definition_is_reached():
+    """src/ holds only what a command, a verify suite or the benchmark runs.
+
+    Every top-level function and class of the package is named by some
+    package module other than at its own definition, is `main` or a
+    `cmd_*` entry point, or is named by perfbench/tracer.py, which is read
+    as source and never imported.
+    """
+
+    def names(node: ast.AST) -> set:
+        out = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+            elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+                out.update(alias.name for alias in sub.names)
+        return out
+
+    reached = names(ast.parse(TRACER.read_text(), str(TRACER))) | {"main"}
+    defined = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            found = names(top)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.stem, top.name))
+                found.discard(top.name)
+            reached |= found
+    unreached = [
+        f"{module}.{name}"
+        for module, name in defined
+        if name not in reached and not name.startswith("cmd_")
+    ]
+    assert not unreached, unreached
+
+
 def test_value_types_hash_and_compare_in_c():
     """Every basis key hashes and compares as a plain tuple, never in Python."""
     for cls in (Shape, Window, SignedTuple, Parabolic):

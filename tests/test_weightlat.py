@@ -25,8 +25,6 @@ from qfock.weightlat import (
     longest_element,
     par_elements,
     perm_inv,
-    perm_length,
-    perm_mul,
     reduced_word,
     stabilizer,
     tuple_to_weight,
@@ -42,6 +40,16 @@ from qfock.laurent import LaurentPoly, q_fact
 
 def T(m, n, *entries):
     return SignedTuple(Shape(m, n), tuple(entries))
+
+
+def perm_mul(a, b):
+    """(a*b)(i) = a(b(i)), the product the right action on tuples follows."""
+    return tuple(a[j] for j in b)
+
+
+def perm_length(a):
+    """Inversion count, the Coxeter length: the reference for reduced words and coset reps."""
+    return sum(1 for i, j in itertools.combinations(range(len(a)), 2) if a[i] > a[j])
 
 
 small_shapes = st.sampled_from([Shape(1, 1), Shape(2, 0), Shape(0, 2), Shape(2, 1), Shape(1, 2), Shape(2, 2)])
