@@ -101,16 +101,11 @@ def cmd_qsym(args) -> int:
     w = parse_window(args.window)
     par = parse_parabolic(args.parabolic, shape)
     exp = qsym_canonical(f, par, w)
-    vec = exp.vector()
-    if args.basis != vec.basis:
-        vec = base_change(vec, args.basis)
-    rows = sorted(vec.terms.items(), key=lambda t: t[0].entries)
+    if args.basis != exp.basis:
+        exp = base_change(exp, args.basis)
+    rows = sorted(exp.coefficients.items(), key=lambda t: t[0].entries)
     if args.json:
-        data = dict(vec.to_json())
-        data["target"] = str(f)
-        data["mode"] = "canonical"
-        data["window"] = str(w)
-        print(json.dumps(data, indent=2))
+        print(json.dumps(exp.to_json(), indent=2))
     elif args.csv:
         print(_rows_csv(rows), end="")
     else:
@@ -167,9 +162,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_quiver(args) -> int:
-    from .verify import quiver_presentation
+    from .verify import QuiverPresentation
 
-    print(quiver_presentation(args.n).display(), end="")
+    print(QuiverPresentation(args.n).display(), end="")
     return 0
 
 

@@ -20,8 +20,10 @@ by s_B(f) q^top.
 
 The map phi(M_f) = q^{-len(tau)} Ntilde_{f tau} (tau the minimal sorter
 of f) projects the whole tensor space onto the image; it is v S in
-Ntilde coordinates.  Since S is bar-fixed and bar commutes with the Hecke
-action, bar(Ntilde_g) = phi(bar(M_g)).  Canonical bases come out three
+Ntilde coordinates (`canonical.project`).  Since S is bar-fixed and bar
+commutes with the Hecke action, bar(Ntilde_g) = phi(bar(M_g)).  A column
+of a canonical basis is one read-only QSymExpansion, which `base_change`
+rewrites in another of the three bases.  Canonical bases come out three
 ways:
 
 - the image solve (the default, `qsym_canonical` and, at antidominant f,
@@ -62,7 +64,7 @@ from .canonical import (
 )
 from .fock import FockVector, act
 from .hecke import symmetrizer
-from .laurent import LaurentCombination, LaurentPoly, NotDivisible, div_exact, pos_part
+from .laurent import LaurentPoly, NotDivisible, div_exact, pos_part
 from .weightlat import (
     CheckFailed,
     Parabolic,
@@ -124,59 +126,6 @@ _EXPAND = {"Ntilde": ntilde_expand, "Mtilde": mtilde_expand, "N": n_expand}
 # vectors of the image in coordinates
 
 
-class QSymVector(LaurentCombination):
-    """Coordinates of an image vector in one of the three bases."""
-
-    __slots__ = ("parabolic", "basis")
-
-    def __init__(self, shape, parabolic: Parabolic, basis: str, terms=None):
-        if basis not in _EXPAND:
-            raise ValueError(f"unknown basis {basis!r}")
-        super().__init__(shape, terms)
-        self.parabolic = parabolic
-        self.basis = basis
-        for f in self.terms:
-            if not is_antidominant(f, parabolic):
-                raise ValueError(f"index {f} is not antidominant")
-
-    def _with(self, terms: dict) -> "QSymVector":
-        return QSymVector(self.shape, self.parabolic, self.basis, terms)
-
-    def expand(self) -> FockVector:
-        out = FockVector.zero(self.shape)
-        for f, c in self.terms.items():
-            out.axpy(_EXPAND[self.basis](f, self.parabolic), c)
-        return out
-
-    def __eq__(self, other) -> bool:
-        """Equal coordinates in the same basis."""
-        return (
-            super().__eq__(other)
-            and self.parabolic == other.parabolic
-            and self.basis == other.basis
-        )
-
-    def __repr__(self) -> str:
-        return f"QSymVector({self.shape}, {self.parabolic}, {self.basis}, {self.terms!r})"
-
-    def to_json(self) -> dict:
-        return {
-            "shape": str(self.shape),
-            "parabolic": str(self.parabolic),
-            "basis": self.basis,
-            "terms": json_rows(self.terms),
-        }
-
-
-def base_change(v: QSymVector, to: str) -> QSymVector:
-    """Exact coordinate change between the three bases: c s_from(f) / s_to(f)."""
-    out = {
-        f: div_exact(c * _scale(f, v.parabolic, v.basis), _scale(f, v.parabolic, to))
-        for f, c in v.terms.items()
-    }
-    return QSymVector(v.shape, v.parabolic, to, out)
-
-
 def reexpress(v: FockVector, par: Parabolic, basis: str = "Ntilde") -> dict:
     """Coordinates of a tensor-space vector that lies in the image.
 
@@ -202,17 +151,6 @@ def reexpress(v: FockVector, par: Parabolic, basis: str = "Ntilde") -> dict:
     return coords
 
 
-def phi_zeta(v: FockVector, par: Parabolic) -> QSymVector:
-    """Project a tensor-space vector into the image, in Ntilde coordinates.
-
-    Monomial-wise M_f goes to q^{-len(tau)} Ntilde_{f0} where f0 = f.tau
-    is the antidominant representative and tau the minimal sorter.
-    """
-    out = QSymVector(v.shape, par, "Ntilde")
-    out.terms = project(v.terms, par)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # canonical bases of the image
 
@@ -231,20 +169,27 @@ class QSymExpansion(
     def coeff(self, g: SignedTuple) -> LaurentPoly:
         return self.coefficients.get(g, LaurentPoly.zero())
 
-    def vector(self) -> QSymVector:
-        return QSymVector(
-            self.target.shape, self.parabolic, self.basis, dict(self.coefficients)
-        )
-
     def to_json(self) -> dict:
+        """The `qsym --json` answer."""
         return {
+            "shape": str(self.target.shape),
+            "parabolic": str(self.parabolic),
+            "basis": self.basis,
+            "terms": json_rows(self.coefficients),
             "target": str(self.target),
             "mode": self.mode,
-            "basis": self.basis,
-            "parabolic": str(self.parabolic),
             "window": str(self.window),
-            "coefficients": json_rows(self.coefficients),
         }
+
+
+def base_change(exp: QSymExpansion, to: str) -> QSymExpansion:
+    """The same column in basis to: exact coordinate change c s_from(f) / s_to(f)."""
+    par = exp.parabolic
+    out = {
+        f: div_exact(c * _scale(f, par, exp.basis), _scale(f, par, to))
+        for f, c in exp.coefficients.items()
+    }
+    return exp._replace(basis=to, coefficients=MappingProxyType(out))
 
 
 def _image_solve(f: SignedTuple, par: Parabolic, w: Window, mode: str) -> dict:
@@ -301,9 +246,8 @@ def qsym_canonical_push(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpans
     w0, _ = longest_element(par)
     top = f.act(w0)
     texp = tensor_canonical(top, w)
-    push = phi_zeta(texp.vector(), par)
     coords = {}
-    for g, c in push.terms.items():
+    for g, c in project(texp.coefficients, par).items():
         try:
             coords[g] = div_exact(c, n_ratio(g, par))
         except NotDivisible as exc:
@@ -327,7 +271,7 @@ def qsym_dual_canonical_push(f: SignedTuple, par: Parabolic, w: Window) -> QSymE
     cancel to zero exactly and the expansion is empty.  Failures raise CheckFailed.
     """
     lexp = dual_canonical(f, w)
-    push = phi_zeta(lexp.vector(), par)
+    push = project(lexp.coefficients, par)
     if not is_antidominant(f, par):
         if push:
             raise CheckFailed(
@@ -348,9 +292,9 @@ def qsym_dual_canonical_push(f: SignedTuple, par: Parabolic, w: Window) -> QSymE
             total = total + lexp.coeff(g0.act(x)) * LaurentPoly.q_power(-lx)
         if total:
             want[g0] = total
-    if want != push.terms:
+    if want != push:
         raise CheckFailed(f"coset-sum formula disagrees with the projection at {f}")
-    return QSymExpansion(f, "dual", "Ntilde", par, w, MappingProxyType(push.terms))
+    return QSymExpansion(f, "dual", "Ntilde", par, w, MappingProxyType(push))
 
 
 def _image_bar(g: SignedTuple, par: Parabolic, w: Window, basis: str) -> dict:

@@ -6,8 +6,8 @@ coefficients give irreducible characters in the Verma basis, canonical
 ones give tilting characters, and the symmetrized bases give the
 standard and simple classes of the quotient category attached to a
 parabolic.  Every table records the window it was computed in, and
-tables never mix windows.  Graded reciprocity, the identity sweeps and
-the quiver presentation live in `verify`.
+tables never mix windows.  The two-route checks, the identity sweeps
+and the quiver presentation live in `verify`.
 """
 
 from __future__ import annotations
@@ -24,13 +24,10 @@ from .weightlat import (
     Shape,
     SignedTuple,
     Window,
-    WindowEscape,
     antidominant_rep,
     block,
     is_antidominant,
-    longest_element,
     tuple_to_weight,
-    weight,
 )
 
 
@@ -205,33 +202,3 @@ def standard_whittaker_column(
     f0, _, _ = antidominant_rep(f, par)
     anti = [g for g in block(f0, w) if is_antidominant(g, par)]
     return inverse_column(anti, lambda g: _at_one(qsym_dual_canonical(g, par, w)), f0)
-
-
-def ringel_twist(f: SignedTuple, par: Parabolic, w: Window) -> SignedTuple:
-    """f.w0 negated, w0 the longest element of par; WindowEscape outside w."""
-    t = f.act(longest_element(par)[0]).negate()
-    if not t.in_window(w):
-        raise WindowEscape(f"negated tuple {t} of {f} leaves the window {w}")
-    return t
-
-
-def tilting_delta_mult(
-    f_l: SignedTuple, f_m: SignedTuple, par: Parabolic, w: Window
-) -> tuple[int, int, bool]:
-    """Multiplicity of a standard class in a quotient tilting, both routes.
-
-    Route one reads the symmetrized canonical coefficient at q = 1.  Route
-    two goes through Ringel duality: the same number is a projective-to-
-    Verma multiplicity at the negated weights twisted by the longest
-    parabolic element, which BGG reciprocity turns into an ordinary
-    composition multiplicity.  Both tuples must be anti-dominant.
-    """
-    _check_antidominant(f_l, par)
-    _check_antidominant(f_m, par)
-    f_kappa = ringel_twist(f_l, par, w)
-    f_gamma = ringel_twist(f_m, par, w)
-    lhs = qsym_canonical(f_l, par, w).coeff(f_m).at_one()
-    if weight(f_kappa) != weight(f_gamma):
-        return lhs, 0, lhs == 0
-    rhs = verma_column(f_gamma, w).get(f_kappa, 0)
-    return lhs, rhs, lhs == rhs

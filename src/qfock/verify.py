@@ -2,10 +2,10 @@
 
 The verify_* sweeps re-run the defining identities of the other modules
 over small exhaustive ranges; they are shared between the test suite and
-the `verify` command.  Graded reciprocity, the Whittaker two-route
-comparison and the decategorification square check the report layer
-against a second route, and the quiver presentation backs the `quiver`
-command.
+the `verify` command.  Ringel duality, graded reciprocity, the Whittaker
+two-route comparison and the decategorification square check the report
+layer against a second route, and the quiver presentation backs the
+`quiver` command.
 
 The command line imports this module only for `verify` and `quiver`, so
 that `bkl`, `qsym` and `char` never load it.
@@ -38,13 +38,7 @@ from .qsym import (
     qsym_dual_canonical,
     qsym_dual_canonical_push,
 )
-from .reports import (
-    delta_flag_length,
-    ringel_twist,
-    standard_whittaker_column,
-    tilting_delta_mult,
-    verma_column,
-)
+from .reports import delta_flag_length, standard_whittaker_column, verma_column
 from .weightlat import (
     CheckFailed,
     Parabolic,
@@ -70,6 +64,38 @@ from .weightlat import (
 
 # ---------------------------------------------------------------------------
 # two-route checks on the anti-dominant members of one block
+
+
+def ringel_twist(f: SignedTuple, par: Parabolic, w: Window) -> SignedTuple:
+    """f.w0 negated, w0 the longest element of par; WindowEscape outside w."""
+    t = f.act(longest_element(par)[0]).negate()
+    if not t.in_window(w):
+        raise WindowEscape(f"negated tuple {t} of {f} leaves the window {w}")
+    return t
+
+
+def duality_routes(par: Parabolic, anti: list[SignedTuple], w: Window) -> list[tuple]:
+    """Standard multiplicities in the quotient's tiltings on anti-dominant members of one block.
+
+    Returns (f_l, f_m, lhs, rhs) for every ordered pair from anti.  The
+    left value is the symmetrized canonical coefficient of column f_l at
+    f_m, at q = 1.  The right value goes through Ringel duality: the same
+    number is a projective-to-Verma multiplicity at the negated weights
+    twisted by the longest parabolic element, which BGG reciprocity turns
+    into the ordinary composition multiplicity [M_{f_m'} : L_{f_l'}] (a
+    prime for the twist), and 0 when the twisted weights differ.  Each
+    column is read once.  Raises WindowEscape when a twist leaves w.
+    """
+    twisted = {g: ringel_twist(g, par, w) for g in anti}
+    tilting = {f_l: qsym_canonical(f_l, par, w) for f_l in anti}
+    verma = {f_m: verma_column(twisted[f_m], w) for f_m in anti}
+    rows = []
+    for f_l in anti:
+        for f_m in anti:
+            lhs = tilting[f_l].coeff(f_m).at_one()
+            same = weight(twisted[f_l]) == weight(twisted[f_m])
+            rows.append((f_l, f_m, lhs, verma[f_m].get(twisted[f_l], 0) if same else 0))
+    return rows
 
 
 def graded_reciprocity(par: Parabolic, anti: list[SignedTuple], w: Window) -> list[tuple]:
@@ -153,14 +179,22 @@ def commuting_square_check(par: Parabolic, w: Window) -> tuple[bool, list[str]]:
 # quiver presentation for gl(1|n), nonsingular central character
 
 
+def _loop(first: str, second: str, i: int, power: int) -> str:
+    """The path first_i second_i to a power, as printed: y_0 x_0 or (x_{-1} y_{-1})^2."""
+    sub = f"_{{{i}}}" if i < 0 else f"_{i}"
+    path = f"{first}{sub} {second}{sub}"
+    return path if power == 1 else f"({path})^{power}"
+
+
 @dataclass(frozen=True)
 class QuiverPresentation:
     """Arrows and relations of the endomorphism algebra of a gl(1|n) block.
 
-    Vertices are the integers; x_i goes i -> i+1 and y_i goes i+1 -> i.
-    The grading puts the atypical pair x_0, y_0 in degree n and all other
-    arrows in degree 1.  Relations are degree-homogeneous for that
-    grading.
+    Vertices are the integers; x_i goes i -> i+1 and y_i goes i+1 -> i,
+    and both have degree degree_x(i): n for the atypical pair x_0, y_0
+    and 1 for all other arrows.  The loop relations are printed from
+    loop_relation_exponents, and display() refuses (CheckFailed) unless
+    they are degree-homogeneous for that grading.
     """
 
     n: int
@@ -170,10 +204,8 @@ class QuiverPresentation:
             raise ValueError("n must be a positive integer")
 
     def degree_x(self, i: int) -> int:
+        """deg(x_i), which is also deg(y_i)."""
         return 1 + (self.n - 1) * (1 if i == 0 else 0)
-
-    def degree_y(self, i: int) -> int:
-        return self.degree_x(i)
 
     def loop_relation_exponents(self, i: int) -> tuple[int, int]:
         """Exponents (left, right) in (y_{i+1}x_{i+1})^a = -(x_i y_i)^b."""
@@ -185,11 +217,11 @@ class QuiverPresentation:
         rel = ["x_{i+1} x_i = 0", "y_i y_{i+1} = 0"]
         if self.n == 1:
             rel.append("y_{i+1} x_{i+1} = -x_i y_i   for all i")
-        else:
-            e = f"^{self.n}"
-            rel.append("y_{i+1} x_{i+1} = -x_i y_i   for i not in {-1, 0}")
-            rel.append(f"y_0 x_0 = -(x_{{-1}} y_{{-1}}){e}")
-            rel.append(f"(y_1 x_1){e} = -x_0 y_0")
+            return rel
+        rel.append("y_{i+1} x_{i+1} = -x_i y_i   for i not in {-1, 0}")
+        for i in (-1, 0):
+            a, b = self.loop_relation_exponents(i)
+            rel.append(f"{_loop('y', 'x', i + 1, a)} = -{_loop('x', 'y', i, b)}")
         return rel
 
     def grading_lines(self) -> list[str]:
@@ -197,21 +229,23 @@ class QuiverPresentation:
         if self.n == 1:
             second = "all arrows have degree 1"
         else:
-            second = f"deg(x_0) = deg(y_0) = {self.n}, all other arrows have degree 1"
+            second = (
+                f"deg(x_0) = deg(y_0) = {self.degree_x(0)}, "
+                f"all other arrows have degree {self.degree_x(1)}"
+            )
         return [first, second]
 
     def is_degree_homogeneous(self, lo: int = -4, hi: int = 4) -> bool:
+        """Positive degrees, and both sides of each loop relation i in lo..hi of one degree."""
         for i in range(lo, hi + 1):
             a, b = self.loop_relation_exponents(i)
-            left = a * (self.degree_y(i + 1) + self.degree_x(i + 1))
-            right = b * (self.degree_x(i) + self.degree_y(i))
-            if left != right:
-                return False
-            if self.degree_x(i) <= 0 or self.degree_y(i) <= 0:
+            if self.degree_x(i) <= 0 or a * self.degree_x(i + 1) != b * self.degree_x(i):
                 return False
         return True
 
     def display(self) -> str:
+        if not self.is_degree_homogeneous():
+            raise CheckFailed(f"gl(1|{self.n}) quiver relations are not degree-homogeneous")
         grading = self.grading_lines()
         lines = [
             f"quiver presentation for gl(1|n) with n = {self.n} (nonsingular central character)",
@@ -226,10 +260,6 @@ class QuiverPresentation:
         ]
         lines.extend(f"  {r}" for r in self.relations())
         return "\n".join(lines) + "\n"
-
-
-def quiver_presentation(n: int) -> QuiverPresentation:
-    return QuiverPresentation(n)
 
 
 # ---------------------------------------------------------------------------
@@ -635,11 +665,7 @@ def verify_bgg(
                         inside.append(g)
                 if not inside:
                     continue
-                rows["duality two-route"] += [
-                    (f_l, f_m, *tilting_delta_mult(f_l, f_m, par, w)[:2])
-                    for f_l in inside
-                    for f_m in inside
-                ]
+                rows["duality two-route"] += duality_routes(par, inside, w)
                 rows["graded reciprocity"] += graded_reciprocity(par, inside, w)
                 rows["Whittaker two-route"] += whittaker_routes(par, inside, w)
             for check, found in rows.items():

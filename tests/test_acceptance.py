@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 from qfock.verify import (
-    quiver_presentation,
+    QuiverPresentation,
     verify_bar,
     verify_bgg,
     verify_canonical,
@@ -92,7 +92,7 @@ def test_acceptance_7_quiver(capsys):
     t0 = time.perf_counter()
     fails = []
     for n, name in [(2, "quiver_gl12.txt"), (1, "quiver_gl11.txt")]:
-        pres = quiver_presentation(n)
+        pres = QuiverPresentation(n)
         got = pres.display()
         want = (GOLDEN / name).read_text()
         if got.split() != want.split():

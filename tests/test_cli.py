@@ -315,12 +315,25 @@ class TestQuiverCommand:
         rc = main(["quiver", "--n", "0"])
         assert rc == 2
 
+    def test_wrong_grading_exits_2(self, capsys, monkeypatch):
+        # every arrow in degree 1 breaks (y_1 x_1)^2 = -x_0 y_0, so the
+        # presentation refuses to print
+        monkeypatch.setattr(qfock.verify.QuiverPresentation, "degree_x", lambda self, i: 1)
+        assert main(["quiver", "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "identity verification failed: gl(1|2) quiver relations are not degree-homogeneous\n"
+        )
+
 
 # stdout of `main(argv)` stored byte for byte as tests/golden/cli/<name>.<format>
 CLI_GOLDENS = {
     "bkl_canonical": "bkl --shape 2|2 --tuple 1,2|1,2 --window=-1..4 --mode canonical",
     "bkl_dual": "bkl --shape 2|1 --tuple 1,2|2 --window=-1..3 --mode dual",
     "qsym_N": "qsym --shape 2|3 --parabolic s3,s4 --tuple 1,2|2,2,1 --window=-1..3 --basis N",
+    "qsym_Ntilde": "qsym --shape 2|3 --parabolic s3,s4 --tuple 1,2|2,2,1 --window=-1..3 --basis Ntilde",
+    "qsym_Mtilde": "qsym --shape 2|3 --parabolic s3,s4 --tuple 1,2|2,2,1 --window=-1..3 --basis Mtilde",
     "qsym_N_4x4": "qsym --shape 4|4 --parabolic s1,s2,s3 --tuple 1,2,3,4|1,2,3,4 --window 0..4 --basis N",
     "char_simple": "char --algebra gl(1|1) --weight=2|-2 --window 0..3 --kind simple",
     "char_whittaker": "char --algebra gl(2|2) --weight=0,1|0,1 --window=-1..3 --parabolic s1,s3 --kind whittaker",

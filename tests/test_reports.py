@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import qfock.qsym
 import qfock.verify
 from qfock.canonical import TruncationWarning
 from qfock.cli import main
@@ -18,15 +19,15 @@ from qfock.reports import (
     simple_character,
     standard_whittaker_column,
     tilting_character,
-    tilting_delta_mult,
     verma_column,
     verma_in_simple,
     whittaker_decomposition,
 )
 from qfock.verify import (
+    QuiverPresentation,
     commuting_square_check,
+    duality_routes,
     graded_reciprocity,
-    quiver_presentation,
     run_verify,
     verify_bar,
     verify_bgg,
@@ -286,35 +287,54 @@ class TestDeltaFlagLength:
 
 
 class TestTiltingDeltaMult:
+    """Standard multiplicities in the quotient's tiltings, both routes: duality_routes rows."""
+
+    @staticmethod
+    def pair(f_l, f_m, par, w):
+        rows = duality_routes(par, list(dict.fromkeys([f_l, f_m])), w)
+        [row] = [r for r in rows if r[:2] == (f_l, f_m)]
+        return row[2:]
+
     def test_diagonal(self):
-        sh = Shape(1, 1)
-        par = Parabolic.full(sh)
-        got = tilting_delta_mult(T("3|3"), T("3|3"), par, Window(-3, 3))
-        assert got == (1, 1, True)
+        par = Parabolic.full(Shape(1, 1))
+        assert self.pair(T("3|3"), T("3|3"), par, Window(-3, 3)) == (1, 1)
 
     def test_atypical_adjacent(self):
-        sh = Shape(1, 1)
-        par = Parabolic.full(sh)
-        got = tilting_delta_mult(T("3|3"), T("2|2"), par, Window(-3, 3))
-        assert got == (1, 1, True)
+        par = Parabolic.full(Shape(1, 1))
+        assert self.pair(T("3|3"), T("2|2"), par, Window(-3, 3)) == (1, 1)
 
     def test_typical_unequal_pair(self):
-        sh = Shape(1, 1)
-        par = Parabolic.full(sh)
-        got = tilting_delta_mult(T("1|3"), T("3|3"), par, Window(-3, 3))
-        assert got == (0, 0, True)
+        # the twisted weights differ, so the Ringel route is 0 by rule
+        par = Parabolic.full(Shape(1, 1))
+        assert self.pair(T("1|3"), T("3|3"), par, Window(-3, 3)) == (0, 0)
 
     def test_window_escape(self):
-        sh = Shape(1, 1)
-        par = Parabolic.full(sh)
+        par = Parabolic.full(Shape(1, 1))
         with pytest.raises(WindowEscape):
-            tilting_delta_mult(T("3|3"), T("2|2"), par, Window(0, 3))
+            duality_routes(par, [T("3|3"), T("2|2")], Window(0, 3))
 
     def test_rejects_nondominant(self):
-        sh = Shape(1, 2)
-        par = Parabolic.full(sh)
-        with pytest.raises(ValueError):
-            tilting_delta_mult(T("1|0,2"), T("1|2,0"), par, Window(-2, 2))
+        par = Parabolic.full(Shape(1, 2))
+        with pytest.raises(ValueError, match="not antidominant"):
+            duality_routes(par, [T("1|0,2"), T("1|2,0")], Window(-2, 2))
+
+    def test_reads_each_column_once(self, monkeypatch):
+        # one image solve and one Verma column per member, not one per pair
+        par, w = Parabolic(Shape(2, 1), frozenset({1})), Window(-1, 1)
+        anti = [g for g in block(T("0,0|0"), w) if is_antidominant(g, par)]
+        calls = {"image_solve": 0, "verma_column": 0}
+        for module, name in ((qfock.qsym, "image_solve"), (qfock.verify, "verma_column")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            rows = duality_routes(par, anti, w)
+        assert len(anti) == 3 and len(rows) == 9
+        assert all(lhs == rhs for _, _, lhs, rhs in rows)
+        assert calls == {"image_solve": 3, "verma_column": 3}
 
     def test_table_row(self):
         sh = Shape(1, 1)
@@ -390,34 +410,32 @@ class TestCommutingSquare:
 class TestQuiver:
     def test_gl12_golden(self):
         want = (GOLDEN / "quiver_gl12.txt").read_text()
-        assert quiver_presentation(2).display() == want
+        assert QuiverPresentation(2).display() == want
 
     def test_gl11_golden(self):
         want = (GOLDEN / "quiver_gl11.txt").read_text()
-        assert quiver_presentation(1).display() == want
+        assert QuiverPresentation(1).display() == want
 
     def test_degrees(self):
-        qp = quiver_presentation(3)
+        qp = QuiverPresentation(3)
         assert qp.degree_x(0) == 3
-        assert qp.degree_y(0) == 3
         assert qp.degree_x(1) == 1
         assert qp.degree_x(-1) == 1
-        assert qp.degree_y(1) == 1
 
     def test_loop_exponents(self):
-        qp = quiver_presentation(2)
+        qp = QuiverPresentation(2)
         assert qp.loop_relation_exponents(-1) == (1, 2)
         assert qp.loop_relation_exponents(0) == (2, 1)
         assert qp.loop_relation_exponents(5) == (1, 1)
-        assert quiver_presentation(1).loop_relation_exponents(0) == (1, 1)
+        assert QuiverPresentation(1).loop_relation_exponents(0) == (1, 1)
 
     def test_degree_homogeneous(self):
         for n in (1, 2, 3, 5):
-            assert quiver_presentation(n).is_degree_homogeneous()
+            assert QuiverPresentation(n).is_degree_homogeneous()
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
-            quiver_presentation(0)
+            QuiverPresentation(0)
 
 
 class TestVerifySuites:

@@ -6,6 +6,7 @@ import importlib.util
 import inspect
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import qfock
@@ -167,6 +168,49 @@ def test_every_top_level_definition_is_reached():
         if name not in reached and not name.startswith("cmd_")
     ]
     assert not unreached, unreached
+
+
+def test_every_method_is_named():
+    """Every non-dunder method of a package class is named outside its own definition.
+
+    A name counts as an attribute, a bare name or an exact string, in any
+    package module or in perfbench/*.py (read as source, never imported);
+    mentions inside the method itself do not count.  The guard matches by
+    name only: a method that shares its name with another method, such as
+    `to_json`, passes as soon as either is named.
+    """
+
+    def mentions(node: ast.AST) -> Counter:
+        out = Counter()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out[sub.id] += 1
+            elif isinstance(sub, ast.Attribute):
+                out[sub.attr] += 1
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                out[sub.value] += 1
+        return out
+
+    named, methods = Counter(), []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TRACER.parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        named += mentions(tree)
+        if path.parent != PACKAGE:
+            continue
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                methods += [
+                    (cls.name, fn)
+                    for fn in cls.body
+                    if isinstance(fn, ast.FunctionDef)
+                    and not (fn.name.startswith("__") and fn.name.endswith("__"))
+                ]
+    unnamed = [
+        f"{cls}.{fn.name}"
+        for cls, fn in methods
+        if named[fn.name] <= mentions(fn)[fn.name]
+    ]
+    assert not unnamed, unnamed
 
 
 def test_value_types_hash_and_compare_in_c():
