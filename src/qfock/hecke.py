@@ -16,6 +16,9 @@ S^2 = [|W'|] S.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from types import MappingProxyType
+
 from .laurent import QINV_MINUS_Q, Q_MINUS_QINV, LaurentCombination, LaurentPoly
 from .weightlat import (
     Parabolic,
@@ -106,8 +109,12 @@ class HeckeElement(LaurentCombination):
         return f"HeckeElement({self.shape}, {self.terms!r})"
 
 
+@lru_cache(maxsize=None)
 def symmetrizer(par: Parabolic) -> HeckeElement:
     """S = sum_{sigma in W'} q^{l(w0') - l(sigma)} H_sigma.
+
+    Built once per parabolic; the shared element's terms are read-only,
+    so add_term and axpy into it raise TypeError.
 
     >>> from qfock.weightlat import Parabolic, Shape
     >>> S = symmetrizer(Parabolic(Shape(2, 0), frozenset({1})))
@@ -117,4 +124,6 @@ def symmetrizer(par: Parabolic) -> HeckeElement:
     elems = par_elements(par)
     _, l0 = longest_element(par)
     terms = {p: LaurentPoly.q_power(l0 - l) for p, l in elems.items()}
-    return HeckeElement(par.shape, terms)
+    s = HeckeElement(par.shape, terms)
+    s.terms = MappingProxyType(s.terms)
+    return s

@@ -37,7 +37,9 @@ ways:
   whose projection must vanish, always takes this route;
 - the intrinsic solve (`qsym_canonical_intrinsic`): the solver in N- and
   Mtilde-coordinates with the bar map transported through expansion and
-  re-expression.
+  re-expression; each basis vector is expanded once per call, from one
+  memo of Ntilde_g = M_g S that the bar columns and re-expression's
+  reconstruction check share.
 
 The routes must agree (the tests and `verify --suite qsym` compare
 them); a failed internal check raises CheckFailed.
@@ -105,32 +107,61 @@ def ntilde_expand(f: SignedTuple, par: Parabolic) -> FockVector:
     return act(FockVector.monomial(f), symmetrizer(par))
 
 
+def _read_off(big: FockVector, f: SignedTuple, par: Parabolic, basis: str) -> FockVector:
+    """Mtilde_f (one exact division by [W_f]) or N_f (a scale by [W]/[W_f]) from big = Ntilde_f."""
+    if basis == "Mtilde":
+        stab_q = orbit_data(stabilizer(f, par), par)[0]
+        return FockVector(
+            f.shape, {g: div_exact(c, stab_q) for g, c in big.terms.items()}
+        )
+    return big.scaled(n_ratio(f, par))
+
+
 def mtilde_expand(f: SignedTuple, par: Parabolic) -> FockVector:
     """Mtilde_f = Ntilde_f / [W_f]; integral by the orbit closed form."""
-    stab_q = orbit_data(stabilizer(f, par), par)[0]
-    big = ntilde_expand(f, par)
-    return FockVector(
-        f.shape, {g: div_exact(c, stab_q) for g, c in big.terms.items()}
-    )
+    return _read_off(ntilde_expand(f, par), f, par, "Mtilde")
 
 
 def n_expand(f: SignedTuple, par: Parabolic) -> FockVector:
     """N_f = ([W]/[W_f]) Ntilde_f."""
-    return ntilde_expand(f, par).scaled(n_ratio(f, par))
+    return _read_off(ntilde_expand(f, par), f, par, "N")
 
 
 _EXPAND = {"Ntilde": ntilde_expand, "Mtilde": mtilde_expand, "N": n_expand}
+
+
+def _expand(f: SignedTuple, par: Parabolic, basis: str, memo: dict | None) -> FockVector:
+    """B_f as a tensor-space vector; with a memo, each one is built once.
+
+    memo maps (basis, f) to B_f, for one parabolic.  Ntilde_f is expanded
+    once and Mtilde_f and N_f are read off it as mtilde_expand and
+    n_expand do.
+    """
+    if memo is None:
+        return _EXPAND[basis](f, par)
+    v = memo.get((basis, f))
+    if v is None:
+        if basis == "Ntilde":
+            v = ntilde_expand(f, par)
+        else:
+            v = _read_off(_expand(f, par, "Ntilde", memo), f, par, basis)
+        memo[(basis, f)] = v
+    return v
 
 
 # ---------------------------------------------------------------------------
 # vectors of the image in coordinates
 
 
-def reexpress(v: FockVector, par: Parabolic, basis: str = "Ntilde") -> dict:
+def reexpress(
+    v: FockVector, par: Parabolic, basis: str = "Ntilde", memo: dict | None = None
+) -> dict:
     """Coordinates of a tensor-space vector that lies in the image.
 
     Reads one exact division per orbit off the bottom monomial, then
     checks that the reconstruction is v on the nose (CheckFailed if not).
+    The reconstruction takes its basis vectors from memo when one is given
+    (see _expand).
     """
     coords: dict[SignedTuple, LaurentPoly] = {}
     recon = FockVector.zero(v.shape)
@@ -145,7 +176,7 @@ def reexpress(v: FockVector, par: Parabolic, basis: str = "Ntilde") -> dict:
                 f"orbit coefficient at {f} is not divisible in basis {basis}"
             ) from exc
         coords[f] = x
-        recon.axpy(_EXPAND[basis](f, par), x)
+        recon.axpy(_expand(f, par, basis, memo), x)
     if recon != v:
         raise CheckFailed(f"vector is not in the symmetrized image for {par}")
     return coords
@@ -297,11 +328,17 @@ def qsym_dual_canonical_push(f: SignedTuple, par: Parabolic, w: Window) -> QSymE
     return QSymExpansion(f, "dual", "Ntilde", par, w, MappingProxyType(push))
 
 
-def _image_bar(g: SignedTuple, par: Parabolic, w: Window, basis: str) -> dict:
-    """Coordinates of bar applied to one image basis vector."""
-    expanded = _EXPAND[basis](g, par)
+def _image_bar(
+    g: SignedTuple, par: Parabolic, w: Window, basis: str, memo: dict | None = None
+) -> dict:
+    """Coordinates of bar applied to one image basis vector.
+
+    Expands, bars and re-expresses; every expansion is read from memo when
+    one is given (see _expand).
+    """
+    expanded = _expand(g, par, basis, memo)
     barred = bar_context(g.shape, w).bar(expanded)
-    return reexpress(barred, par, basis)
+    return reexpress(barred, par, basis, memo)
 
 
 def qsym_canonical_intrinsic(f: SignedTuple, par: Parabolic, w: Window):
@@ -309,16 +346,19 @@ def qsym_canonical_intrinsic(f: SignedTuple, par: Parabolic, w: Window):
 
     Runs the triangular bar solver down the block of f, once
     in N coordinates and once in Mtilde coordinates, with the bar map
-    computed by expand / bar / re-express.  Returns the two expansions;
-    their coefficient dictionaries must agree and do so by construction
-    (CheckFailed otherwise).
+    computed by expand / bar / re-express.  Each basis vector is expanded
+    once per call: Ntilde_g = M_g S is built once, Mtilde_g and N_g are
+    read off it, and the memo holding them is dropped on return.  Returns
+    the two expansions; their coefficient dictionaries must agree and do
+    so by construction (CheckFailed otherwise).
     """
     if not is_antidominant(f, par):
         raise ValueError(f"{f} is not antidominant for {par}")
+    memo: dict = {}
     results = []
     for basis in ("N", "Mtilde"):
         t = triangular_solve(
-            block(f, w), lambda g: _image_bar(g, par, w, basis), pos_part, f
+            block(f, w), lambda g: _image_bar(g, par, w, basis, memo), pos_part, f
         )
         t = MappingProxyType(t)
         results.append(QSymExpansion(f, "canonical", basis, par, w, t))

@@ -309,6 +309,7 @@ def longest_element(par: Parabolic) -> tuple[tuple[int, ...], int]:
     return w0, elems[w0]
 
 
+@lru_cache(maxsize=None)
 def group_qfactorial(par: Parabolic):
     """[|W|] = the product of [k]! over the interval factors of the parabolic.
 

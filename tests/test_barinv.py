@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfock.barinv import BarContext, _solve_exact, bar, bar_context, bar_oracle, pure_bar
-from qfock.fock import FockVector, act, act_gen, apply_chevalley
+from qfock.fock import FockVector, act, apply_chevalley
 from qfock.hecke import HeckeElement
 from qfock.laurent import LaurentPoly
 from qfock.weightlat import (

@@ -4,15 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfock.hecke import HeckeElement, symmetrizer
-from qfock.laurent import LaurentPoly, q_int
-from qfock.weightlat import (
-    Parabolic,
-    Shape,
-    apply_s,
-    group_qfactorial,
-    identity_perm,
-    par_elements,
-)
+from qfock.laurent import LaurentPoly
+from qfock.weightlat import Parabolic, Shape, group_qfactorial, par_elements
 
 
 def H(shape, i):
@@ -141,6 +134,16 @@ class TestSymmetrizer:
             for par in all_parabolics(shape):
                 S = symmetrizer(par)
                 assert S.bar() == S
+
+    def test_built_once_per_parabolic_and_read_only(self):
+        for par in all_parabolics(Shape(2, 2)):
+            S = symmetrizer(par)
+            assert symmetrizer(par) is S
+            with pytest.raises(TypeError):
+                S.add_term(next(iter(S.terms)), LaurentPoly.one())
+            with pytest.raises(TypeError):
+                S.axpy(HeckeElement.unit(par.shape))
+            assert S == symmetrizer.__wrapped__(par)
 
     def test_absorbs_coset_lengths(self):
         # S * H_sigma = q^{-l(sigma)} S for sigma in the parabolic

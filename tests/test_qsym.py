@@ -70,6 +70,13 @@ def expand(terms, par, basis="Ntilde"):
     return out
 
 
+def all_parabolics(shape):
+    gens = sorted(Parabolic.full(shape).generators)
+    for r in range(len(gens) + 1):
+        for sub in itertools.combinations(gens, r):
+            yield Parabolic(shape, sub)
+
+
 def column(par, basis, terms):
     """A canonical image column record holding terms, keyed by its first tuple."""
     target = next(iter(terms))
@@ -455,6 +462,45 @@ class TestIntrinsic:
                     push = qsym_canonical_push(f, par, w)
                     assert tn.coefficients == push.coefficients
                     assert tm.coefficients == push.coefficients
+
+    def test_expands_each_tuple_once(self, monkeypatch):
+        """One act per distinct anti-dominant tuple the solve reaches, over both bases."""
+        par, w = Parabolic(Shape(2, 2), {1}), Window(-1, 2)
+        f = T(2, 2, 1, 2, 2, 1)
+        real, expanded = qfock.qsym.act, []
+
+        def counting(v, h):
+            expanded.extend(v.terms)
+            return real(v, h)
+
+        monkeypatch.setattr(qfock.qsym, "act", counting)
+        qsym_canonical_intrinsic(f, par, w)
+        assert f in expanded and len(expanded) > 1
+        assert len(expanded) == len(set(expanded)), sorted(map(str, expanded))
+        assert set(expanded) <= {g for g in block(f, w) if is_antidominant(g, par)}
+
+    @pytest.mark.parametrize(
+        "par", list(all_parabolics(Shape(2, 2))), ids=lambda par: f"{par.shape}-{par}"
+    )
+    def test_memo_changes_no_image_bar(self, par):
+        w = Window(-1, 2)
+        f = T(2, 2, 1, 2, 2, 1)
+        members = [g for g in block(f, w) if is_antidominant(g, par)]
+        memo = {}
+        for g in members:
+            for basis in ("N", "Mtilde"):
+                assert _image_bar(g, par, w, basis, memo) == _image_bar(g, par, w, basis), (g, basis)
+        assert {g for _, g in memo} == set(members)
+
+    def test_planted_wrong_expansion_fails_the_check(self):
+        par = Parabolic(Shape(2, 0), {1})
+        f = T(2, 0, 1, 2)
+        wrong = ntilde_expand(f, par) + M(2, 0, 2, 1)
+        for basis, expander in EXPANDERS.items():
+            v = expander(f, par)
+            assert reexpress(v, par, basis, {}) == {f: ONE}
+            with pytest.raises(CheckFailed, match="not in the symmetrized image"):
+                reexpress(v, par, basis, {("Ntilde", f): wrong})
 
 
 SMALL_CASES = [

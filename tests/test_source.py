@@ -13,7 +13,8 @@ import qfock
 from qfock.weightlat import Parabolic, Shape, SignedTuple, Window
 
 PACKAGE = Path(qfock.__file__).parent
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+TESTS = Path(__file__).resolve().parent
+TRACER = TESTS.parent / "perfbench" / "tracer.py"
 
 
 def test_no_bare_assert_in_package():
@@ -67,9 +68,9 @@ def test_no_module_level_empty_dict():
 
 
 def test_every_module_import_is_used():
-    """A package module (not __init__) uses each name it imports at module level."""
+    """A package module (not __init__) or test module uses each name it imports at module level."""
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), str(path))
@@ -81,7 +82,7 @@ def test_every_module_import_is_used():
                 for alias in node.names:
                     name = alias.asname or alias.name.partition(".")[0]
                     if name not in used:
-                        found.append(f"{path.name}:{node.lineno} {name}")
+                        found.append(f"{path.parent.name}/{path.name}:{node.lineno} {name}")
     assert not found, f"unused imports: {found}"
 
 

@@ -310,6 +310,13 @@ class TestParabolic:
                     total = total + LaurentPoly.q_power(l0 - 2 * l)
                 assert total == group_qfactorial(par), str(par)
 
+    def test_qfactorial_cached_per_parabolic(self):
+        for shape in (Shape(2, 2), Shape(3, 1)):
+            for par in all_parabolics(shape):
+                got = group_qfactorial(par)
+                assert group_qfactorial(par) is got
+                assert got == group_qfactorial.__wrapped__(par), str(par)
+
     def test_qfactorial_values(self):
         assert group_qfactorial(Parabolic.trivial(Shape(1, 1))) == 1
         p = Parabolic(Shape(2, 2), frozenset({1, 3}))
