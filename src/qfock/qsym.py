@@ -26,20 +26,21 @@ of a canonical basis is one read-only QSymExpansion, which `base_change`
 rewrites in another of the three bases.  Canonical bases come out three
 ways:
 
-- the image solve (the default, `qsym_canonical` and, at antidominant f,
-  `qsym_dual_canonical`): `canonical.image_solve` down the block of f,
-  one projected tensor bar column per solved index, every one of them
-  antidominant;
+- the image solve (the default, `qsym_canonical` and
+  `qsym_dual_canonical`, both for antidominant f only):
+  `canonical.image_solve` down the block of f, one projected tensor bar
+  column per solved index, every one of them antidominant;
 - the push-forward (`qsym_canonical_push`, `qsym_dual_canonical_push`):
   the ordinary (dual) canonical element through f.w0 (or f), from the
   tensor solve, pushed through phi and checked against the coefficients
   at g.w0 (or against the coset sums); the dual at a non-antidominant f,
-  whose projection must vanish, always takes this route;
+  whose projection must vanish, has only this route;
 - the intrinsic solve (`qsym_canonical_intrinsic`): the solver in N- and
   Mtilde-coordinates with the bar map transported through expansion and
-  re-expression; each basis vector is expanded once per call, from one
-  memo of Ntilde_g = M_g S that the bar columns and re-expression's
-  reconstruction check share.
+  re-expression.  Every basis vector is B_g = s_B(g) Mtilde_g, and one
+  memo per call, g -> Mtilde_g, serves the bar columns and
+  re-expression's reconstruction check; each basis bars its own vector,
+  so the two solves stay independent of each other.
 
 The routes must agree (the tests and `verify --suite qsym` compare
 them); a failed internal check raises CheckFailed.
@@ -107,61 +108,30 @@ def ntilde_expand(f: SignedTuple, par: Parabolic) -> FockVector:
     return act(FockVector.monomial(f), symmetrizer(par))
 
 
-def _read_off(big: FockVector, f: SignedTuple, par: Parabolic, basis: str) -> FockVector:
-    """Mtilde_f (one exact division by [W_f]) or N_f (a scale by [W]/[W_f]) from big = Ntilde_f."""
-    if basis == "Mtilde":
-        stab_q = orbit_data(stabilizer(f, par), par)[0]
-        return FockVector(
-            f.shape, {g: div_exact(c, stab_q) for g, c in big.terms.items()}
-        )
-    return big.scaled(n_ratio(f, par))
-
-
 def mtilde_expand(f: SignedTuple, par: Parabolic) -> FockVector:
     """Mtilde_f = Ntilde_f / [W_f]; integral by the orbit closed form."""
-    return _read_off(ntilde_expand(f, par), f, par, "Mtilde")
+    stab_q = _scale(f, par, "Ntilde")
+    big = ntilde_expand(f, par)
+    return FockVector(f.shape, {g: div_exact(c, stab_q) for g, c in big.terms.items()})
 
 
-def n_expand(f: SignedTuple, par: Parabolic) -> FockVector:
-    """N_f = ([W]/[W_f]) Ntilde_f."""
-    return _read_off(ntilde_expand(f, par), f, par, "N")
-
-
-_EXPAND = {"Ntilde": ntilde_expand, "Mtilde": mtilde_expand, "N": n_expand}
-
-
-def _expand(f: SignedTuple, par: Parabolic, basis: str, memo: dict | None) -> FockVector:
-    """B_f as a tensor-space vector; with a memo, each one is built once.
-
-    memo maps (basis, f) to B_f, for one parabolic.  Ntilde_f is expanded
-    once and Mtilde_f and N_f are read off it as mtilde_expand and
-    n_expand do.
-    """
-    if memo is None:
-        return _EXPAND[basis](f, par)
-    v = memo.get((basis, f))
-    if v is None:
-        if basis == "Ntilde":
-            v = ntilde_expand(f, par)
-        else:
-            v = _read_off(_expand(f, par, "Ntilde", memo), f, par, basis)
-        memo[(basis, f)] = v
-    return v
+def _mtilde(f: SignedTuple, par: Parabolic, memo: dict) -> FockVector:
+    """Mtilde_f from memo (g -> Mtilde_g, for one parabolic), expanded on first use."""
+    if f not in memo:
+        memo[f] = mtilde_expand(f, par)
+    return memo[f]
 
 
 # ---------------------------------------------------------------------------
 # vectors of the image in coordinates
 
 
-def reexpress(
-    v: FockVector, par: Parabolic, basis: str = "Ntilde", memo: dict | None = None
-) -> dict:
+def reexpress(v: FockVector, par: Parabolic, basis: str, memo: dict) -> dict:
     """Coordinates of a tensor-space vector that lies in the image.
 
     Reads one exact division per orbit off the bottom monomial, then
-    checks that the reconstruction is v on the nose (CheckFailed if not).
-    The reconstruction takes its basis vectors from memo when one is given
-    (see _expand).
+    checks that the reconstruction sum x_f s_B(f) Mtilde_f, with Mtilde_f
+    taken from memo (see _mtilde), is v on the nose (CheckFailed if not).
     """
     coords: dict[SignedTuple, LaurentPoly] = {}
     recon = FockVector.zero(v.shape)
@@ -169,14 +139,15 @@ def reexpress(
         if not is_antidominant(f, par):
             continue
         top_len = orbit_data(stabilizer(f, par), par)[2]
+        s = _scale(f, par, basis)
         try:
-            x = div_exact(c, _scale(f, par, basis) * LaurentPoly.q_power(top_len))
+            x = div_exact(c, s * LaurentPoly.q_power(top_len))
         except NotDivisible as exc:
             raise CheckFailed(
                 f"orbit coefficient at {f} is not divisible in basis {basis}"
             ) from exc
         coords[f] = x
-        recon.axpy(_expand(f, par, basis, memo), x)
+        recon.axpy(_mtilde(f, par, memo), x * s)
     if recon != v:
         raise CheckFailed(f"vector is not in the symmetrized image for {par}")
     return coords
@@ -253,13 +224,11 @@ def qsym_canonical(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpansion:
 
 
 def qsym_dual_canonical(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpansion:
-    """Dual canonical image basis in Ntilde coordinates, or zero.
+    """Dual canonical image basis, in Ntilde coordinates, solved inside the image.
 
-    Solved inside the image for antidominant f; for any other f the
+    f must be antidominant (ValueError otherwise); at any other f the
     projection phi(L_f) vanishes, which qsym_dual_canonical_push checks.
     """
-    if not is_antidominant(f, par):
-        return qsym_dual_canonical_push(f, par, w)
     t = _image_solve(f, par, w, "dual")
     return QSymExpansion(f, "dual", "Ntilde", par, w, MappingProxyType(t))
 
@@ -328,15 +297,9 @@ def qsym_dual_canonical_push(f: SignedTuple, par: Parabolic, w: Window) -> QSymE
     return QSymExpansion(f, "dual", "Ntilde", par, w, MappingProxyType(push))
 
 
-def _image_bar(
-    g: SignedTuple, par: Parabolic, w: Window, basis: str, memo: dict | None = None
-) -> dict:
-    """Coordinates of bar applied to one image basis vector.
-
-    Expands, bars and re-expresses; every expansion is read from memo when
-    one is given (see _expand).
-    """
-    expanded = _expand(g, par, basis, memo)
+def _image_bar(g: SignedTuple, par: Parabolic, w: Window, basis: str, memo: dict) -> dict:
+    """Coordinates of bar applied to B_g = s_B(g) Mtilde_g, Mtilde_g from memo."""
+    expanded = _mtilde(g, par, memo).scaled(_scale(g, par, basis))
     barred = bar_context(g.shape, w).bar(expanded)
     return reexpress(barred, par, basis, memo)
 
@@ -346,11 +309,11 @@ def qsym_canonical_intrinsic(f: SignedTuple, par: Parabolic, w: Window):
 
     Runs the triangular bar solver down the block of f, once
     in N coordinates and once in Mtilde coordinates, with the bar map
-    computed by expand / bar / re-express.  Each basis vector is expanded
-    once per call: Ntilde_g = M_g S is built once, Mtilde_g and N_g are
-    read off it, and the memo holding them is dropped on return.  Returns
-    the two expansions; their coefficient dictionaries must agree and do
-    so by construction (CheckFailed otherwise).
+    computed by expand / bar / re-express.  Each Mtilde_g is expanded once
+    per call into a memo dropped on return; each solve bars its own
+    B_g = s_B(g) Mtilde_g.  Returns the two expansions; their coefficient
+    dictionaries must agree and do so by construction (CheckFailed
+    otherwise).
     """
     if not is_antidominant(f, par):
         raise ValueError(f"{f} is not antidominant for {par}")

@@ -2,13 +2,14 @@
 
 import itertools
 import warnings
+from collections import Counter
 from types import MappingProxyType
 
 import pytest
 
 import qfock.canonical
 import qfock.qsym
-from qfock.barinv import bar, bar_context
+from qfock.barinv import BarContext, bar, bar_context
 from qfock.canonical import TruncationWarning, canonical, dual_canonical, orbit_data, project
 from qfock.fock import FockVector, act, apply_chevalley
 from qfock.hecke import HeckeElement, symmetrizer
@@ -18,7 +19,6 @@ from qfock.qsym import (
     _image_bar,
     base_change,
     mtilde_expand,
-    n_expand,
     n_ratio,
     ntilde_expand,
     qsym_canonical,
@@ -37,6 +37,7 @@ from qfock.weightlat import (
     antidominant_rep,
     block,
     bruhat_leq,
+    group_qfactorial,
     is_antidominant,
     longest_element,
     stabilizer,
@@ -59,7 +60,13 @@ def P(d):
 Q = P({1: 1})
 QINV = P({-1: 1})
 ONE = LaurentPoly.one()
-EXPANDERS = {"Ntilde": ntilde_expand, "Mtilde": mtilde_expand, "N": n_expand}
+# B_f in each basis; N_f = ([W]/[W_f]) Ntilde_f is built here independently of
+# qsym's own scale s_N(f) Mtilde_f
+EXPANDERS = {
+    "Ntilde": ntilde_expand,
+    "Mtilde": mtilde_expand,
+    "N": lambda f, par: ntilde_expand(f, par).scaled(n_ratio(f, par)),
+}
 
 
 def expand(terms, par, basis="Ntilde"):
@@ -111,11 +118,13 @@ class TestExpansions:
         )
 
     def test_n_scales_by_index(self):
+        # N_f = [W] Mtilde_f = ([W]/[W_f]) Ntilde_f
         par = Parabolic(Shape(2, 0), {1})
+        w_q = group_qfactorial(par)
         f = T(2, 0, 1, 2)
-        assert n_expand(f, par) == ntilde_expand(f, par).scaled(P({1: 1, -1: 1}))
+        assert mtilde_expand(f, par).scaled(w_q) == ntilde_expand(f, par).scaled(P({1: 1, -1: 1}))
         g = T(2, 0, 1, 1)
-        assert n_expand(g, par) == ntilde_expand(g, par)
+        assert mtilde_expand(g, par).scaled(w_q) == ntilde_expand(g, par)
 
     def test_dual_sector_orbit(self):
         par = Parabolic(Shape(0, 2), {1})
@@ -156,7 +165,7 @@ class TestExpansions:
             for f in members:
                 base_change(qsym_canonical(f, par, w), "Ntilde")
                 qsym_dual_canonical_push(f, par, w)
-                reexpress(mtilde_expand(f, par), par, "Mtilde")
+                reexpress(mtilde_expand(f, par), par, "Mtilde", {})
         stabs = {stabilizer(f, par) for f in members}
         assert orbit_data.cache_info().currsize == len(stabs) < len(members)
         _, reps, _, _ = orbit_data(stabilizer(members[0], par), par)
@@ -295,9 +304,8 @@ class TestReexpress:
     def test_each_basis_recovers_itself(self):
         par = Parabolic(Shape(2, 1), {1})
         for f in (T(2, 1, 1, 2, 5), T(2, 1, 1, 1, 5)):
-            assert reexpress(ntilde_expand(f, par), par, "Ntilde") == {f: ONE}
-            assert reexpress(mtilde_expand(f, par), par, "Mtilde") == {f: ONE}
-            assert reexpress(n_expand(f, par), par, "N") == {f: ONE}
+            for basis, expander in EXPANDERS.items():
+                assert reexpress(expander(f, par), par, basis, {}) == {f: ONE}
 
     def test_linear_combination(self):
         par = Parabolic(Shape(2, 0), {1})
@@ -305,24 +313,24 @@ class TestReexpress:
         v = ntilde_expand(f, par).scaled(Q) + ntilde_expand(g, par).scaled(
             P({0: 2})
         )
-        assert reexpress(v, par) == {f: Q, g: P({0: 2})}
+        assert reexpress(v, par, "Ntilde", {}) == {f: Q, g: P({0: 2})}
 
     def test_vector_outside_image(self):
         par = Parabolic(Shape(2, 0), {1})
         with pytest.raises(CheckFailed, match="not in the symmetrized image"):
-            reexpress(M(2, 0, 2, 1), par)
+            reexpress(M(2, 0, 2, 1), par, "Ntilde", {})
 
     def test_non_divisible_orbit_coefficient(self):
         par = Parabolic(Shape(2, 0), {1})
         with pytest.raises(CheckFailed, match="is not divisible in basis") as info:
-            reexpress(M(2, 0, 1, 1), par)
+            reexpress(M(2, 0, 1, 1), par, "Ntilde", {})
         assert isinstance(info.value.__cause__, NotDivisible)
 
     def test_round_trip_through_phi(self):
         par = Parabolic(Shape(2, 2), {1, 3})
         v = M(2, 2, 2, 1, 1, 2) + M(2, 2, 1, 2, 2, 1).scaled(P({2: 3}))
         img = project(v.terms, par)
-        assert reexpress(expand(img, par), par) == img
+        assert reexpress(expand(img, par), par, "Ntilde", {}) == img
 
 
 class TestQsymCanonical:
@@ -368,7 +376,7 @@ class TestQsymCanonical:
             warnings.simplefilter("ignore", TruncationWarning)
             exp = qsym_canonical(T(2, 2, 1, 2, 2, 1), par, Window(1, 2))
         assert exp.basis == "N"
-        assert reexpress(expand(exp.coefficients, par, "N"), par, "N") == exp.coefficients
+        assert reexpress(expand(exp.coefficients, par, "N"), par, "N", {}) == exp.coefficients
 
     def test_monomial_at_regular_entries_of_full_parabolic(self):
         """In N coordinates of the full-parabolic image, a coefficient at a
@@ -410,12 +418,15 @@ class TestQsymDualCanonical:
         assert exp.coefficients == {T(2, 0, 1, 2): ONE}
 
     def test_non_antidominant_projects_to_zero(self):
-        par = Parabolic(Shape(2, 0), {1})
-        exp = qsym_dual_canonical(T(2, 0, 2, 1), par, Window(1, 2))
-        assert exp.coefficients == {}
-        par21 = Parabolic(Shape(2, 1), {1})
-        exp = qsym_dual_canonical(T(2, 1, 2, 1, 1), par21, Window(1, 2))
-        assert exp.coefficients == {}
+        # only the push-forward answers there; the image route refuses
+        cases = [
+            (T(2, 0, 2, 1), Parabolic(Shape(2, 0), {1})),
+            (T(2, 1, 2, 1, 1), Parabolic(Shape(2, 1), {1})),
+        ]
+        for f, par in cases:
+            assert qsym_dual_canonical_push(f, par, Window(1, 2)).coefficients == {}
+            with pytest.raises(ValueError, match="is not antidominant"):
+                qsym_dual_canonical(f, par, Window(1, 2))
 
     def test_diagonal_one_and_negative_corrections(self):
         shape = Shape(2, 1)
@@ -489,18 +500,45 @@ class TestIntrinsic:
         memo = {}
         for g in members:
             for basis in ("N", "Mtilde"):
-                assert _image_bar(g, par, w, basis, memo) == _image_bar(g, par, w, basis), (g, basis)
-        assert {g for _, g in memo} == set(members)
+                fresh = _image_bar(g, par, w, basis, {})
+                assert _image_bar(g, par, w, basis, memo) == fresh, (g, basis)
+        assert set(memo) == set(members)
+
+    def test_bars_each_solved_tuple_once_per_basis(self, monkeypatch):
+        """The N and Mtilde solves bar their own vectors, so they check each other."""
+        par, w = Parabolic(Shape(2, 2), {1}), Window(-1, 2)
+        f = T(2, 2, 1, 2, 2, 1)
+        real_bar, real_image_bar = BarContext.bar, qfock.qsym._image_bar
+        barred, solved = Counter(), []
+
+        def counting_bar(ctx, v):
+            # B_g is supported on the orbit of g, whose one anti-dominant member is g
+            (g,) = [h for h in v.terms if is_antidominant(h, par)]
+            barred[g] += 1
+            return real_bar(ctx, v)
+
+        def recording_image_bar(g, par, w, basis, memo):
+            solved.append((basis, g))
+            return real_image_bar(g, par, w, basis, memo)
+
+        monkeypatch.setattr(BarContext, "bar", counting_bar)
+        monkeypatch.setattr(qfock.qsym, "_image_bar", recording_image_bar)
+        qsym_canonical_intrinsic(f, par, w)
+        per_basis = {b: [g for basis, g in solved if basis == b] for b in ("N", "Mtilde")}
+        assert len(per_basis["N"]) > 1 and per_basis["N"] == per_basis["Mtilde"]
+        assert len(solved) == len(set(solved))
+        assert barred == Counter(g for _, g in solved)
+        assert set(barred.values()) == {2}
 
     def test_planted_wrong_expansion_fails_the_check(self):
         par = Parabolic(Shape(2, 0), {1})
         f = T(2, 0, 1, 2)
-        wrong = ntilde_expand(f, par) + M(2, 0, 2, 1)
+        wrong = mtilde_expand(f, par) + M(2, 0, 2, 1)
         for basis, expander in EXPANDERS.items():
             v = expander(f, par)
             assert reexpress(v, par, basis, {}) == {f: ONE}
             with pytest.raises(CheckFailed, match="not in the symmetrized image"):
-                reexpress(v, par, basis, {("Ntilde", f): wrong})
+                reexpress(v, par, basis, {f: wrong})
 
 
 SMALL_CASES = [
@@ -616,13 +654,13 @@ def certify_image_bar(par, w):
     n_ratio(g) phi(bar(M_g)), divided at h by n_ratio(h).
     """
     ctx = bar_context(par.shape, w)
-    fails = []
+    fails, memo = [], {}
     for g in anti_members(par, w):
         col = project(ctx.bar_monomial(g).terms, par)
-        if col != _image_bar(g, par, w, "Ntilde"):
+        if col != _image_bar(g, par, w, "Ntilde", memo):
             fails.append(f"Ntilde column differs at {g}")
         ncol = {h: div_exact(c * n_ratio(g, par), n_ratio(h, par)) for h, c in col.items()}
-        if ncol != _image_bar(g, par, w, "N"):
+        if ncol != _image_bar(g, par, w, "N", memo):
             fails.append(f"N column differs at {g}")
     return fails
 
@@ -657,7 +695,7 @@ class TestBarTriangularity:
                 if not is_antidominant(f, par):
                     continue
                 for basis, expander in EXPANDERS.items():
-                    coords = reexpress(bar(expander(f, par), w), par, basis)
+                    coords = reexpress(bar(expander(f, par), w), par, basis, {})
                     assert coords[f] == ONE
                     for g in coords:
                         assert is_antidominant(g, par)

@@ -269,3 +269,62 @@ def test_cli_import_loads_the_traced_modules_and_nothing_unused():
     tracer = _load_tracer()
     traced = {row[0] for row in tracer.FUNCTIONS + tracer.METHODS}
     assert traced <= loaded, sorted(traced - loaded)
+
+
+def test_every_default_is_passed_by_some_call():
+    """A default-valued parameter is a knob only if some call sets it.
+
+    Every defaulted parameter of a package function or method is passed,
+    positionally or by keyword, by a call in the package, perfbench/*.py
+    or tests/*.py; otherwise it is a constant.  Calls are matched by name,
+    `__init__` and `__new__` by their class's name; a `*args` or
+    `**kwargs` argument counts as passing everything it could reach.
+    """
+
+    def defaults(fn: ast.FunctionDef, method: bool) -> list:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        skip = int(method and not static)
+        first = len(positional) - len(args.defaults)
+        out = [(p.arg, i - skip) for i, p in enumerate(positional) if i >= first]
+        out += [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        return out
+
+    knobs = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                knobs += [(f"{path.stem}.{top.name}", top.name, p) for p in defaults(top, False)]
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef):
+                    called = cls.name if fn.name in ("__init__", "__new__") else fn.name
+                    where = f"{path.stem}.{cls.name}.{fn.name}"
+                    knobs += [(where, called, p) for p in defaults(fn, True)]
+
+    calls: dict = {}
+    sources = sorted(PACKAGE.glob("*.py")) + sorted(TRACER.parent.glob("*.py"))
+    for path in sources + sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passes(call: ast.Call, param: str, index) -> bool:
+        if index is not None and (
+            index < len(call.args) or any(isinstance(a, ast.Starred) for a in call.args)
+        ):
+            return True
+        return any(k.arg in (param, None) for k in call.keywords)
+
+    unset = [
+        f"{where}({param})"
+        for where, called, (param, index) in knobs
+        if not any(passes(call, param, index) for call in calls.get(called, []))
+    ]
+    assert not unset, unset
