@@ -195,7 +195,7 @@ def pure_bar(v: FockVector) -> FockVector:
 
 
 def bar_oracle(
-    f: SignedTuple, window: Window, degree_bound: int, mode: str = "canonical"
+    f: SignedTuple, window: Window, max_degree: int, mode: str = "canonical"
 ) -> FockVector:
     """The unique bar-fixed M_f + sum of strictly lower terms, by linear solve.
 
@@ -213,7 +213,7 @@ def bar_oracle(
     below = [g for g in order if g != f and bruhat_leq(g, f)]
     bars = {g: ctx.bar_monomial(g) for g in below + [f]}
 
-    unknowns = [(g, sign * j) for g in below for j in range(1, degree_bound + 1)]
+    unknowns = [(g, sign * j) for g in below for j in range(1, max_degree + 1)]
     # residual rows are indexed by (tuple, q-power)
     rows: dict[tuple[SignedTuple, int], dict[int, int]] = {}
     const: dict[tuple[SignedTuple, int], int] = {}

@@ -149,8 +149,6 @@ def cmd_char(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.max_size < 1:
-        raise ValueError(f"--max-size must be at least 1, got {args.max_size}")
     w = parse_window(args.window)
     from .verify import run_verify
 

@@ -49,8 +49,8 @@ class FockVector(LaurentCombination):
         return cls(shape)
 
     @classmethod
-    def monomial(cls, f: SignedTuple, coeff=None) -> "FockVector":
-        return cls(f.shape, {f: LaurentPoly.one() if coeff is None else coeff})
+    def monomial(cls, f: SignedTuple) -> "FockVector":
+        return cls(f.shape, {f: LaurentPoly.one()})
 
     def __str__(self) -> str:
         if not self.terms:

@@ -2,10 +2,12 @@
 
 The verify_* sweeps re-run the defining identities of the other modules
 over small exhaustive ranges; they are shared between the test suite and
-the `verify` command.  Ringel duality, graded reciprocity, the Whittaker
-two-route comparison and the decategorification square check the report
-layer against a second route, and the quiver presentation backs the
-`quiver` command.
+the `verify` command.  Each takes (max_size, w), the command's --max-size
+and --window, and derives the windows it runs in from w; its other bounds
+(block caps, the oracle's degree, group orders) are fixed.  Ringel
+duality, graded reciprocity, the Whittaker two-route comparison and the
+decategorification square check the report layer against a second route,
+and the quiver presentation backs the `quiver` command.
 
 The command line imports this module only for `verify` and `quiver`, so
 that `bkl`, `qsym` and `char` never load it.
@@ -274,19 +276,33 @@ def _shapes_up_to(size: int) -> list[Shape]:
     return out
 
 
-def _parabolics(shape: Shape, max_group: int | None = None) -> list[Parabolic]:
+def _shrink(w: Window, width: int) -> Window:
+    return Window(w.lo, min(w.hi, w.lo + width - 1))
+
+
+def _symmetric(w: Window) -> Window:
+    """A window of comparable width centered at zero, for negation-closed checks."""
+    if w.lo < 0 < w.hi:
+        r = min(-w.lo, w.hi)
+    else:
+        r = max(1, w.width // 2)
+    return Window(-r, r)
+
+
+def _parabolics(shape: Shape) -> list[Parabolic]:
     gens = [i for i in range(1, shape.size) if i != shape.m]
-    out = []
-    for r in range(len(gens) + 1):
-        for sub in itertools.combinations(gens, r):
-            par = Parabolic(shape, frozenset(sub))
-            if max_group is None or len(par_elements(par)) <= max_group:
-                out.append(par)
-    return out
+    return [
+        Parabolic(shape, frozenset(sub))
+        for r in range(len(gens) + 1)
+        for sub in itertools.combinations(gens, r)
+    ]
 
 
-def verify_hecke(max_size: int = 4) -> tuple[bool, list[str]]:
-    """Quadratic, braid and symmetrizer identities on all small shapes (fixed seed 0)."""
+def verify_hecke(max_size: int, w: Window) -> tuple[bool, list[str]]:
+    """Quadratic, braid and symmetrizer identities on all small shapes (fixed seed 0).
+
+    The hecke suite is these relations followed by verify_symmetrizer in w.
+    """
     rng = random.Random(0)
     fails: list[str] = []
     checked = 0
@@ -338,16 +354,19 @@ def verify_hecke(max_size: int = 4) -> tuple[bool, list[str]]:
                 checked += 1
     msgs = [f"hecke relations: {checked} identities on shapes up to size {max_size}"]
     msgs.extend(fails)
-    return not fails, msgs
+    closed_ok, closed = verify_symmetrizer(max_size, w)
+    return not fails and closed_ok, msgs + closed
 
 
-def verify_symmetrizer(max_size: int = 4, w: Window = Window(1, 4), max_fact: int = 5) -> tuple[bool, list[str]]:
-    """Closed form of a monomial times the full symmetrizer, plus [k]! sums.
+def verify_symmetrizer(max_size: int, w: Window) -> tuple[bool, list[str]]:
+    """Closed form of a monomial times the full symmetrizer, plus [k]! sums up to [5]!.
 
     Anti-dominant monomials expand as the stabilizer q-factorial times the
     shifted sum over coset representatives; everything else reduces to its
-    sorted form with a q-power.
+    sorted form with a q-power.  The sweep runs in the first four letters
+    of w.
     """
+    w = _shrink(w, 4)
     fails: list[str] = []
     checked = 0
     for shape in _shapes_up_to(max_size):
@@ -366,7 +385,7 @@ def verify_symmetrizer(max_size: int = 4, w: Window = Window(1, 4), max_fact: in
             if got != want:
                 fails.append(f"symmetrizer closed form fails at {f} in {w}")
             checked += 1
-    for k in range(1, max_fact + 1):
+    for k in range(1, 6):
         shape = Shape(k, 0)
         par = Parabolic.full(shape)
         w0len = longest_element(par)[1]
@@ -381,7 +400,7 @@ def verify_symmetrizer(max_size: int = 4, w: Window = Window(1, 4), max_fact: in
     return not fails, msgs
 
 
-def verify_bar(max_size: int = 4, w: Window = Window(0, 4)) -> tuple[bool, list[str]]:
+def verify_bar(max_size: int, w: Window) -> tuple[bool, list[str]]:
     """Involutivity, triangularity and equivariance of the bar map."""
     fails: list[str] = []
     checked = 0
@@ -432,15 +451,15 @@ def verify_bar(max_size: int = 4, w: Window = Window(0, 4)) -> tuple[bool, list[
     return not fails, msgs
 
 
-def _blocks_in(shape: Shape, w: Window, cap: int | None = None):
-    return (order for order in blocks(shape, w) if cap is None or len(order) <= cap)
+def _blocks_in(shape: Shape, w: Window, cap: int):
+    return (order for order in blocks(shape, w) if len(order) <= cap)
 
 
-def _inverse_relations(max_size: int, w: Window, max_block: int) -> tuple[int, list[str]]:
-    """inverse_relation_check on every capped block: (blocks checked, failures)."""
+def _inverse_relations(max_size: int, w: Window) -> tuple[int, list[str]]:
+    """inverse_relation_check on every block of at most 12: (blocks checked, failures)."""
     checked, fails = 0, []
     for shape in _shapes_up_to(max_size):
-        for order in _blocks_in(shape, w, cap=max_block):
+        for order in _blocks_in(shape, w, 12):
             try:
                 inverse_relation_check(order, w)
             except CheckFailed as exc:
@@ -449,19 +468,18 @@ def _inverse_relations(max_size: int, w: Window, max_block: int) -> tuple[int, l
     return checked, fails
 
 
-def verify_canonical(
-    max_size: int = 4,
-    w: Window = Window(0, 3),
-    sym_w: Window = Window(-2, 2),
-    max_block: int = 12,
-    degree_bound: int = 8,
-) -> tuple[bool, list[str]]:
+def verify_canonical(max_size: int, w: Window) -> tuple[bool, list[str]]:
     """Defining properties of both canonical bases, against the bar oracle.
 
     Also checks positivity: every canonical coefficient t_{gf} lies in N[q],
     and that canonical's route (the image one at an orbit top) gives the
     tensor solve's coefficients and truncation flag at every target visited.
+    The oracle sweep runs on every block of at most 12 members in the first
+    four letters of w, to degree 8; the inverse relations run in the
+    symmetric window of w.
     """
+    sym_w = _symmetric(w)
+    w = _shrink(w, 4)
     fails: list[str] = []
     checked = 0
 
@@ -472,7 +490,7 @@ def verify_canonical(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         for shape in _shapes_up_to(max_size):
-            for order in _blocks_in(shape, w, cap=max_block):
+            for order in _blocks_in(shape, w, 12):
                 for f in order:
                     texp = canonical(f, w)
                     same_route(f, w)
@@ -486,7 +504,7 @@ def verify_canonical(
                             fails.append(f"canonical correction not in qZ[q] at {f}: {g}")
                         if any(a < 0 for a in c.c.values()):
                             fails.append(f"canonical coefficient not in N[q] at {f}: {g}")
-                    if bar_oracle(f, w, degree_bound, "canonical") != tv:
+                    if bar_oracle(f, w, 8, "canonical") != tv:
                         fails.append(f"canonical disagrees with the oracle at {f}")
                     lexp = dual_canonical(f, w)
                     lv = lexp.vector()
@@ -497,7 +515,7 @@ def verify_canonical(
                     for g, c in lexp.coefficients.items():
                         if g != f and c.max_exp() > -1:
                             fails.append(f"dual correction not in (1/q)Z[1/q] at {f}: {g}")
-                    if bar_oracle(f, w, degree_bound, "dual") != lv:
+                    if bar_oracle(f, w, 8, "dual") != lv:
                         fails.append(f"dual canonical disagrees with the oracle at {f}")
                     checked += 1
         shape = Shape(1, 1)
@@ -515,12 +533,12 @@ def verify_canonical(
                 if lexp.coeff(g) != LaurentPoly.q_power(-k, (-1) ** k):
                     fails.append(f"atypical dual chain wrong at {f}, step {k}")
             checked += 1
-        n, inverse_fails = _inverse_relations(max_size, sym_w, max_block)
+        n, inverse_fails = _inverse_relations(max_size, sym_w)
         checked += n
         fails.extend(inverse_fails)
         # the inverse relations read the negated blocks, which are blocks too
         for shape in _shapes_up_to(max_size):
-            for order in _blocks_in(shape, sym_w, cap=max_block):
+            for order in _blocks_in(shape, sym_w, 12):
                 for f in order:
                     same_route(f, sym_w)
     msgs = [f"canonical bases: {checked} elements checked, windows {w} and {sym_w}"]
@@ -528,99 +546,93 @@ def verify_canonical(
     return not fails, msgs
 
 
-def verify_qsym(
-    max_size: int = 4,
-    max_group: int = 4,
-    push_w: Window = Window(0, 4),
-    solve_w: Window = Window(0, 4),
-    max_block: int | None = None,
-) -> tuple[bool, list[str]]:
+def verify_qsym(max_size: int, w: Window) -> tuple[bool, list[str]]:
     """Push-forward identities of the symmetrized space.
 
-    The projection formula is swept exhaustively over the push window; the
-    canonical-basis identities (which run triangular solves) sweep every
-    block of the solve window, optionally capped by block size: the image
-    solve against the push-forward for both bases at every anti-dominant
-    member, the vanishing projection at every other member, and the
-    intrinsic solve at the top of each block.
+    Every parabolic with a generator and of order at most 4, on shapes of
+    size at most max_size, is swept in w.  The projection formula is
+    checked at every tuple; the canonical-basis identities (which run
+    triangular solves) at every block: the image solve against the
+    push-forward for both bases at every anti-dominant member, the
+    vanishing projection at every other member, and the intrinsic solve at
+    the top of each block.  Raises ValueError when no parabolic qualifies,
+    so that a sweep over nothing never passes.
     """
+    cases = [
+        par
+        for shape in _shapes_up_to(max_size)
+        for par in _parabolics(shape)
+        if par.generators and len(par_elements(par)) <= 4
+    ]
+    if not cases:
+        raise ValueError(f"no qsym case: no shape of size at most {max_size} has a generator")
     fails: list[str] = []
     checked = 0
-    for shape in _shapes_up_to(max_size):
-        for par in _parabolics(shape, max_group):
-            if not par.generators:
-                continue
-            for f in window_tuples(shape, push_w):
-                got = act(FockVector.monomial(f), symmetrizer(par))
-                f0, _, ltau = antidominant_rep(f, par)
-                want = ntilde_expand(f0, par).scaled(LaurentPoly.q_power(-ltau))
-                if got != want:
-                    fails.append(f"projection formula fails at {f}, {par}")
-                checked += 1
+    for par in cases:
+        for f in window_tuples(par.shape, w):
+            got = act(FockVector.monomial(f), symmetrizer(par))
+            f0, _, ltau = antidominant_rep(f, par)
+            want = ntilde_expand(f0, par).scaled(LaurentPoly.q_power(-ltau))
+            if got != want:
+                fails.append(f"projection formula fails at {f}, {par}")
+            checked += 1
+    routes = (
+        ("canonical", qsym_canonical, qsym_canonical_push),
+        ("dual", qsym_dual_canonical, qsym_dual_canonical_push),
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        for shape in _shapes_up_to(max_size):
-            for par in _parabolics(shape, max_group):
-                if not par.generators:
-                    continue
-                for order in _blocks_in(shape, solve_w, cap=max_block):
-                    anti = [g for g in order if is_antidominant(g, par)]
-                    for f in order:
-                        if is_antidominant(f, par):
-                            continue
+        for par in cases:
+            for order in blocks(par.shape, w):
+                anti = [g for g in order if is_antidominant(g, par)]
+                for f in order:
+                    if is_antidominant(f, par):
+                        continue
+                    try:
+                        qsym_dual_canonical_push(f, par, w)
+                    except CheckFailed:
+                        fails.append(f"dual image expansion fails at {f}, {par}")
+                    checked += 1
+                for f in anti:
+                    for mode, image, push in routes:
                         try:
-                            qsym_dual_canonical_push(f, par, solve_w)
-                        except CheckFailed:
-                            fails.append(f"dual image expansion fails at {f}, {par}")
-                        checked += 1
-                    routes = (
-                        ("canonical", qsym_canonical, qsym_canonical_push),
-                        ("dual", qsym_dual_canonical, qsym_dual_canonical_push),
-                    )
-                    for f in anti:
-                        for mode, image, push in routes:
-                            try:
-                                got = image(f, par, solve_w).coefficients
-                                if got != push(f, par, solve_w).coefficients:
-                                    fails.append(
-                                        f"image and push-forward {mode} disagree at {f}, {par}"
-                                    )
-                            except CheckFailed:
-                                fails.append(f"{mode} image routes fail at {f}, {par}")
-                            checked += 1
-                    if anti and (max_block is None or len(anti) <= max_block):
-                        # under any linear extension the last anti-dominant
-                        # member is Bruhat-maximal among them; when several
-                        # are maximal, the block's tie-break (height, then
-                        # entries) decides which one is checked
-                        top = anti[-1]
-                        try:
-                            nexp, _ = qsym_canonical_intrinsic(top, par, solve_w)
-                            image = qsym_canonical(top, par, solve_w)
-                            if nexp.coefficients != image.coefficients:
+                            got = image(f, par, w).coefficients
+                            if got != push(f, par, w).coefficients:
                                 fails.append(
-                                    f"intrinsic and image solves disagree at {top}, {par}"
+                                    f"image and push-forward {mode} disagree at {f}, {par}"
                                 )
-                        except (CheckFailed, ArithmeticError):
-                            fails.append(f"intrinsic solve fails at {top}, {par}")
+                        except CheckFailed:
+                            fails.append(f"{mode} image routes fail at {f}, {par}")
                         checked += 1
-    msgs = [
-        f"symmetrized space: {checked} checks, push window {push_w}, solve window {solve_w}"
-    ]
+                if anti:
+                    # under any linear extension the last anti-dominant
+                    # member is Bruhat-maximal among them; when several
+                    # are maximal, the block's tie-break (height, then
+                    # entries) decides which one is checked
+                    top = anti[-1]
+                    try:
+                        nexp, _ = qsym_canonical_intrinsic(top, par, w)
+                        image = qsym_canonical(top, par, w)
+                        if nexp.coefficients != image.coefficients:
+                            fails.append(f"intrinsic and image solves disagree at {top}, {par}")
+                    except (CheckFailed, ArithmeticError):
+                        fails.append(f"intrinsic solve fails at {top}, {par}")
+                    checked += 1
+    msgs = [f"symmetrized space: {checked} checks, push window {w}, solve window {w}"]
     msgs.extend(fails)
     return not fails, msgs
 
 
-def verify_bgg(
-    w: Window = Window(-2, 2), max_block: int = 14, max_size: int = 4
-) -> tuple[bool, list[str]]:
+def verify_bgg(max_size: int, w: Window) -> tuple[bool, list[str]]:
     """The commuting square, the two-route checks and block facts on shapes of size <= max_size.
 
-    On every block of at most max_block members of each duality case, the
-    tilting multiplicities by Ringel duality, graded reciprocity and the
-    Whittaker standard-to-simple multiplicities are each compared between
-    their two routes and counted in pairs.
+    Everything but the block facts runs in the symmetric window of w.  On
+    every block of at most 14 members of each duality case, the tilting
+    multiplicities by Ringel duality, graded reciprocity and the Whittaker
+    standard-to-simple multiplicities are each compared between their two
+    routes and counted in pairs.
     """
+    w = _symmetric(w)
 
     def sized(cases: list[Parabolic]) -> list[Parabolic]:
         return [par for par in cases if par.shape.size <= max_size]
@@ -654,7 +666,7 @@ def verify_bgg(
         warnings.simplefilter("ignore", TruncationWarning)
         for par in duality_cases:
             rows = {"duality two-route": [], "graded reciprocity": [], "Whittaker two-route": []}
-            for order in _blocks_in(par.shape, w, cap=max_block):
+            for order in _blocks_in(par.shape, w, 14):
                 inside = []
                 for g in order:
                     if is_antidominant(g, par):
@@ -710,48 +722,33 @@ def verify_bgg(
     return not fails, msgs
 
 
-def verify_inverse(max_size: int = 4, w: Window = Window(-2, 2)) -> tuple[bool, list[str]]:
-    """The inverse relation between the two canonical matrices, per block of at most 12."""
+def verify_inverse(max_size: int, w: Window) -> tuple[bool, list[str]]:
+    """The inverse relation between the two canonical matrices, per block of at most 12.
+
+    The sweep runs in the symmetric window of w.
+    """
+    w = _symmetric(w)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        checked, fails = _inverse_relations(max_size, w, 12)
+        checked, fails = _inverse_relations(max_size, w)
     msgs = [f"inverse relation: {checked} blocks, shapes up to size {max_size}, window {w}"]
     msgs.extend(fails)
     return not fails, msgs
 
 
-def _combine(*results: tuple[bool, list[str]]) -> tuple[bool, list[str]]:
-    ok = all(r[0] for r in results)
-    msgs = [m for r in results for m in r[1]]
-    return ok, msgs
-
-
-def _shrink(w: Window, width: int) -> Window:
-    return Window(w.lo, min(w.hi, w.lo + width - 1))
-
-
-def _symmetric(w: Window) -> Window:
-    """A window of comparable width centered at zero, for negation-closed checks."""
-    if w.lo < 0 < w.hi:
-        r = min(-w.lo, w.hi)
-    else:
-        r = max(1, w.width // 2)
-    return Window(-r, r)
-
-
 VERIFY_SUITES = {
-    "hecke": lambda max_size, w: _combine(
-        verify_hecke(max_size), verify_symmetrizer(max_size, _shrink(w, 4))
-    ),
-    "bar": lambda max_size, w: verify_bar(max_size, w),
-    "canonical": lambda max_size, w: verify_canonical(max_size, _shrink(w, 4), _symmetric(w)),
-    "qsym": lambda max_size, w: verify_qsym(max_size, push_w=w, solve_w=w),
-    "bgg": lambda max_size, w: verify_bgg(_symmetric(w), max_size=max_size),
-    "inverse": lambda max_size, w: verify_inverse(max_size, _symmetric(w)),
+    "hecke": verify_hecke,
+    "bar": verify_bar,
+    "canonical": verify_canonical,
+    "qsym": verify_qsym,
+    "bgg": verify_bgg,
+    "inverse": verify_inverse,
 }
 
 
-def run_verify(suite: str, max_size: int = 4, w: Window = Window(0, 4)) -> tuple[bool, list[str]]:
+def run_verify(suite: str, max_size: int, w: Window) -> tuple[bool, list[str]]:
     if suite not in VERIFY_SUITES:
         raise ValueError(f"unknown verify suite {suite!r}")
+    if max_size < 1:
+        raise ValueError(f"--max-size must be at least 1, got {max_size}")
     return VERIFY_SUITES[suite](max_size, w)

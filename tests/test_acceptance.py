@@ -33,9 +33,10 @@ def _verdict(capsys, num, label, ok, elapsed, budget, msgs):
 
 def test_acceptance_1_hecke(capsys):
     """Quadratic, braid, symmetrizer bar-fixedness and absorption, all
-    parabolics on shapes of size up to 4, plus random product checks."""
+    parabolics on shapes of size up to 4, plus random product checks, and
+    the symmetrizer closed form in 0..3."""
     t0 = time.perf_counter()
-    ok, msgs = verify_hecke(max_size=4)
+    ok, msgs = verify_hecke(4, Window(0, 4))
     _verdict(capsys, 1, "hecke algebra suite", ok, time.perf_counter() - t0, 5, msgs)
 
 
@@ -44,7 +45,7 @@ def test_acceptance_2_symmetrizer(capsys):
     size up to 4 in a width-4 window, and the Poincare sum identity up to
     k = 5."""
     t0 = time.perf_counter()
-    ok, msgs = verify_symmetrizer(4, Window(1, 4), 5)
+    ok, msgs = verify_symmetrizer(4, Window(1, 4))
     _verdict(capsys, 2, "symmetrizer closed form", ok, time.perf_counter() - t0, 10, msgs)
 
 
@@ -62,7 +63,7 @@ def test_acceptance_4_canonical(capsys):
     independent fixed-point oracle on every block of size at most 12, the
     frozen one-boson chain values, and the matrix inverse relation."""
     t0 = time.perf_counter()
-    ok, msgs = verify_canonical(4, Window(0, 3), Window(-2, 2), max_block=12, degree_bound=8)
+    ok, msgs = verify_canonical(4, Window(0, 4))
     _verdict(capsys, 4, "canonical basis suite", ok, time.perf_counter() - t0, 60, msgs)
 
 
@@ -72,7 +73,7 @@ def test_acceptance_5_qsym(capsys):
     vectors: shapes of size up to 4, groups of order up to 4, width-5
     windows, no block cap."""
     t0 = time.perf_counter()
-    ok, msgs = verify_qsym(4, 4, push_w=Window(0, 4), solve_w=Window(0, 4), max_block=None)
+    ok, msgs = verify_qsym(4, Window(0, 4))
     _verdict(capsys, 5, "symmetrized space suite", ok, time.perf_counter() - t0, 120, msgs)
 
 
@@ -82,7 +83,7 @@ def test_acceptance_6_bgg(capsys):
     one-boson block facts: typical standards simple, atypical standards of
     length 2, flag lengths equal to orbit sizes."""
     t0 = time.perf_counter()
-    ok, msgs = verify_bgg(Window(-2, 2), max_block=14)
+    ok, msgs = verify_bgg(4, Window(0, 4))
     _verdict(capsys, 6, "decategorification suite", ok, time.perf_counter() - t0, 60, msgs)
 
 

@@ -216,8 +216,8 @@ def certify_theta(f, w):
     prefix = Shape(shape.m, shape.n - 1) if dual else Shape(shape.m - 1, 0)
     ctx = bar_context(shape, w)
 
-    def split(g, c=None):
-        return FockVector.monomial(SignedTuple(prefix, g.entries[:-1]), c), g.entries[-1]
+    def split(g, c=LaurentPoly.one()):
+        return FockVector(prefix, {SignedTuple(prefix, g.entries[:-1]): c}), g.entries[-1]
 
     def theta(v):
         out = FockVector.zero(shape)

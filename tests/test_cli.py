@@ -291,6 +291,23 @@ class TestVerifyCommand:
         assert "PASS" not in captured.out
         assert "no bgg case has a shape of size at most 1" in captured.err
 
+    @pytest.mark.parametrize("suite", qfock.cli.VERIFY_SUITE_NAMES)
+    def test_size_one_counts_something_or_refuses(self, capsys, suite):
+        # at size 1 a suite either checks something or exits 2; it never
+        # prints PASS over zero checks
+        rc = main(["verify", "--suite", suite, "--max-size", "1"])
+        captured = capsys.readouterr()
+        if suite in ("bgg", "qsym"):
+            assert rc == 2
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: no {suite} case")
+        else:
+            assert rc == 0
+            *lines, verdict = captured.out.splitlines()
+            assert verdict == f"suite {suite}: PASS"
+            counts = [int(line.split(": ")[1].split()[0]) for line in lines]
+            assert counts and min(counts) > 0, lines
+
     def test_failed_oracle_exits_2(self, capsys, monkeypatch):
         def inconsistent(*args, **kwargs):
             raise CheckFailed("bar fixed-point system is inconsistent")

@@ -75,7 +75,7 @@ def vectors(draw):
                 )
             )
         )
-        v = v + FockVector.monomial(SignedTuple(shape, entries), c)
+        v = v + FockVector(shape, {SignedTuple(shape, entries): c})
     return v
 
 
@@ -222,7 +222,7 @@ class TestChevalleyAgainstCaseRule:
     @pytest.mark.parametrize("shape", SMALL, ids=str)
     def test_every_tuple_in_window(self, shape):
         for f in window_tuples(shape, Window(0, 2)):
-            v = FockVector.monomial(f, P({1: 2, -1: -1}))
+            v = FockVector(shape, {f: P({1: 2, -1: -1})})
             for kind in ("E", "F", "K", "Kinv"):
                 for a in range(-1, 4):
                     got = apply_chevalley(v, kind, a)
@@ -247,7 +247,7 @@ def _cartan_rhs(v, a):
                 k += s
             elif f[pos] == a + 1:
                 k -= s
-        res = res + FockVector.monomial(f, c * q_int(k))
+        res = res + FockVector(f.shape, {f: c * q_int(k)})
     return res
 
 
@@ -387,7 +387,7 @@ class TestSymmetrizerAction:
         out = FockVector.zero(f.shape)
         for tau, ltau in reps:
             c = LaurentPoly.q_power(top - ltau)
-            out = out + FockVector.monomial(f.act(tau), c)
+            out = out + FockVector(f.shape, {f.act(tau): c})
         return out.scaled(group_qfactorial(stab))
 
     def test_closed_form_matches_action(self):

@@ -440,21 +440,19 @@ class TestQuiver:
 
 class TestVerifySuites:
     def test_hecke(self):
-        ok, msgs = verify_hecke(max_size=3)
+        ok, msgs = verify_hecke(3, Window(0, 3))
         assert ok, msgs
 
     def test_symmetrizer(self):
-        ok, msgs = verify_symmetrizer(max_size=3, w=Window(1, 3), max_fact=4)
+        ok, msgs = verify_symmetrizer(3, Window(1, 3))
         assert ok, msgs
 
     def test_bar(self):
-        ok, msgs = verify_bar(max_size=2, w=Window(0, 2))
+        ok, msgs = verify_bar(2, Window(0, 2))
         assert ok, msgs
 
     def test_canonical(self):
-        ok, msgs = verify_canonical(
-            max_size=2, w=Window(0, 2), sym_w=Window(-1, 1), max_block=8, degree_bound=6
-        )
+        ok, msgs = verify_canonical(2, Window(0, 2))
         assert ok, msgs
 
     def test_canonical_flags_a_route_mismatch(self, monkeypatch):
@@ -467,20 +465,16 @@ class TestVerifySuites:
             return exp._replace(truncated=not exp.truncated) if f == bad else exp
 
         monkeypatch.setattr(qfock.verify, "tensor_canonical", flipped)
-        ok, msgs = verify_canonical(
-            max_size=2, w=Window(0, 2), sym_w=Window(-1, 1), max_block=8, degree_bound=6
-        )
+        ok, msgs = verify_canonical(2, Window(0, 2))
         assert not ok
         assert msgs[1:] == ["canonical route disagrees with the tensor solve at 2,1|"]
 
     def test_qsym(self):
-        ok, msgs = verify_qsym(
-            max_size=3, max_group=2, push_w=Window(0, 2), solve_w=Window(0, 1)
-        )
+        ok, msgs = verify_qsym(3, Window(0, 2))
         assert ok, msgs
 
     def test_bgg(self):
-        ok, msgs = verify_bgg(w=Window(-1, 1))
+        ok, msgs = verify_bgg(4, Window(-1, 1))
         assert ok, msgs
 
     @pytest.mark.parametrize(
@@ -502,7 +496,7 @@ class TestVerifySuites:
             return col
 
         monkeypatch.setattr(qfock.verify, route, wrong)
-        ok, msgs = verify_bgg(w=Window(-1, 1))
+        ok, msgs = verify_bgg(4, Window(-1, 1))
         assert not ok
         assert line in msgs
         assert main(["verify", "--suite", "bgg"]) == 2
@@ -511,11 +505,13 @@ class TestVerifySuites:
         assert out.endswith("suite bgg: FAIL\n")
 
     def test_inverse(self):
-        ok, msgs = verify_inverse(max_size=2, w=Window(-1, 1))
+        ok, msgs = verify_inverse(2, Window(-1, 1))
         assert ok, msgs
 
     def test_dispatch(self):
-        ok, msgs = run_verify("hecke", max_size=2, w=Window(0, 2))
+        ok, msgs = run_verify("hecke", 2, Window(0, 2))
         assert ok
         with pytest.raises(ValueError):
-            run_verify("everything")
+            run_verify("everything", 2, Window(0, 2))
+        with pytest.raises(ValueError):
+            run_verify("hecke", 0, Window(0, 2))

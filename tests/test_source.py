@@ -272,13 +272,15 @@ def test_cli_import_loads_the_traced_modules_and_nothing_unused():
 
 
 def test_every_default_is_passed_by_some_call():
-    """A default-valued parameter is a knob only if some call sets it.
+    """A default-valued parameter is a knob only if a command or the benchmark sets it.
 
     Every defaulted parameter of a package function or method is passed,
-    positionally or by keyword, by a call in the package, perfbench/*.py
-    or tests/*.py; otherwise it is a constant.  Calls are matched by name,
-    `__init__` and `__new__` by their class's name; a `*args` or
-    `**kwargs` argument counts as passing everything it could reach.
+    positionally or by keyword, by a call in the package or perfbench/*.py;
+    otherwise it is a constant.  Calls in tests do not count: a value only
+    a test sets is not one the program runs.  Calls are matched by name,
+    `__init__` and `__new__` by their class's name or that of any package
+    subclass; a `*args` or `**kwargs` argument counts as passing everything
+    it could reach.
     """
 
     def defaults(fn: ast.FunctionDef, method: bool) -> list:
@@ -291,25 +293,40 @@ def test_every_default_is_passed_by_some_call():
         out += [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
         return out
 
+    def parse(paths) -> dict:
+        return {path: ast.parse(path.read_text(), str(path)) for path in sorted(paths)}
+
+    trees = parse(PACKAGE.glob("*.py"))
+    classes = [c for tree in trees.values() for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+
+    def family(name: str) -> set:
+        """name and the names of its package subclasses, at any depth."""
+        out, grew = {name}, True
+        while grew:
+            grew = False
+            for cls in classes:
+                if cls.name not in out and any(getattr(b, "id", None) in out for b in cls.bases):
+                    out.add(cls.name)
+                    grew = True
+        return out
+
     knobs = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
+    for path, tree in trees.items():
         for top in tree.body:
             if isinstance(top, ast.FunctionDef):
-                knobs += [(f"{path.stem}.{top.name}", top.name, p) for p in defaults(top, False)]
+                knobs += [(f"{path.stem}.{top.name}", {top.name}, p) for p in defaults(top, False)]
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
             for fn in cls.body:
                 if isinstance(fn, ast.FunctionDef):
-                    called = cls.name if fn.name in ("__init__", "__new__") else fn.name
+                    called = family(cls.name) if fn.name in ("__init__", "__new__") else {fn.name}
                     where = f"{path.stem}.{cls.name}.{fn.name}"
                     knobs += [(where, called, p) for p in defaults(fn, True)]
 
     calls: dict = {}
-    sources = sorted(PACKAGE.glob("*.py")) + sorted(TRACER.parent.glob("*.py"))
-    for path in sources + sorted(TESTS.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for tree in [*trees.values(), *parse(TRACER.parent.glob("*.py")).values()]:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
@@ -325,6 +342,6 @@ def test_every_default_is_passed_by_some_call():
     unset = [
         f"{where}({param})"
         for where, called, (param, index) in knobs
-        if not any(passes(call, param, index) for call in calls.get(called, []))
+        if not any(passes(call, param, index) for name in called for call in calls.get(name, []))
     ]
     assert not unset, unset
