@@ -194,9 +194,7 @@ def pure_bar(v: FockVector) -> FockVector:
 # brute-force oracle
 
 
-def bar_oracle(
-    f: SignedTuple, window: Window, max_degree: int, mode: str = "canonical"
-) -> FockVector:
+def bar_oracle(f: SignedTuple, window: Window, max_degree: int, mode: str) -> FockVector:
     """The unique bar-fixed M_f + sum of strictly lower terms, by linear solve.
 
     Unknowns are the integer coefficients of q^j (canonical mode, j >= 1) or

@@ -62,7 +62,7 @@ class TruncationWarning(UserWarning):
 
 
 class BasisExpansion(
-    namedtuple("BasisExpansion", "target mode window coefficients truncated", defaults=(False,))
+    namedtuple("BasisExpansion", "target mode window coefficients truncated")
 ):
     """One column of a (dual) canonical basis matrix; cached, so read-only.
 

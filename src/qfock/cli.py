@@ -4,8 +4,9 @@ Subcommands: bkl (canonical/dual canonical expansions), qsym (canonical
 basis of the symmetrized image in a choice of coordinates), char
 (character and multiplicity tables), verify (identity sweeps), quiver
 (the gl(1|n) presentation).  Exit codes: 0 on success; 2 on bad input, a
-FAIL verdict or a failed internal identity check (CheckFailed); 3 when a
-computation needs letters outside the requested window.
+FAIL verdict, a failed internal identity check (CheckFailed) or a window
+too wide for the recursion depth; 3 when a computation needs letters
+outside the requested window.
 """
 
 from __future__ import annotations
@@ -231,6 +232,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError as exc:
+        print(f"error: {exc}; try a narrower window", file=sys.stderr)
         return 2
 
 

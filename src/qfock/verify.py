@@ -618,7 +618,7 @@ def verify_qsym(max_size: int, w: Window) -> tuple[bool, list[str]]:
                     except (CheckFailed, ArithmeticError):
                         fails.append(f"intrinsic solve fails at {top}, {par}")
                     checked += 1
-    msgs = [f"symmetrized space: {checked} checks, push window {w}, solve window {w}"]
+    msgs = [f"symmetrized space: {checked} checks, window {w}"]
     msgs.extend(fails)
     return not fails, msgs
 

@@ -25,7 +25,6 @@ import itertools
 from collections import namedtuple
 from collections.abc import Mapping
 from functools import lru_cache
-from types import MappingProxyType
 
 
 class WindowEscape(Exception):
@@ -47,12 +46,6 @@ class Shape(namedtuple("Shape", "m n")):
     @property
     def size(self) -> int:
         return self.m + self.n
-
-    def sector(self, pos: int) -> int:
-        """0 for the covariant sector, 1 for the dual sector (pos is 1-based)."""
-        if not 1 <= pos <= self.size:
-            raise ValueError(f"position {pos} out of range for {self}")
-        return 0 if pos <= self.m else 1
 
     def __str__(self) -> str:
         return f"{self.m}|{self.n}"
@@ -124,61 +117,31 @@ class SignedTuple(namedtuple("SignedTuple", "shape entries")):
 # weights
 
 
-def weight(f: SignedTuple) -> Mapping[int, int]:
-    """The weight of f as a read-only sparse map letter -> multiplicity (signed)."""
-    return weight_tail(f, 1)
-
-
-@lru_cache(maxsize=None)
-def weight_tail(f: SignedTuple, j: int) -> Mapping[int, int]:
-    """The weight of the suffix f(j), f(j+1), ..., signs per sector.
-
-    Cached, so the result is a read-only view.
-    """
+def weight(f: SignedTuple) -> dict[int, int]:
+    """The weight of f as a sparse map letter -> multiplicity (signed)."""
     wt: dict[int, int] = {}
-    for pos in range(j, f.shape.size + 1):
-        s = -1 if f.shape.sector(pos) else 1
-        r = f[pos]
-        b = wt.get(r, 0) + s
+    m = f.shape.m
+    for pos, r in enumerate(f.entries):
+        b = wt.get(r, 0) + (1 if pos < m else -1)
         if b:
             wt[r] = b
         else:
-            wt.pop(r, None)
-    return MappingProxyType(wt)
+            del wt[r]
+    return wt
 
 
 def weight_key(wt: Mapping[int, int]) -> tuple:
     return tuple(sorted(wt.items()))
 
 
-def dominance_leq(mu: Mapping[int, int], nu: Mapping[int, int]) -> bool:
-    """mu <= nu iff nu - mu is a nonnegative sum of eps_r - eps_{r+1} terms.
-
-    Equivalently the difference has total sum zero and all partial sums,
-    accumulated from the smallest letter upward, nonnegative.
-    """
-    diff: dict[int, int] = dict(nu)
-    for r, a in mu.items():
-        b = diff.get(r, 0) - a
-        if b:
-            diff[r] = b
-        else:
-            diff.pop(r, None)
-    if not diff:
-        return True
-    if sum(diff.values()) != 0:
-        return False
-    run = 0
-    for r in sorted(diff):
-        run += diff[r]
-        if run < 0:
-            return False
-    return run == 0
-
-
 @lru_cache(maxsize=None)
 def bruhat_leq(g: SignedTuple, f: SignedTuple) -> bool:
     """The combinatorial Bruhat order: same weight, dominated tail weights.
+
+    One pass over the tails j = m+n, ..., 1 keeps diff[k], the signed count
+    of tail letters <= the k-th smallest letter in f minus that count in g.
+    These are the partial sums of dominance: none may go negative for
+    j >= 2, and at j = 1 all must vanish, which says the weights agree.
 
     >>> sh = Shape(1, 1)
     >>> bruhat_leq(SignedTuple(sh, (0, 0)), SignedTuple(sh, (1, 1)))
@@ -188,12 +151,19 @@ def bruhat_leq(g: SignedTuple, f: SignedTuple) -> bool:
     """
     if g.shape != f.shape:
         raise ValueError("tuples of different shapes are incomparable")
-    if weight(g) != weight(f):
-        return False
-    for j in range(2, f.shape.size + 1):
-        if not dominance_leq(weight_tail(g, j), weight_tail(f, j)):
-            return False
-    return True
+    rank = {r: k for k, r in enumerate(sorted({*g.entries, *f.entries}))}
+    diff = [0] * len(rank)
+    m = f.shape.m
+    for i in range(f.shape.size - 1, -1, -1):  # tail j = i + 1
+        a, b = rank[f.entries[i]], rank[g.entries[i]]
+        step = 1 if i < m else -1
+        if a > b:
+            a, b, step = b, a, -step
+        for k in range(a, b):
+            diff[k] += step
+            if diff[k] < 0 and i:
+                return False
+    return not any(diff)
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +377,12 @@ def window_tuples(shape: Shape, w: Window):
 
 
 def height(g: SignedTuple) -> int:
-    """-sum_j sum_r r * weight_tail(g, j)[r], strictly increasing in Bruhat order.
+    """-sum_j sum_r r * wt_j(r), strictly increasing in Bruhat order.
 
-    A dominance step eps_r - eps_{r+1} lowers sum_r r * wt(r) by one, and
-    the tail weights determine the tuple, so g < f in the Bruhat order
-    forces height(g) < height(f).  Position p lies in the tails j = 1..p,
+    wt_j is the weight of the tail g(j), ..., g(m+n).  A dominance step
+    eps_r - eps_{r+1} lowers sum_r r * wt(r) by one, and the tail weights
+    determine the tuple, so g < f in the Bruhat order forces
+    height(g) < height(f).  Position p lies in the tails j = 1..p,
     which gives the closed form below.
 
     >>> sh = Shape(1, 1)

@@ -373,11 +373,11 @@ class TestTransferMemo:
 
 class TestBarOracle:
     def test_two_covariant_canonical(self):
-        got = bar_oracle(T(2, 0, 2, 1), Window(1, 2), 2)
+        got = bar_oracle(T(2, 0, 2, 1), Window(1, 2), 2, "canonical")
         assert got == M(2, 0, 2, 1) + M(2, 0, 1, 2).scaled(P({1: 1}))
 
     def test_atypical_canonical(self):
-        got = bar_oracle(T(1, 1, 2, 2), Window(0, 2), 3)
+        got = bar_oracle(T(1, 1, 2, 2), Window(0, 2), 3, "canonical")
         assert got == M(1, 1, 2, 2) + M(1, 1, 1, 1).scaled(P({1: 1}))
 
     def test_atypical_dual_chain(self):
@@ -390,7 +390,7 @@ class TestBarOracle:
         assert got == want
 
     def test_singleton(self):
-        assert bar_oracle(T(1, 1, 1, 3), Window(1, 3), 2) == M(1, 1, 1, 3)
+        assert bar_oracle(T(1, 1, 1, 3), Window(1, 3), 2, "canonical") == M(1, 1, 1, 3)
 
     def test_degree_bound_too_small(self):
         with pytest.raises(CheckFailed, match="bar fixed-point system is inconsistent"):
@@ -403,7 +403,7 @@ class TestBarOracle:
     def test_oracle_results_are_bar_fixed(self):
         w = Window(0, 2)
         for f in [T(2, 1, 2, 1, 1), T(1, 2, 2, 2, 1), T(2, 0, 2, 1)]:
-            got = bar_oracle(f, w, 4)
+            got = bar_oracle(f, w, 4, "canonical")
             assert bar(got, w) == got, f
             got = bar_oracle(f, w, 4, mode="dual")
             assert bar(got, w) == got, f

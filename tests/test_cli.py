@@ -79,6 +79,14 @@ class TestBkl:
         rc = main(["bkl", "--shape", "xx", "--tuple", "3|3", "--window", "0..3"])
         assert rc == 2
 
+    def test_too_wide_window_exits_2(self, capsys):
+        # the transfer recursion grows with the window: 0..340 outruns the stack
+        rc = main(["bkl", "--shape", "1|1", "--tuple=340|340", "--window", "0..340",
+                   "--mode", "dual"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestQsym:
     def test_text(self, capsys):

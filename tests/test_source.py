@@ -248,6 +248,53 @@ def test_benchmark_trace_points_exist():
         assert callable(vars(klass).get(meth)), f"{cls}.{meth} is not defined on {cls}"
 
 
+def _resolves(module: str, name: str) -> bool:
+    """module.name exists, as an attribute or as a submodule of a package."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    return module == "qfock" and importlib.util.find_spec(f"qfock.{name}") is not None
+
+
+def test_benchmark_imports_resolve():
+    """Every qfock name perfbench/*.py imports or reads off a qfock module exists.
+
+    The benchmark files are read as source, never imported.  A name in
+    `from qfock.m import x` must be an attribute of qfock.m, and a module
+    bound by `import qfock...` or `from qfock import m` must have every
+    attribute read off it, at any depth of the file.  A deleted or renamed
+    name would otherwise fail only when the benchmark runs.
+    """
+    missing, checked = [], set()
+    for path in sorted(TRACER.parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "qfock":
+                for alias in node.names:
+                    checked.add(f"{path.name} {node.module}.{alias.name}")
+                    if not _resolves(node.module, alias.name):
+                        missing.append(f"{path.name}:{node.lineno} {node.module}.{alias.name}")
+                    elif node.module == "qfock":
+                        bound[alias.asname or alias.name] = f"qfock.{alias.name}"
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.partition(".")[0] == "qfock":
+                        bound[alias.asname or "qfock"] = alias.name if alias.asname else "qfock"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in bound:
+                module = bound[node.value.id]
+                checked.add(f"{path.name} {module}.{node.attr}")
+                if not _resolves(module, node.attr):
+                    missing.append(f"{path.name}:{node.lineno} {module}.{node.attr}")
+    assert not missing, missing
+    assert {
+        "record.py qfock.weightlat.weight_key",
+        "record.py qfock.weightlat.bruhat_leq",
+        "worker.py qfock.qsym.qsym_canonical_intrinsic",
+        "worker.py qfock.barinv.bar_oracle",
+    } <= checked, sorted(checked)
+
+
 def test_cli_import_loads_the_traced_modules_and_nothing_unused():
     """`import qfock.cli` loads what bkl, qsym and char run, and no more.
 
@@ -274,13 +321,16 @@ def test_cli_import_loads_the_traced_modules_and_nothing_unused():
 def test_every_default_is_passed_by_some_call():
     """A default-valued parameter is a knob only if a command or the benchmark sets it.
 
-    Every defaulted parameter of a package function or method is passed,
+    Every defaulted parameter of a package function or method, and every
+    defaulted field of a `namedtuple(..., defaults=...)` base, is passed,
     positionally or by keyword, by a call in the package or perfbench/*.py;
-    otherwise it is a constant.  Calls in tests do not count: a value only
-    a test sets is not one the program runs.  Calls are matched by name,
-    `__init__` and `__new__` by their class's name or that of any package
-    subclass; a `*args` or `**kwargs` argument counts as passing everything
-    it could reach.
+    otherwise it is a constant.  Some such call also leaves it out;
+    otherwise the default is dead and the parameter is required.  Calls in
+    tests do not count: a value only a test sets, or a default only a test
+    relies on, is not one the program runs.  Calls are matched by name,
+    `__init__`, `__new__` and namedtuple fields by their class's name or
+    that of any package subclass; a `*args` or `**kwargs` argument counts
+    as passing everything it could reach.
     """
 
     def defaults(fn: ast.FunctionDef, method: bool) -> list:
@@ -292,6 +342,17 @@ def test_every_default_is_passed_by_some_call():
         out = [(p.arg, i - skip) for i, p in enumerate(positional) if i >= first]
         out += [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
         return out
+
+    def field_defaults(base: ast.expr) -> list:
+        """The defaulted fields of a namedtuple(name, fields, defaults=...) call."""
+        if not (isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple"):
+            return []
+        given = [k.value for k in base.keywords if k.arg == "defaults"]
+        if not given:
+            return []
+        fields = base.args[1].value.replace(",", " ").split()
+        first = len(fields) - len(given[0].elts)
+        return [(name, i) for i, name in enumerate(fields) if i >= first]
 
     def parse(paths) -> dict:
         return {path: ast.parse(path.read_text(), str(path)) for path in sorted(paths)}
@@ -318,6 +379,8 @@ def test_every_default_is_passed_by_some_call():
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
+            for base in cls.bases:
+                knobs += [(f"{path.stem}.{cls.name}", family(cls.name), p) for p in field_defaults(base)]
             for fn in cls.body:
                 if isinstance(fn, ast.FunctionDef):
                     called = family(cls.name) if fn.name in ("__init__", "__new__") else {fn.name}
@@ -339,9 +402,11 @@ def test_every_default_is_passed_by_some_call():
             return True
         return any(k.arg in (param, None) for k in call.keywords)
 
-    unset = [
-        f"{where}({param})"
-        for where, called, (param, index) in knobs
-        if not any(passes(call, param, index) for name in called for call in calls.get(name, []))
-    ]
-    assert not unset, unset
+    unset, always = [], []
+    for where, called, (param, index) in knobs:
+        passed = [passes(call, param, index) for name in called for call in calls.get(name, [])]
+        if not any(passed):
+            unset.append(f"{where}({param})")
+        elif all(passed):
+            always.append(f"{where}({param})")
+    assert not unset and not always, f"never passed: {unset}; always passed: {always}"

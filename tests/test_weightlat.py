@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,6 @@ from qfock.weightlat import (
     blocks,
     bruhat_leq,
     coset_reps,
-    dominance_leq,
     group_qfactorial,
     height,
     identity_perm,
@@ -30,7 +30,6 @@ from qfock.weightlat import (
     tuple_to_weight,
     weight,
     weight_key,
-    weight_tail,
     weight_to_tuple,
     weight_block,
     window_tuples,
@@ -40,6 +39,38 @@ from qfock.laurent import LaurentPoly, q_fact
 
 def T(m, n, *entries):
     return SignedTuple(Shape(m, n), tuple(entries))
+
+
+def tail_weight(f, j):
+    """Reference: the signed weight of the tail f(j), f(j+1), ..., f(m+n)."""
+    wt = Counter()
+    for pos in range(j, f.shape.size + 1):
+        wt[f[pos]] += 1 if pos <= f.shape.m else -1
+    return {r: a for r, a in wt.items() if a}
+
+
+def dominates(mu, nu):
+    """Reference: mu <= nu iff nu - mu is a nonnegative sum of eps_r - eps_{r+1} terms.
+
+    Equivalently the difference has total sum zero and all partial sums,
+    accumulated from the smallest letter upward, nonnegative.
+    """
+    diff = Counter(nu)
+    diff.subtract(mu)
+    run = 0
+    for r in sorted(diff):
+        run += diff[r]
+        if run < 0:
+            return False
+    return run == 0
+
+
+def tail_weight_bruhat_leq(g, f):
+    """Reference Bruhat order: equal weights, every tail weight of g dominated by f's."""
+    tails = range(2, f.shape.size + 1)
+    return tail_weight(g, 1) == tail_weight(f, 1) and all(
+        dominates(tail_weight(g, j), tail_weight(f, j)) for j in tails
+    )
 
 
 def perm_mul(a, b):
@@ -64,10 +95,9 @@ def tuples_strategy(draw, shape=None):
 
 class TestShapesAndTuples:
     def test_sectors(self):
-        sh = Shape(2, 1)
-        assert [sh.sector(i) for i in (1, 2, 3)] == [0, 0, 1]
-        with pytest.raises(ValueError):
-            sh.sector(4)
+        # positions 1..m are covariant (+1 in the weight), m+1..m+n dual (-1)
+        assert weight(T(2, 1, 5, 5, 5)) == {5: 1}
+        assert weight(T(1, 2, 5, 5, 5)) == {5: -1}
         with pytest.raises(ValueError):
             Shape(0, 0)
 
@@ -179,24 +209,24 @@ class TestValueTypeContract:
 class TestWeights:
     def test_weight_signs(self):
         f = T(2, 1, 1, 2, 1)
-        assert weight(f) == {2: 1}
-        assert weight_tail(f, 2) == {2: 1, 1: -1}
-        assert weight_tail(f, 3) == {1: -1}
+        assert weight(f) == tail_weight(f, 1) == {2: 1}
+        assert tail_weight(f, 2) == {2: 1, 1: -1}
+        assert tail_weight(f, 3) == {1: -1}
 
     def test_dominance_examples(self):
         e = lambda r: {r: 1}
-        assert dominance_leq(e(2), e(1))
-        assert not dominance_leq(e(1), e(2))
-        assert dominance_leq({-1: -1}, {2: -1})
-        assert dominance_leq(e(5), e(5))
+        assert dominates(e(2), e(1))
+        assert not dominates(e(1), e(2))
+        assert dominates({-1: -1}, {2: -1})
+        assert dominates(e(5), e(5))
         # different total => incomparable
-        assert not dominance_leq({}, e(1))
+        assert not dominates({}, e(1))
         # eps_1 + eps_3 vs 2 eps_2: incomparable (one up-step, one down-step)
-        assert not dominance_leq({1: 1, 3: 1}, {2: 2})
-        assert not dominance_leq({2: 2}, {1: 1, 3: 1})
+        assert not dominates({1: 1, 3: 1}, {2: 2})
+        assert not dominates({2: 2}, {1: 1, 3: 1})
         # but eps_1 + eps_3 <= eps_1 + eps_2 <= 2 eps_1
-        assert dominance_leq({1: 1, 3: 1}, {1: 1, 2: 1})
-        assert dominance_leq({1: 1, 2: 1}, {1: 2})
+        assert dominates({1: 1, 3: 1}, {1: 1, 2: 1})
+        assert dominates({1: 1, 2: 1}, {1: 2})
 
     @given(st.dictionaries(st.integers(-3, 3), st.integers(-2, 2), max_size=4),
            st.lists(st.integers(-3, 2), max_size=5))
@@ -206,9 +236,9 @@ class TestWeights:
         for r in steps:
             nu[r] = nu.get(r, 0) + 1
             nu[r + 1] = nu.get(r + 1, 0) - 1
-        assert dominance_leq(base, nu)
+        assert dominates(base, nu)
         if steps and weight_key(base) != weight_key(nu):
-            assert not dominance_leq(nu, base)
+            assert not dominates(nu, base)
 
 
 class TestBruhat:
@@ -240,6 +270,29 @@ class TestBruhat:
             assert f == g
         if bruhat_leq(g, f) and bruhat_leq(h, g):
             assert bruhat_leq(h, f)
+
+
+    def test_matches_tail_weight_definition(self):
+        cases = [
+            ((2, 2), -1, 2), ((3, 1), 0, 3), ((1, 3), 0, 3), ((2, 1), -1, 3),
+            ((3, 2), 0, 2), ((3, 0), 0, 3), ((0, 3), 0, 3), ((1, 1), -2, 3),
+        ]
+        same = 0
+        for shape, lo, hi in cases:
+            for blk in blocks(Shape(*shape), Window(lo, hi)):
+                for g in blk:
+                    for f in blk:
+                        assert bruhat_leq(g, f) == tail_weight_bruhat_leq(g, f), (g, f)
+                        same += 1
+        different = 0
+        for shape in (Shape(2, 1), Shape(1, 2), Shape(2, 2), Shape(3, 1)):
+            tuples = list(window_tuples(shape, Window(0, 2 if shape.size < 4 else 1)))
+            for g in tuples:
+                for f in tuples:
+                    if weight(g) != weight(f):
+                        assert not bruhat_leq(g, f) and not tail_weight_bruhat_leq(g, f)
+                        different += 1
+        assert (same, different) == (13924, 1644)
 
 
 class TestPermutations:
@@ -494,7 +547,7 @@ class TestBlockProperties:
     def test_height_closed_form(self, fw):
         f, _ = fw
         tails = range(1, f.shape.size + 1)
-        assert height(f) == -sum(r * a for j in tails for r, a in weight_tail(f, j).items())
+        assert height(f) == -sum(r * a for j in tails for r, a in tail_weight(f, j).items())
 
     def test_blocks_in_first_occurrence_order(self):
         shape, w = Shape(2, 1), Window(-1, 2)
