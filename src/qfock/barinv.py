@@ -30,10 +30,14 @@ below f in the Bruhat order.
 The window keeps the dual-side corrections finite.  Letters created by the
 recursion stay inside the window by construction; the involution, however,
 only holds exactly for coefficients of tuples inside the window.
+
+`bar_oracle` finds a bar-fixed element by one integer linear solve; it
+shares no code with the triangular solvers in `canonical` that it checks.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache
 from math import gcd
 
@@ -198,59 +202,39 @@ def bar_oracle(f: SignedTuple, window: Window, max_degree: int, mode: str) -> Fo
     """The unique bar-fixed M_f + sum of strictly lower terms, by linear solve.
 
     Unknowns are the integer coefficients of q^j (canonical mode, j >= 1) or
-    q^-j (dual mode) in each lower coefficient; the fixed-point equation
-    bar(v) = v becomes an integer linear system solved by elimination.
-    Completely independent of the triangular solver built on top of bar.
-    Raises CheckFailed when the system has no unique integral solution.
+    q^-j (dual mode) in each lower coefficient; bar(v) = v becomes an
+    integer system with one row per (tuple, q-power), built in one pass:
+    each row opens with its right-hand side -(bar(M_f) - M_f) at column
+    ncols, and each unknown writes its shifted bar column into the rows.
+    Raises CheckFailed when the system has no unique integral solution,
+    as when bar(M_f) is not M_f plus strictly lower terms.
     """
     if mode not in ("canonical", "dual"):
         raise ValueError(f"unknown mode {mode!r}")
     sign = 1 if mode == "canonical" else -1
     ctx = bar_context(f.shape, window)
-    order = block(f, window)
-    below = [g for g in order if g != f and bruhat_leq(g, f)]
-    bars = {g: ctx.bar_monomial(g) for g in below + [f]}
-
-    unknowns = [(g, sign * j) for g in below for j in range(1, max_degree + 1)]
-    # residual rows are indexed by (tuple, q-power)
+    below = [g for g in block(f, window) if g != f and bruhat_leq(g, f)]
     rows: dict[tuple[SignedTuple, int], dict[int, int]] = {}
-    const: dict[tuple[SignedTuple, int], int] = {}
-
-    def add_vec(vec: FockVector, into):
-        for g, c in vec.terms.items():
-            for e, a in c.c.items():
-                key = (g, e)
-                into[key] = into.get(key, 0) + a
-
-    base = bars[f] - FockVector.monomial(f)
-    add_vec(base, const)
+    ncols = len(below) * max_degree
+    for h, c in (ctx.bar_monomial(f) - FockVector.monomial(f)).terms.items():
+        for e, a in c.c.items():
+            rows[h, e] = {ncols: -a}
     # unknown (g, j) contributes bar(M_g) q^-j - q^j M_g: entry a at
     # (h, e - j) for each a q^e in bar(M_g) at h, and -1 at (g, j)
-    for idx, (g, j) in enumerate(unknowns):
-        for h, c in bars[g].terms.items():
-            for e, a in c.c.items():
-                rows.setdefault((h, e - j), {})[idx] = a
-        row = rows.setdefault((g, j), {})
-        val = row.get(idx, 0) - 1
-        if val:
-            row[idx] = val
-        else:
-            del row[idx]
-
-    ncols = len(unknowns)
-    keys = sorted(
-        set(rows) | set(const), key=lambda t: (t[0].entries, t[1])
-    )
-    system = []
-    for k in keys:
-        row = dict(rows.get(k, {}))
-        b = const.get(k, 0)
-        if b:
-            row[ncols] = -b  # augmented column, [A | rhs] with rhs = -const
-        if row:
-            system.append(row)
-
-    sol = _solve_exact(system, ncols)
+    unknowns = []
+    for g in below:
+        column = ctx.bar_monomial(g).terms.items()
+        for j in range(sign, sign * (max_degree + 1), sign):
+            idx = len(unknowns)
+            unknowns.append((g, j))
+            for h, c in column:
+                for e, a in c.c.items():
+                    rows.setdefault((h, e - j), {})[idx] = a
+            row = rows.setdefault((g, j), {})
+            row[idx] = row.get(idx, 0) - 1
+            if not row[idx]:
+                del row[idx]
+    sol = _solve_exact(list(rows.values()), ncols)
     out = FockVector.monomial(f)
     for (g, j), x in zip(unknowns, sol):
         if x:
@@ -261,31 +245,27 @@ def bar_oracle(f: SignedTuple, window: Window, max_degree: int, mode: str) -> Fo
 def _solve_exact(system, ncols):
     """Gaussian elimination over the integers; integral unique solution.
 
-    Rows are sparse {column: value} dicts over Z with the augmented
-    right-hand side stored at column index ncols.  Elimination combines
+    Rows are sparse {column: value} dicts over Z, left unchanged, with the
+    augmented right-hand side at column index ncols.  Elimination combines
     rows by cross-multiplication, dividing out the content afterwards, and
     back-substitution divides exactly, so no rationals appear.  Column c is
     pivoted on the shortest row holding it, the lowest row index breaking
-    ties; `holders` maps each column to the live rows with a nonzero entry
-    there, so a pivot step touches only those rows.
+    ties.  `holders` maps each column to every row that has held it, and is
+    filtered to the live holders when the column is pivoted.
     """
     live = {i: dict(r) for i, r in enumerate(system)}
-    holders: dict[int, set[int]] = {}
+    holders: defaultdict[int, set[int]] = defaultdict(set)
     for i, row in live.items():
-        for k, a in row.items():
-            if a:
-                holders.setdefault(k, set()).add(i)
+        for k in row:
+            holders[k].add(i)
     pivot_rows: list[tuple[int, dict[int, int]]] = []
     for c in range(ncols):
-        ids = holders.pop(c, None)
+        ids = [i for i in holders.pop(c, ()) if live.get(i, {}).get(c)]
         if not ids:
             continue
         best = min(ids, key=lambda i: (len(live[i]), i))
-        ids.discard(best)
+        ids.remove(best)
         prow = live.pop(best)
-        for k, b in prow.items():
-            if b and k != c:
-                holders[k].discard(best)
         p = prow[c]
         for i in ids:
             row = live[i]
@@ -295,15 +275,9 @@ def _solve_exact(system, ncols):
                 x = combined.get(k, 0) - v * b
                 if x:
                     combined[k] = x
+                    holders[k].add(i)
                 else:
                     combined.pop(k, None)
-            # only prow's columns can change between zero and nonzero
-            for k in prow:
-                if k != c and bool(row.get(k)) != bool(combined.get(k)):
-                    if combined.get(k):
-                        holders.setdefault(k, set()).add(i)
-                    else:
-                        holders[k].discard(i)
             if combined:
                 content = gcd(*combined.values())
                 if content > 1:

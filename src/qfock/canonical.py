@@ -20,9 +20,9 @@ orbit, and the tensor solve otherwise; `tensor_canonical` and
 
 Dual canonical supports legitimately run into the window floor (their full
 expansions are infinite).  Canonical supports should not; a canonical
-expansion whose correction terms reach the bottom of the current block,
-when a one-step floor extension would enlarge the block, triggers a
-TruncationWarning instead of being trusted silently.  That flag
+expansion whose support, the target included, reaches the bottom of its
+block, when a one-step floor extension would enlarge the block, triggers
+a TruncationWarning instead of being trusted silently.  That flag
 (`reaches_floor`) is a heuristic: it can miss a truncated column.
 """
 
@@ -175,7 +175,7 @@ def _solve(f: SignedTuple, w: Window, mode: str) -> BasisExpansion:
     ctx = bar_context(f.shape, w)
     part = pos_part if mode == "canonical" else neg_part
     t = triangular_solve(block(f, w), lambda g: ctx.bar_monomial(g).terms, part, f)
-    truncated = mode == "canonical" and reaches_floor(f, t.keys() - {f}, w)
+    truncated = mode == "canonical" and reaches_floor(f, t.keys(), w)
     return BasisExpansion(f, mode, w, MappingProxyType(t), truncated)
 
 
@@ -286,7 +286,7 @@ def _canonical(f: SignedTuple, w: Window) -> BasisExpansion:
         _, reps, top, _ = orbit_data(stabilizer(b, par), par)
         for x, lx in reps:
             t[b.act(x)] = c.shifted(top - lx)
-    truncated = reaches_floor(f, t.keys() - {f}, w)
+    truncated = reaches_floor(f, t.keys(), w)
     return BasisExpansion(f, "canonical", w, MappingProxyType(t), truncated)
 
 

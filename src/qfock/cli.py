@@ -65,7 +65,8 @@ def parse_parabolic(text: str | None, shape: Shape) -> Parabolic:
 def _print_expansion(header: str, rows, label: str) -> None:
     print(header)
     for g, c in rows:
-        print(f"  {c} * {label}[{g}]")
+        coeff = f"({c})" if len(c.c) > 1 else c
+        print(f"  {coeff} * {label}[{g}]")
 
 
 def _rows_csv(rows) -> str:

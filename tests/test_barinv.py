@@ -4,8 +4,10 @@ All frozen vectors were computed by hand from the transfer recursions (or,
 for the pure-sector cases, by Hecke transport) before the module existed.
 """
 
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfock.barinv import BarContext, _solve_exact, bar, bar_context, bar_oracle, pure_bar
@@ -400,6 +402,21 @@ class TestBarOracle:
         with pytest.raises(ValueError):
             bar_oracle(T(1, 1, 2, 2), Window(0, 2), 1, mode="positive")
 
+    @pytest.mark.parametrize("extra", [1, -1, P({1: 1})], ids=["2", "0", "1+q"])
+    def test_planted_coefficient_at_the_target_fails(self, monkeypatch, extra):
+        # bar(M_f) - M_f must lie strictly below f; a coefficient other than
+        # 1 at M_f leaves a row at (f, 0) or (f, 1) with no unknown in it
+        f, w = T(1, 1, 2, 2), Window(0, 2)
+        honest = BarContext.bar_monomial
+
+        def planted(self, g):
+            got = honest(self, g)
+            return got + M(1, 1, 2, 2).scaled(extra) if g == f else got
+
+        monkeypatch.setattr(BarContext, "bar_monomial", planted)
+        with pytest.raises(CheckFailed, match="bar fixed-point system is inconsistent"):
+            bar_oracle(f, w, 3, "canonical")
+
     def test_oracle_results_are_bar_fixed(self):
         w = Window(0, 2)
         for f in [T(2, 1, 2, 1, 1), T(1, 2, 2, 2, 1), T(2, 0, 2, 1)]:
@@ -432,3 +449,32 @@ class TestSolveExact:
     def test_not_integral(self):
         with pytest.raises(CheckFailed, match="bar fixed-point solution is not integral"):
             _solve_exact([{0: 2, 1: 5}], 1)
+
+
+@st.composite
+def solvable_systems(draw):
+    """A small integer system with one integral solution, its rows in drawn order."""
+    ncols = draw(st.integers(1, 3))
+    x = draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))
+    coeff = st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols)
+    system = []
+    for a in draw(st.lists(coeff, min_size=ncols, max_size=ncols + 2)):
+        row = {k: v for k, v in enumerate(a) if v}
+        rhs = sum(v * x[k] for k, v in row.items())
+        if rhs:
+            row[ncols] = rhs
+        system.append(row)
+    try:
+        _solve_exact(system, ncols)
+    except CheckFailed:
+        assume(False)
+    return system, ncols, x
+
+
+class TestSolveExactRowOrder:
+    @given(solvable_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_every_row_order_gives_the_solution(self, case):
+        system, ncols, x = case
+        for order in itertools.permutations(system):
+            assert _solve_exact(list(order), ncols) == x

@@ -377,14 +377,15 @@ def test_cli_output_matches_golden(capsys, name, fmt):
 
 
 def test_tensor_wall_output_is_pinned(capsys):
-    # the 4|4 orbit-top tensor column: 128,409 bytes, pinned by digest
-    # instead of a stored file
+    # the 4|4 orbit-top tensor column: 131,361 bytes, pinned by digest
+    # instead of a stored file; 1,476 of its coefficients have more than
+    # one term and print in parentheses
     argv = "bkl --shape 4|4 --tuple 4,3,2,1|1,2,3,4 --window 0..4".split()
     assert main(argv) == 0
     out = capsys.readouterr().out.encode()
-    assert len(out) == 128409
+    assert len(out) == 131361
     assert hashlib.sha256(out).hexdigest() == (
-        "234158c30dba10db86c97bd1ec385e06eced15299b742c03f0cd718b6e6c7927"
+        "9f494194a863eef48d00af7ddff887877990e319323b626510d2efc230cf854f"
     )
 
 

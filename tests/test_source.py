@@ -134,6 +134,38 @@ def test_solvers_do_not_read_the_bruhat_order():
     assert not found, sorted(found)
 
 
+def test_bar_oracle_is_independent_of_the_solvers():
+    """The oracle checks the triangular solvers, so it shares none of their code.
+
+    bar_oracle and _solve_exact name no solver or half-ring projection, and
+    barinv imports nothing from canonical or qsym, at any depth.
+    """
+    solvers = {
+        "triangular_solve", "inverse_column", "pos_part", "neg_part",
+        "image_solve", "canonical", "dual_canonical",
+    }
+    path = PACKAGE / "barinv.py"
+    tree = ast.parse(path.read_text(), str(path))
+    found, checked = [], set()
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name in ("bar_oracle", "_solve_exact"):
+            checked.add(top.name)
+            names = set().union(*map(_referenced_names, ast.walk(top)))
+            found += [f"{top.name} names {name}" for name in sorted(names & solvers)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules = {(node.module or "").rpartition(".")[2]}
+            if node.module in (None, "qfock"):
+                modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            modules = {alias.name.rpartition(".")[2] for alias in node.names}
+        else:
+            continue
+        found += [f"line {node.lineno} imports {m}" for m in sorted(modules & {"canonical", "qsym"})]
+    assert checked == {"bar_oracle", "_solve_exact"}, checked
+    assert not found, found
+
+
 def test_every_top_level_definition_is_reached():
     """src/ holds only what a command, a verify suite or the benchmark runs.
 
