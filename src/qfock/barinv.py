@@ -9,7 +9,9 @@ where Theta_k = id + sum of weight-transfer components T_{c,d} (x) shift.
 A component moves one unit of weight from the last factor into the prefix:
 the appended letter moves from c to d (covariant last factor) or from d to
 c (dual last factor), c < d, while the prefix absorbs the difference
-through a string of raising operators E_c .. E_{d-1}.  The components obey
+through a string of raising operators E_c .. E_{d-1}.  The last factor is
+dual exactly when the prefix fills the covariant sector, so the sector
+follows from the prefix and is never passed.  The components obey
 
     T_{c,c+1} = (q - q^-1) E_c                     (both sectors)
     covariant: T_{c,d} = E_c T_{c+1,d} - q^-1 T_{c+1,d} E_c
@@ -19,13 +21,14 @@ with an equivalent recursion that peels the top index instead.  Theta_k is
 implemented once, in `BarContext.theta`, which the bar recursion calls;
 the tests certify it against its defining identity and against the
 unmemoized peel-top recursion.  `transfer` is the linear extension of
-T_{c,d}(M_g), memoized per prefix monomial g beside the bar columns, so
-one component costs one new column per (monomial, c, d) instead of
-2^(d-c) recursive calls; the one-step T_{c,c+1}, a single E_c, is
-recomputed rather than stored.  The normalization is pinned by two
-executable facts, covered by tests: bar agrees with the Hecke-transport
-bar on single-sector shapes, and bar(M_f) - M_f is supported strictly
-below f in the Bruhat order.
+T_{c,d}(M_g), memoized per prefix monomial g beside the bar columns and
+recursing into itself, one stack frame per window letter, so one
+component costs one new column per (monomial, c, d) instead of 2^(d-c)
+recursive calls; the one-step T_{c,c+1}, a single E_c, is recomputed
+rather than stored.  The normalization is pinned by two executable facts,
+covered by tests: bar agrees with the Hecke-transport bar on single-sector
+shapes, and bar(M_f) - M_f is supported strictly below f in the Bruhat
+order.
 
 The window keeps the dual-side corrections finite.  Letters created by the
 recursion stay inside the window by construction; the involution, however,
@@ -60,11 +63,6 @@ from .weightlat import (
 _UNSEEN = object()
 
 
-def _prefix_shape(shape: Shape, k: int) -> Shape:
-    mm = min(k, shape.m)
-    return Shape(mm, k - mm)
-
-
 def _append(v: FockVector, b: int, out_shape: Shape) -> FockVector:
     res = FockVector(out_shape)
     res.terms = {
@@ -84,56 +82,48 @@ class BarContext:
 
     # -- transfer components -------------------------------------------
 
-    def transfer(self, v: FockVector, c: int, d: int, right_dual: bool) -> FockVector:
+    def transfer(self, v: FockVector, c: int, d: int) -> FockVector:
         """T_{c,d} applied to a prefix vector, peeling the bottom index.
 
-        The linear extension of the memoized T_{c,d}(M_g); always a fresh
-        vector, so callers may accumulate into it.
+        The appended letter is dual exactly when the prefix fills the
+        covariant sector.  One step is E_c scaled by q - q^-1; beyond it,
+        T_{c,d}(M_g) is memoized (None when it vanishes, then read-only) and
+        built by recursing into `transfer` itself, one stack frame per
+        letter.  Always a fresh vector, so callers may accumulate into it.
         """
         out = FockVector.zero(v.shape)
+        dual = v.shape.size >= self.shape.m
         for g, a in v.terms.items():
-            t = self._transfer_monomial(g, c, d, right_dual)
+            if d == c + 1:
+                t = apply_chevalley(FockVector.monomial(g), "E", c).scaled(Q_MINUS_QINV)
+            else:
+                t = self._transfer_memo.get((g, c, d), _UNSEEN)
+                if t is _UNSEEN:
+                    x = FockVector.monomial(g)
+                    e_inner = apply_chevalley(self.transfer(x, c + 1, d), "E", c)
+                    inner_e = self.transfer(apply_chevalley(x, "E", c), c + 1, d)
+                    lead, trail = (inner_e, e_inner) if dual else (e_inner, inner_e)
+                    t = self._transfer_memo[g, c, d] = lead.axpy(trail, MINUS_QINV) or None
             if t is not None:
                 out.axpy(t, a)
         return out
 
-    def _transfer_monomial(
-        self, g: SignedTuple, c: int, d: int, right_dual: bool
-    ) -> FockVector | None:
-        """T_{c,d}(M_g), None when it vanishes; memoized beyond one step, then read-only."""
-        if d == c + 1:
-            step = apply_chevalley(FockVector.monomial(g), "E", c)
-            return step.scaled(Q_MINUS_QINV)
-        key = (g, c, d, right_dual)
-        got = self._transfer_memo.get(key, _UNSEEN)
-        if got is _UNSEEN:
-            v = FockVector.monomial(g)
-            inner = lambda x: self.transfer(x, c + 1, d, right_dual)
-            E = lambda x: apply_chevalley(x, "E", c)
-            if right_dual:
-                lead, trail = inner(E(v)), E(inner(v))
-            else:
-                lead, trail = E(inner(v)), inner(E(v))
-            got = self._transfer_memo[key] = lead.axpy(trail, MINUS_QINV) or None
-        return got
-
-    def theta(self, x: FockVector, b: int, shape: Shape) -> FockVector:
+    def theta(self, x: FockVector, b: int) -> FockVector:
         """Theta(x (x) M_b): the appended letter plus every transfer component.
 
-        `shape` is the shape of the product; its last factor is dual exactly
-        when shape.n > 0.
+        The sector of b follows from the prefix x, as in `transfer`: a dual
+        b moves down to each c (T_{c,b}), a covariant one up to each d
+        (T_{b,d}).
         """
-        dual = shape.n > 0
+        m, n = x.shape
+        if x.shape.size >= self.shape.m:
+            shape, moves = Shape(m, n + 1), [(c, b, c) for c in range(self.window.lo, b)]
+        else:
+            shape, moves = Shape(m + 1, n), [(b, d, d) for d in range(b + 1, self.window.hi + 1)]
         out = _append(x, b, shape)
-        for c, d in self.transfer_pairs(b, dual):
-            out.axpy(_append(self.transfer(x, c, d, dual), c if dual else d, shape))
+        for c, d, letter in moves:
+            out.axpy(_append(self.transfer(x, c, d), letter, shape))
         return out
-
-    def transfer_pairs(self, b: int, right_dual: bool) -> list[tuple[int, int]]:
-        """The (c, d) of every T_{c,d} that moves an appended letter b."""
-        if right_dual:
-            return [(c, b) for c in range(self.window.lo, b)]
-        return [(b, d) for d in range(b + 1, self.window.hi + 1)]
 
     # -- the bar map ----------------------------------------------------
 
@@ -148,11 +138,11 @@ class BarContext:
         """bar of the monomial on the first len(entries) factors, memoized."""
         got = self._memo.get(entries)
         if got is None:
-            shape_k = _prefix_shape(self.shape, len(entries))
             if len(entries) == 1:
-                got = FockVector.monomial(SignedTuple(shape_k, entries))
+                shape = Shape(1, 0) if self.shape.m else Shape(0, 1)
+                got = FockVector.monomial(SignedTuple(shape, entries))
             else:
-                got = self.theta(self._bar_entries(entries[:-1]), entries[-1], shape_k)
+                got = self.theta(self._bar_entries(entries[:-1]), entries[-1])
             self._memo[entries] = got
         return got
 

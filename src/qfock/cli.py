@@ -3,10 +3,12 @@
 Subcommands: bkl (canonical/dual canonical expansions), qsym (canonical
 basis of the symmetrized image in a choice of coordinates), char
 (character and multiplicity tables), verify (identity sweeps), quiver
-(the gl(1|n) presentation).  Exit codes: 0 on success; 2 on bad input, a
-FAIL verdict, a failed internal identity check (CheckFailed) or a window
-too wide for the recursion depth; 3 when a computation needs letters
-outside the requested window.
+(the gl(1|n) presentation).  bkl and qsym print their expansion through
+one answer path, `_print_answer`.  Exit codes: 0 on success; 2 on bad
+input, a FAIL verdict, a failed internal identity check (CheckFailed) or a
+window too wide for the recursion depth (the bar's transfer recursion
+takes one stack frame per window letter); 3 when a computation needs
+letters outside the requested window.
 """
 
 from __future__ import annotations
@@ -62,13 +64,6 @@ def parse_parabolic(text: str | None, shape: Shape) -> Parabolic:
     return Parabolic(shape, frozenset(gens))
 
 
-def _print_expansion(header: str, rows, label: str) -> None:
-    print(header)
-    for g, c in rows:
-        coeff = f"({c})" if len(c.c) > 1 else c
-        print(f"  {coeff} * {label}[{g}]")
-
-
 def _rows_csv(rows) -> str:
     out = io.StringIO()
     wr = csv.writer(out)
@@ -78,23 +73,28 @@ def _rows_csv(rows) -> str:
     return out.getvalue()
 
 
-def cmd_bkl(args) -> int:
-    shape = parse_shape(args.shape)
-    f = SignedTuple.parse(args.tuple, shape)
-    w = parse_window(args.window)
-    exp = canonical(f, w) if args.mode == "canonical" else dual_canonical(f, w)
+def _print_answer(args, exp, header: str, label: str) -> int:
+    """Print an expansion as --json, --csv or text, its rows sorted by tuple."""
     rows = sorted(exp.coefficients.items(), key=lambda t: t[0].entries)
     if args.json:
         print(json.dumps(exp.to_json(), indent=2))
     elif args.csv:
         print(_rows_csv(rows), end="")
     else:
-        _print_expansion(
-            f"{args.mode} basis element for f = {f}, shape {shape}, window {w}",
-            rows,
-            "M",
-        )
+        print(header)
+        for g, c in rows:
+            coeff = f"({c})" if len(c.c) > 1 else c
+            print(f"  {coeff} * {label}[{g}]")
     return 0
+
+
+def cmd_bkl(args) -> int:
+    shape = parse_shape(args.shape)
+    f = SignedTuple.parse(args.tuple, shape)
+    w = parse_window(args.window)
+    exp = canonical(f, w) if args.mode == "canonical" else dual_canonical(f, w)
+    header = f"{args.mode} basis element for f = {f}, shape {shape}, window {w}"
+    return _print_answer(args, exp, header, "M")
 
 
 def cmd_qsym(args) -> int:
@@ -105,19 +105,11 @@ def cmd_qsym(args) -> int:
     exp = qsym_canonical(f, par, w)
     if args.basis != exp.basis:
         exp = base_change(exp, args.basis)
-    rows = sorted(exp.coefficients.items(), key=lambda t: t[0].entries)
-    if args.json:
-        print(json.dumps(exp.to_json(), indent=2))
-    elif args.csv:
-        print(_rows_csv(rows), end="")
-    else:
-        _print_expansion(
-            f"canonical image element for f = {f}, parabolic {par}, "
-            f"window {w}, {args.basis} coordinates",
-            rows,
-            args.basis,
-        )
-    return 0
+    header = (
+        f"canonical image element for f = {f}, parabolic {par}, "
+        f"window {w}, {args.basis} coordinates"
+    )
+    return _print_answer(args, exp, header, args.basis)
 
 
 def cmd_char(args) -> int:

@@ -4,7 +4,9 @@ All frozen vectors were computed by hand from the transfer recursions (or,
 for the pure-sector cases, by Hecke transport) before the module existed.
 """
 
+import inspect
 import itertools
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -224,7 +226,7 @@ def certify_theta(f, w):
     def theta(v):
         out = FockVector.zero(shape)
         for g, c in v.terms.items():
-            out.axpy(ctx.theta(*split(g, c), shape))
+            out.axpy(ctx.theta(*split(g, c)))
         return out
 
     def factorwise_bar(v):
@@ -246,8 +248,10 @@ def certify_theta(f, w):
             if lhs != theta(factorwise_bar(inner)):
                 fails.append(f"defining identity fails at {g} for {kind}_{a}")
         x, b = split(g)
-        for c, d in ctx.transfer_pairs(b, dual):
-            if ctx.transfer(x, c, d, dual) != peel_top(x, c, d, dual):
+        # the (c, d) of every T_{c,d} that Theta applies to x (x) M_b
+        lows, highs = range(w.lo, b), range(b + 1, w.hi + 1)
+        for c, d in [(c, b) for c in lows] if dual else [(b, d) for d in highs]:
+            if ctx.transfer(x, c, d) != peel_top(x, c, d, dual):
                 fails.append(f"transfer recursions disagree on T_{{{c},{d}}} at {g}")
     return fails
 
@@ -263,19 +267,19 @@ def test_theta_certifies_on_every_block(shape):
 
 class TestCoupling:
     def test_two_covariant_block(self):
-        ctx, sh = bar_context(Shape(2, 0), Window(1, 2)), Shape(2, 0)
-        assert ctx.theta(M(1, 0, 1), 2, sh) == M(2, 0, 1, 2)
-        assert ctx.theta(M(1, 0, 2), 1, sh) == M(2, 0, 2, 1) + M(2, 0, 1, 2).scaled(QMQ)
+        ctx = bar_context(Shape(2, 0), Window(1, 2))
+        assert ctx.theta(M(1, 0, 1), 2) == M(2, 0, 1, 2)
+        assert ctx.theta(M(1, 0, 2), 1) == M(2, 0, 2, 1) + M(2, 0, 1, 2).scaled(QMQ)
 
     def test_identity_component(self):
-        ctx, sh = bar_context(Shape(1, 1), Window(0, 2)), Shape(1, 1)
+        ctx = bar_context(Shape(1, 1), Window(0, 2))
         for f in block(T(1, 1, 2, 1), Window(0, 2)):
-            got = ctx.theta(M(1, 0, f.entries[0]), f.entries[1], sh)
+            got = ctx.theta(M(1, 0, f.entries[0]), f.entries[1])
             assert got.coeff(f) == LaurentPoly.one()
 
     def test_typical_singleton_is_identity(self):
         ctx = bar_context(Shape(1, 1), Window(1, 3))
-        assert ctx.theta(M(1, 0, 1), 3, Shape(1, 1)) == M(1, 1, 1, 3)
+        assert ctx.theta(M(1, 0, 1), 3) == M(1, 1, 1, 3)
 
 
 class TestCertificationFailsLoudly:
@@ -300,29 +304,30 @@ class TestCertificationFailsLoudly:
     def test_dropped_component(self, monkeypatch):
         transfer = BarContext.transfer
 
-        def dropped(self, v, c, d, right_dual):
+        def dropped(self, v, c, d):
             if (c, d) == (0, 2):
                 return FockVector.zero(v.shape)
-            return transfer(self, v, c, d, right_dual)
+            return transfer(self, v, c, d)
 
         monkeypatch.setattr(BarContext, "transfer", dropped)
         assert any("defining identity" in x for x in certify_theta(*self.BLOCK))
 
 
-# (prefix shape, whether the appended last factor is dual)
+# (prefix shape, context shape); the appended last factor is dual exactly
+# when the prefix fills the context's covariant sector
 PREFIXES = [
-    (Shape(1, 0), False),
-    (Shape(2, 0), False),
-    (Shape(1, 0), True),
-    (Shape(0, 1), True),
-    (Shape(1, 1), True),
+    (Shape(1, 0), Shape(2, 1)),
+    (Shape(2, 0), Shape(3, 0)),
+    (Shape(1, 0), Shape(1, 1)),
+    (Shape(0, 1), Shape(0, 2)),
+    (Shape(1, 1), Shape(1, 2)),
 ]
 
 
 @st.composite
 def prefix_vectors(draw):
     """A prefix vector with several terms in a window of width at most 5."""
-    prefix, dual = draw(st.sampled_from(PREFIXES))
+    prefix, shape = draw(st.sampled_from(PREFIXES))
     lo = draw(st.integers(-1, 0))
     w = Window(lo, lo + draw(st.integers(1, 4)))
     coeffs = st.dictionaries(
@@ -331,35 +336,49 @@ def prefix_vectors(draw):
     entries = st.tuples(*[st.integers(w.lo, w.hi)] * prefix.size)
     terms = draw(st.dictionaries(entries, coeffs, min_size=1, max_size=4))
     v = FockVector(prefix, {SignedTuple(prefix, e): c for e, c in terms.items()})
-    return v, w, dual
+    return v, w, shape
 
 
 class TestTransferMemo:
     @settings(max_examples=60, deadline=None)
     @given(prefix_vectors())
     def test_memoized_transfer_matches_peel_top(self, case):
-        v, w, dual = case
-        # transfer depends on the window only: one cached context per window
-        # serves every example and both sides, so the memo is hit across them
-        ctx = bar_context(Shape(2, 1), w)
+        v, w, shape = case
+        # one cached context per (shape, window) serves every example, so
+        # the memo is hit across them
+        ctx = bar_context(shape, w)
+        dual = v.shape.size >= shape.m
         for c in range(w.lo, w.hi):
             for d in range(c + 1, w.hi + 1):
                 want = peel_top(v, c, d, dual)
-                assert ctx.transfer(v, c, d, dual) == want, (c, d)
+                assert ctx.transfer(v, c, d) == want, (c, d)
 
     def test_wide_window_makes_few_transfer_calls(self, monkeypatch):
         # without the per-monomial memo this bar makes 262,125 calls
         calls = 0
         transfer = BarContext.transfer
 
-        def counted(self, v, c, d, right_dual):
+        def counted(self, v, c, d):
             nonlocal calls
             calls += 1
-            return transfer(self, v, c, d, right_dual)
+            return transfer(self, v, c, d)
 
         monkeypatch.setattr(BarContext, "transfer", counted)
         BarContext(Shape(1, 1), Window(0, 17)).bar(M(1, 1, 17, 17))
         assert 0 < calls <= 1000
+
+    def test_transfer_takes_one_frame_per_window_letter(self):
+        # T_{0,100} recurses 100 letters deep; at more than one stack frame
+        # per letter this column outruns a limit 150 frames above the caller
+        f, w = T(1, 1, 100, 100), Window(0, 100)
+        want = BarContext(f.shape, w).bar_monomial(f)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+        try:
+            got = BarContext(f.shape, w).bar_monomial(f)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want
 
     def test_vanishing_components_are_memoized_without_a_vector(self):
         # the bar columns of the 256-member 3|3 block memoize 597 components,

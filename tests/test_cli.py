@@ -80,8 +80,9 @@ class TestBkl:
         assert rc == 2
 
     def test_too_wide_window_exits_2(self, capsys):
-        # the transfer recursion grows with the window: 0..340 outruns the stack
-        rc = main(["bkl", "--shape", "1|1", "--tuple=340|340", "--window", "0..340",
+        # the transfer recursion takes one frame per window letter: 0..1100
+        # outruns the default stack limit
+        rc = main(["bkl", "--shape", "1|1", "--tuple=1100|1100", "--window", "0..1100",
                    "--mode", "dual"])
         out, err = capsys.readouterr()
         assert rc == 2 and out == ""
