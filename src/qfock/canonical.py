@@ -15,8 +15,11 @@ is antisymmetric under bar and raises CheckFailed if not (the bar map is
 broken).  The same solver, `triangular_solve`, also runs inside the
 symmetrized image of a parabolic (`image_solve`, shared with qsym).
 `canonical` takes that image route whenever f tops a nontrivial parabolic
-orbit, and the tensor solve otherwise; `tensor_canonical` and
-`dual_canonical` always solve in the tensor space.
+orbit, and the tensor solve otherwise; `tensor_canonical` always solves in
+the tensor space.  `dual_canonical` runs the tensor solve only at members
+with no sector descent and reaches every other member by the
+Kazhdan-Lusztig recursion over the right Hecke action; the tensor dual
+solve stays as its second route, `tensor_dual_canonical`.
 
 Dual canonical supports legitimately run into the window floor (their full
 expansions are infinite).  Canonical supports should not; a canonical
@@ -34,8 +37,9 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .barinv import bar_context
-from .fock import FockVector
+from .fock import FockVector, act_gen
 from .laurent import (
+    MINUS_QINV,
     LaurentPoly,
     NotAntisymmetric,
     NotDivisible,
@@ -49,6 +53,7 @@ from .weightlat import (
     SignedTuple,
     Window,
     antidominant_rep,
+    apply_s,
     block,
     bruhat_leq,
     coset_reps,
@@ -329,8 +334,88 @@ def tensor_canonical(f: SignedTuple, w: Window) -> BasisExpansion:
     return _warned(_solve(f, w, "canonical"))
 
 
+def _falls(x: int, y: int, i: int, m: int) -> bool:
+    """Whether letters x, y at positions i, i+1 fall (covariant) or rise (dual)."""
+    return x != y and (x > y) == (i < m)
+
+
+def sector_descent(f: SignedTuple) -> int | None:
+    """The first i != m where f falls (covariant) or rises (dual), else None."""
+    e, m = f.entries, f.shape.m
+    for i in range(1, f.shape.size):
+        if i != m and _falls(e[i - 1], e[i], i, m):
+            return i
+    return None
+
+
+def _in_kernel(v: FockVector, i: int) -> bool:
+    """Whether v (H_i + q) = 0, read off v's coefficients without act_gen.
+
+    That kernel is spanned by M_g - q^-1 M_{g.s_i} over the g that fall at
+    i: v holds no tie at i, and each g that falls carries a partner g.s_i
+    with -q^-1 times its coefficient, which accounts for every other term.
+    """
+    m, falls = v.shape.m, 0
+    for g, c in v.terms.items():
+        x, y = g[i], g[i + 1]
+        if x == y:
+            return False
+        if _falls(x, y, i, m):
+            falls += 1
+            if v.terms.get(SignedTuple(g.shape, apply_s(g.entries, i))) != -c.shifted(-1):
+                return False
+    return 2 * falls == len(v.terms)
+
+
+def _checked(exp: BasisExpansion) -> BasisExpansion:
+    """exp, once its diagonal is 1 and every other coefficient lies in 1/q Z[1/q]."""
+    f = exp.target
+    for g, c in exp.coefficients.items():
+        if g != f and c.max_exp() > -1:
+            raise CheckFailed(f"dual canonical coefficient at {g} of {f} is {c}")
+    if exp.coeff(f) != LaurentPoly.one():
+        raise CheckFailed(f"dual canonical diagonal at {f} is {exp.coeff(f)}")
+    return exp
+
+
+@lru_cache(maxsize=None)
+def _dual(f: SignedTuple, w: Window) -> BasisExpansion:
+    """L_f by the Kazhdan-Lusztig recursion; see dual_canonical."""
+    i = sector_descent(f)
+    if i is None:
+        return _checked(_solve(f, w, "dual"))
+    prev = _dual(SignedTuple(f.shape, apply_s(f.entries, i)), w).vector()
+    v = act_gen(prev, i).axpy(prev, MINUS_QINV)
+    order = block(f, w)
+    for g in reversed(order[: order.index(f)]):
+        mu = v.terms[g].coeff(0) if g in v.terms else 0
+        if mu:
+            v.axpy(_dual(g, w).vector(), -mu)
+    if not _in_kernel(v, i):
+        raise CheckFailed(f"dual canonical element at {f} is not killed by H_{i} + q")
+    return _checked(BasisExpansion(f, "dual", w, MappingProxyType(v.terms), False))
+
+
 def dual_canonical(f: SignedTuple, w: Window) -> BasisExpansion:
-    """The dual canonical basis element through f, coefficients in 1/q Z[1/q]."""
+    """The dual canonical basis element L_f, coefficients in 1/q Z[1/q].
+
+    If f has a sector descent s_i (sector_descent), L_f comes from the
+    column of f' = f.s_i by the Kazhdan-Lusztig recursion: H_i - q^-1 is
+    bar-fixed, so L_f' (H_i - q^-1) is bar-fixed, 1 at M_f, and lies in
+    Z[q^-1] elsewhere; taken top-down over f's block, each constant term
+    mu_g at g < f is removed by subtracting mu_g L_g.  Only a member with no
+    sector descent (covariant letters weakly increasing, dual ones weakly
+    decreasing) runs the tensor solve.  Every column is checked: diagonal 1,
+    every other coefficient in 1/q Z[1/q], and, at a descent, killed by
+    H_i + q as the image of H_i - q^-1 is (_in_kernel, which a broken
+    act_gen fails where the degrees cannot show it); a failure raises
+    CheckFailed.
+    """
+    return _dual(f, w)
+
+
+def tensor_dual_canonical(f: SignedTuple, w: Window) -> BasisExpansion:
+    """L_f by the tensor solve at every f: the second route to dual_canonical."""
     return _solve(f, w, "dual")
 
 

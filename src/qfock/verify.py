@@ -28,6 +28,7 @@ from .canonical import (
     dual_inverse_column,
     inverse_relation_check,
     tensor_canonical,
+    tensor_dual_canonical,
 )
 from .fock import FockVector, act, apply_chevalley
 from .hecke import HeckeElement, symmetrizer
@@ -472,8 +473,10 @@ def verify_canonical(max_size: int, w: Window) -> tuple[bool, list[str]]:
     """Defining properties of both canonical bases, against the bar oracle.
 
     Also checks positivity: every canonical coefficient t_{gf} lies in N[q],
-    and that canonical's route (the image one at an orbit top) gives the
-    tensor solve's coefficients and truncation flag at every target visited.
+    and, at every target visited, that canonical's route (the image one at
+    an orbit top) gives the tensor solve's coefficients and truncation flag,
+    and that dual_canonical's Kazhdan-Lusztig recursion gives the tensor
+    solve's dual column.
     The oracle sweep runs on every block of at most 12 members in the first
     four letters of w, to degree 8; the inverse relations run in the
     symmetric window of w.
@@ -486,6 +489,8 @@ def verify_canonical(max_size: int, w: Window) -> tuple[bool, list[str]]:
     def same_route(f: SignedTuple, w: Window) -> None:
         if canonical(f, w) != tensor_canonical(f, w):
             fails.append(f"canonical route disagrees with the tensor solve at {f}")
+        if dual_canonical(f, w) != tensor_dual_canonical(f, w):
+            fails.append(f"dual canonical recursion disagrees with the tensor solve at {f}")
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)

@@ -1,5 +1,6 @@
 """Tests for the canonical / dual canonical solver and the matrix identities."""
 
+import hashlib
 import itertools
 import warnings
 from types import MappingProxyType
@@ -17,10 +18,13 @@ from qfock.canonical import (
     inverse_column,
     inverse_relation_check,
     reaches_floor,
+    sector_descent,
     tensor_canonical,
+    tensor_dual_canonical,
     top_parabolic,
     triangular_solve,
 )
+from qfock.cli import main
 from qfock.fock import FockVector
 from qfock.laurent import LaurentPoly, NotAntisymmetric, NotDivisible, neg_part, pos_part
 from qfock.qsym import qsym_dual_canonical, qsym_dual_canonical_push
@@ -31,6 +35,7 @@ from qfock.weightlat import (
     SignedTuple,
     Window,
     antidominant_rep,
+    apply_s,
     block,
     blocks,
     bruhat_leq,
@@ -294,6 +299,7 @@ class TestFloorFlag:
     def test_dual_solves_make_no_bruhat_comparison(self):
         w = Window(-1, 3)
         qfock.canonical._solve.cache_clear()
+        qfock.canonical._dual.cache_clear()
         before = bruhat_leq.cache_info()
         for f in window_tuples(Shape(2, 2), w):
             dual_canonical(f, w)
@@ -338,6 +344,99 @@ class TestFloorWarning:
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
             dual_canonical(T(1, 1, 9, 9), Window(8, 10))
+
+
+class TestDualRecursion:
+    """dual_canonical's Kazhdan-Lusztig recursion against the tensor dual solve."""
+
+    # (shape, window, a member whose block is taken, or None for every tuple
+    # of the window; members, of them descent-free)
+    CASES = [
+        (Shape(2, 1), Window(0, 2), None, 27, 18),
+        (Shape(2, 2), Window(-1, 2), None, 256, 100),
+        (Shape(2, 2), Window(-1, 4), None, 1296, 441),
+        (Shape(3, 2), Window(-1, 2), None, 1024, 200),
+        (Shape(3, 3), Window(0, 3), (3, 2, 1, 1, 2, 3), 256, 20),
+    ]
+
+    @pytest.fixture
+    def fresh(self):
+        qfock.canonical._dual.cache_clear()
+        yield
+        qfock.canonical._dual.cache_clear()
+
+    @pytest.mark.parametrize("shape, w, member, size, base", CASES, ids=str)
+    def test_agrees_with_the_tensor_solve(self, fresh, shape, w, member, size, base):
+        members = block(SignedTuple(shape, member), w) if member else window_tuples(shape, w)
+        seen = free = 0
+        for f in members:
+            assert dual_canonical(f, w) == tensor_dual_canonical(f, w), f
+            seen += 1
+            free += sector_descent(f) is None
+        assert (seen, free) == (size, base)
+
+    def test_sector_descent(self):
+        assert sector_descent(T(3, 3, 1, 2, 2, 3, 3, 1)) is None
+        assert sector_descent(T(3, 3, 1, 3, 2, 3, 3, 1)) == 2
+        assert sector_descent(T(3, 3, 1, 2, 3, 3, 1, 2)) == 5
+        # s_m joins the sectors and is never a descent
+        assert sector_descent(T(1, 1, 3, 1)) is None
+
+    def test_a_broken_hecke_action_raises_where_it_acts(self, fresh, monkeypatch):
+        # H_i without its (q^-1 - q) term at a descent keeps every degree
+        # right; the check that H_i + q kills L_f catches it at every column
+        # whose L_{f.s_i} has a term that falls at i, and the others never
+        # use the dropped term
+        def dropped(v, i):
+            res = FockVector(v.shape)
+            for f, c in v.terms.items():
+                if f[i] == f[i + 1]:
+                    res.add_term(f, c * P({-1: 1}))
+                else:
+                    res.add_term(SignedTuple(f.shape, apply_s(f.entries, i)), c)
+            return res
+
+        monkeypatch.setattr(qfock.canonical, "act_gen", dropped)
+        w = Window(0, 3)
+        raised = 0
+        for f in block(T(3, 3, 3, 2, 1, 1, 2, 3), w):
+            try:
+                got = dual_canonical(f, w)
+            except CheckFailed as exc:
+                assert sector_descent(f) is not None
+                assert "is not killed by H_" in str(exc)
+                raised += 1
+            else:
+                assert got == tensor_dual_canonical(f, w), f
+        assert raised == 194
+
+    def test_a_base_column_out_of_degree_raises(self, fresh, monkeypatch):
+        f, g, w = T(2, 0, 1, 2), T(2, 0, 0, 1), Window(0, 2)
+        honest = qfock.canonical._solve
+
+        def shifted(h, w, mode):
+            exp = honest(h, w, mode)
+            coeffs = {**exp.coefficients, g: P({0: 1})}
+            return exp._replace(coefficients=MappingProxyType(coeffs))
+
+        monkeypatch.setattr(qfock.canonical, "_solve", shifted)
+        with pytest.raises(CheckFailed, match=r"coefficient at 0,1\| of 1,2\| is 1"):
+            dual_canonical(f, w)
+
+    # the recursion-depth probes: stdout length and SHA-256 of the tensor
+    # dual solve's answer, which the recursion must reproduce
+    PROBES = [
+        ("bkl --shape 2|1 --tuple 30,29|29 --window 0..30 --mode dual", 1349,
+         "2952f44c9dca41a0ff6948fd1dfaf750ec098c5b695b72f42000aa3cda52b5fd"),
+        ("bkl --shape 3|1 --tuple 12,11,10|10 --window 0..12 --mode dual", 1573,
+         "932a87330ba9be2269498206a88912d85b3f08a85899d06c2297a4f3671b1906"),
+    ]
+
+    @pytest.mark.parametrize("argv, size, digest", PROBES, ids=["2|1", "3|1"])
+    def test_wide_windows_answer_as_the_tensor_solve(self, fresh, capsys, argv, size, digest):
+        assert main(argv.split()) == 0
+        out = capsys.readouterr().out.encode()
+        assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
 
 
 class TestMatrices:

@@ -390,6 +390,19 @@ def test_tensor_wall_output_is_pinned(capsys):
     )
 
 
+def test_dual_wall_output_is_pinned(capsys):
+    # the 4|4 dual column through the same target: 82,953 bytes, recorded
+    # when every dual column was a tensor solve; the recursion must
+    # reproduce it byte for byte
+    argv = "bkl --shape 4|4 --tuple 4,3,2,1|1,2,3,4 --window 0..4 --mode dual".split()
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 82953
+    assert hashlib.sha256(out).hexdigest() == (
+        "7055ce8e378afe8b082016841c56e07bab5a00021f34dcaed055f82c75e309e2"
+    )
+
+
 # stdout of the two subcommands that import qfock.verify, which print text
 # only, stored byte for byte as tests/golden/<path>
 CLI_TEXT_GOLDENS = {

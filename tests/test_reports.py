@@ -1,6 +1,7 @@
 import json
 import warnings
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -468,6 +469,23 @@ class TestVerifySuites:
         ok, msgs = verify_canonical(2, Window(0, 2))
         assert not ok
         assert msgs[1:] == ["canonical route disagrees with the tensor solve at 2,1|"]
+
+    def test_canonical_flags_a_dual_route_mismatch(self, monkeypatch):
+        # a tensor dual solve that drops one coefficient at one target
+        honest = qfock.verify.tensor_dual_canonical
+        bad, low = T("2,1|"), T("1,2|")
+
+        def dropped(f, w):
+            exp = honest(f, w)
+            if f != bad:
+                return exp
+            coeffs = {g: c for g, c in exp.coefficients.items() if g != low}
+            return exp._replace(coefficients=MappingProxyType(coeffs))
+
+        monkeypatch.setattr(qfock.verify, "tensor_dual_canonical", dropped)
+        ok, msgs = verify_canonical(2, Window(0, 2))
+        assert not ok
+        assert msgs[1:] == ["dual canonical recursion disagrees with the tensor solve at 2,1|"]
 
     def test_qsym(self):
         ok, msgs = verify_qsym(3, Window(0, 2))

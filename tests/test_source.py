@@ -166,6 +166,29 @@ def test_bar_oracle_is_independent_of_the_solvers():
     assert not found, found
 
 
+def test_dual_recursion_reads_no_bar_column():
+    """The recursion, the tensor solve and the oracle stay three routes.
+
+    The recursion step of canonical (_dual and the checks it runs) names
+    none of the bar map, the solvers or the oracle: only the descent-free
+    base, through _solve, reads bar columns.
+    """
+    forbidden = {"bar_context", "triangular_solve", "image_solve", "bar_oracle"}
+    step = {"_dual", "sector_descent", "_falls", "_in_kernel", "_checked"}
+    path = PACKAGE / "canonical.py"
+    tree = ast.parse(path.read_text(), str(path))
+    found, checked = [], set()
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name in step:
+            checked.add(top.name)
+            names = set().union(*map(_referenced_names, ast.walk(top)))
+            found += [f"{top.name} names {name}" for name in sorted(names & forbidden)]
+            if top.name == "_dual":
+                assert {"act_gen", "_solve"} <= names
+    assert checked == step, checked
+    assert not found, found
+
+
 def test_every_top_level_definition_is_reached():
     """src/ holds only what a command, a verify suite or the benchmark runs.
 
