@@ -36,6 +36,10 @@ only holds exactly for coefficients of tuples inside the window.
 
 `bar_oracle` finds a bar-fixed element by one integer linear solve; it
 shares no code with the triangular solvers in `canonical` that it checks.
+`_solve_exact` substitutes the unknown of every row that holds only one
+and cross-multiplies only when none is left.  Row (g, j) of a bar system
+holds x_{g,j} and unknowns of members above g only, so the system peels
+top-down from singleton rows without being told the block order.
 """
 
 from __future__ import annotations
@@ -233,23 +237,66 @@ def bar_oracle(f: SignedTuple, window: Window, max_degree: int, mode: str) -> Fo
 
 
 def _solve_exact(system, ncols):
-    """Gaussian elimination over the integers; integral unique solution.
+    """Integer solve by substitution, with elimination only where it stalls.
 
     Rows are sparse {column: value} dicts over Z, left unchanged, with the
-    augmented right-hand side at column index ncols.  Elimination combines
-    rows by cross-multiplication, dividing out the content afterwards, and
-    back-substitution divides exactly, so no rationals appear.  Column c is
-    pivoted on the shortest row holding it, the lowest row index breaking
-    ties.  `holders` maps each column to every row that has held it, and is
+    augmented right-hand side at column index ncols.  Whenever a live row
+    holds exactly one unknown, that unknown is read off by one exact divmod
+    and substituted into every live row holding it: the column is popped
+    and the right-hand side adjusted, so nothing fills in.  Only when no
+    such row is left is the lowest unsolved column c pivoted fraction-free,
+    on the shortest row holding it (the lowest row index breaking ties):
+    the other holders are cross-multiplied and their content divided out,
+    and back-substitution divides exactly, so no rationals appear.  A
+    singleton row whose value is not an integer is left to that pivot, so
+    an inconsistent system is reported as such before a fraction is.
+    `holders` maps each column to every row that has held it, and is
     filtered to the live holders when the column is pivoted.
+
+    A triangular system peels from its singleton rows; x + y = 3, x - y = 1
+    has none, and one cross-multiplied pivot solves it:
+
+    >>> _solve_exact([{0: 1, 1: 1, 3: 5}, {1: 2, 3: 4}, {1: 1, 2: -1}], 3)
+    [3, 2, 2]
+    >>> _solve_exact([{0: 1, 1: 1, 2: 3}, {0: 1, 1: -1, 2: 1}], 2)
+    [2, 1]
     """
     live = {i: dict(r) for i, r in enumerate(system)}
     holders: defaultdict[int, set[int]] = defaultdict(set)
     for i, row in live.items():
         for k in row:
             holders[k].add(i)
+    singles = [i for i, row in live.items() if len(row) - (ncols in row) == 1]
+    sol: dict[int, int] = {}
     pivot_rows: list[tuple[int, dict[int, int]]] = []
     for c in range(ncols):
+        while singles:
+            i = singles.pop()
+            row = live.get(i)
+            if row is None or len(row) - (ncols in row) != 1:
+                continue  # solved already, or emptied by a substitution
+            for k, a in row.items():
+                if k != ncols:
+                    break
+            x, r = divmod(row.get(ncols, 0), a)
+            if r:
+                continue  # left to elimination, so the checks below report it
+            del live[i]
+            sol[k] = x
+            for h in holders.pop(k):
+                row = live.get(h)
+                v = row.pop(k, 0) if row else 0
+                if not v:
+                    continue
+                rhs = row.get(ncols, 0) - v * x
+                if rhs:
+                    row[ncols] = rhs
+                else:
+                    row.pop(ncols, None)
+                if not row:
+                    del live[h]
+                elif len(row) - (ncols in row) == 1:
+                    singles.append(h)
         ids = [i for i in holders.pop(c, ()) if live.get(i, {}).get(c)]
         if not ids:
             continue
@@ -273,18 +320,18 @@ def _solve_exact(system, ncols):
                 if content > 1:
                     combined = {k: x // content for k, x in combined.items()}
                 live[i] = combined
+                if len(combined) - (ncols in combined) == 1:
+                    singles.append(i)
             else:
                 del live[i]
         pivot_rows.append((c, prow))
-    # rows that survive every pivot have zeros in all unknown columns
+    # every unknown is now solved or pivoted, so live rows hold none
     for row in live.values():
         if row.get(ncols):
             raise CheckFailed("bar fixed-point system is inconsistent")
-    if len(pivot_rows) < ncols:
-        raise CheckFailed(
-            f"bar fixed-point system has {ncols - len(pivot_rows)} free directions"
-        )
-    sol: dict[int, int] = {}
+    free = ncols - len(sol) - len(pivot_rows)
+    if free:
+        raise CheckFailed(f"bar fixed-point system has {free} free directions")
     for c, prow in reversed(pivot_rows):
         acc = prow.get(ncols, 0)
         for k, v in prow.items():

@@ -108,7 +108,7 @@ def act_gen(v: FockVector, i: int) -> FockVector:
     for f, c in v.terms.items():
         x, y = f[i], f[i + 1]
         if x == y:
-            res.add_term(f, c * LaurentPoly.q_power(-1))
+            res.add_term(f, c.shifted(-1))
             continue
         swapped = SignedTuple(shape, apply_s(f.entries, i))
         ascent = (x < y) if not dual else (x > y)

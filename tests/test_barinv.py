@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qfock.barinv
 from qfock.barinv import BarContext, _solve_exact, bar, bar_context, bar_oracle, pure_bar
 from qfock.fock import FockVector, act, apply_chevalley
 from qfock.hecke import HeckeElement
@@ -23,6 +24,7 @@ from qfock.weightlat import (
     Window,
     WindowEscape,
     block,
+    blocks,
     bruhat_leq,
     weight,
     window_tuples,
@@ -468,6 +470,75 @@ class TestSolveExact:
     def test_not_integral(self):
         with pytest.raises(CheckFailed, match="bar fixed-point solution is not integral"):
             _solve_exact([{0: 2, 1: 5}], 1)
+
+    def test_substitution_then_one_cross_multiplied_pivot(self, monkeypatch):
+        # z = 4 peels; x + y + z = 7 and x - y = 1 leave the 2x2 core
+        # x + y = 3, x - y = 1, which takes one pivot, after which y peels.
+        # The shortest-row choice runs once per cross-multiplied pivot.
+        picks = []
+
+        def counted(*args, **kwargs):
+            picks.append(args)
+            return min(*args, **kwargs)
+
+        monkeypatch.setattr(qfock.barinv, "min", counted, raising=False)
+        system = [{2: 1, 3: 4}, {0: 1, 1: 1, 2: 1, 3: 7}, {0: 1, 1: -1, 3: 1}]
+        assert _solve_exact(system, 3) == [2, 1, 4]
+        assert len(picks) == 1
+
+    @pytest.mark.parametrize(
+        "system, ncols",
+        [
+            ([{0: 1, 3: 2}, {0: 1, 1: 1, 2: 1, 3: 5}], 3),
+            ([{0: 1, 2: 2}], 2),
+            ([{0: 1, 1: 1, 3: 2}, {0: 1, 1: 1, 2: 2, 3: 4}, {2: 1, 3: 1}], 3),
+        ],
+        ids=["pivot-after-substitution", "never-held", "substitution-leaves-a-tie"],
+    )
+    def test_free_directions_after_substitution(self, system, ncols):
+        with pytest.raises(CheckFailed, match="has 1 free directions"):
+            _solve_exact(system, ncols)
+
+    @pytest.mark.parametrize(
+        "system, ncols, message",
+        [
+            ([{0: 2, 1: 1}, {0: 1, 1: 1}], 1, "system is inconsistent"),
+            ([{0: 1, 1: 1}, {0: 2, 1: 1}], 1, "system is inconsistent"),
+            ([{0: 2, 2: 1}, {1: 1, 2: 1}, {1: 1, 2: 2}], 2, "system is inconsistent"),
+            ([{0: 2, 3: 1}, {1: 1, 2: 1, 3: 2}], 3, "system has 1 free directions"),
+        ],
+        ids=["fraction-then-integer", "integer-then-fraction", "elsewhere", "free"],
+    )
+    def test_a_fractional_singleton_is_reported_last(self, system, ncols, message):
+        # 2x = 1 has no integral solution, but as before an inconsistent or
+        # underdetermined system is reported as such first
+        with pytest.raises(CheckFailed, match=f"bar fixed-point {message}"):
+            _solve_exact(system, ncols)
+
+    def test_row_without_unknowns_from_the_start(self):
+        # 0 = 3 sits beside a singleton row that solves x = 2 on its own
+        with pytest.raises(CheckFailed, match="bar fixed-point system is inconsistent"):
+            _solve_exact([{1: 3}, {0: 2, 1: 4}], 1)
+
+    def test_bar_systems_need_no_cross_multiplied_pivot(self, monkeypatch):
+        # row (g, j) holds x_{g,j} and unknowns of members above g only, so
+        # every bar system peels top-down; the shortest-row choice of a
+        # cross-multiplied pivot is never reached
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cross-multiplied pivot")
+
+        monkeypatch.setattr(qfock.barinv, "min", forbidden, raising=False)
+        solved = 0
+        for shape, w in [(Shape(2, 1), Window(-1, 4)), (Shape(3, 1), Window(0, 3))]:
+            for order in blocks(shape, w):
+                if len(order) > 12:
+                    continue
+                for f in order:
+                    for mode in ("canonical", "dual"):
+                        got = bar_oracle(f, w, 8, mode)
+                        assert got.coeff(f) == LaurentPoly.one()
+                        solved += 1
+        assert solved == 728, solved
 
 
 @st.composite

@@ -337,6 +337,15 @@ class TestHeckeAction:
         got = act_gen(M(0, 2, 1, 2), 1)
         assert got == M(0, 2, 2, 1) + M(0, 2, 1, 2).scaled(P({-1: 1, 1: -1}))
 
+    def test_tied_term_shifts_its_whole_coefficient(self):
+        # a tied pair scales the coefficient by q^-1, every term of it,
+        # beside an untied term, and leaves the input vector as it was
+        c = P({2: 1, 0: 4, -1: -3})
+        v = M(2, 1, 3, 3, 1).scaled(c) + M(2, 1, 2, 3, 1)
+        got = act_gen(v, 1)
+        assert got == M(2, 1, 3, 3, 1).scaled(P({1: 1, -1: 4, -2: -3})) + M(2, 1, 3, 2, 1)
+        assert v.coeff(T(2, 1, 3, 3, 1)) == c
+
     def test_rejects_boundary_generator(self):
         with pytest.raises(ValueError):
             act_gen(M(1, 1, 1, 1), 1)
