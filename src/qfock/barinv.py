@@ -36,17 +36,17 @@ only holds exactly for coefficients of tuples inside the window.
 
 `bar_oracle` finds a bar-fixed element by one integer linear solve; it
 shares no code with the triangular solvers in `canonical` that it checks.
-`_solve_exact` substitutes the unknown of every row that holds only one
-and cross-multiplies only when none is left.  Row (g, j) of a bar system
-holds x_{g,j} and unknowns of members above g only, so the system peels
-top-down from singleton rows without being told the block order.
+`_solve_exact` solves by substitution alone: it reads off the unknown of
+every row that holds only one and substitutes it into the other rows.
+Row (g, j) of a bar system holds x_{g,j} with coefficient +-1 and
+unknowns of members above g only, so a consistent system peels top-down
+from singleton rows without being told the block order.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from math import gcd
 
 from .fock import FockVector, act, apply_chevalley
 from .hecke import HeckeElement
@@ -200,8 +200,9 @@ def bar_oracle(f: SignedTuple, window: Window, max_degree: int, mode: str) -> Fo
     integer system with one row per (tuple, q-power), built in one pass:
     each row opens with its right-hand side -(bar(M_f) - M_f) at column
     ncols, and each unknown writes its shifted bar column into the rows.
-    Raises CheckFailed when the system has no unique integral solution,
-    as when bar(M_f) is not M_f plus strictly lower terms.
+    Raises CheckFailed when the system is inconsistent, as when bar(M_f)
+    is not M_f plus strictly lower terms or max_degree is too small, or
+    when substitution leaves an unknown unsolved.
     """
     if mode not in ("canonical", "dual"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -237,108 +238,69 @@ def bar_oracle(f: SignedTuple, window: Window, max_degree: int, mode: str) -> Fo
 
 
 def _solve_exact(system, ncols):
-    """Integer solve by substitution, with elimination only where it stalls.
+    """Integer solve by substitution alone.
 
     Rows are sparse {column: value} dicts over Z, left unchanged, with the
     augmented right-hand side at column index ncols.  Whenever a live row
-    holds exactly one unknown, that unknown is read off by one exact divmod
-    and substituted into every live row holding it: the column is popped
-    and the right-hand side adjusted, so nothing fills in.  Only when no
-    such row is left is the lowest unsolved column c pivoted fraction-free,
-    on the shortest row holding it (the lowest row index breaking ties):
-    the other holders are cross-multiplied and their content divided out,
-    and back-substitution divides exactly, so no rationals appear.  A
-    singleton row whose value is not an integer is left to that pivot, so
-    an inconsistent system is reported as such before a fraction is.
-    `holders` maps each column to every row that has held it, and is
-    filtered to the live holders when the column is pivoted.
+    holds exactly one unknown whose value divides, that value is read off
+    by one exact divmod and substituted into every live row holding the
+    unknown: the column is popped and the right-hand side adjusted, so
+    nothing fills in.  `holders` maps each unknown to the rows that hold
+    it.  When no such row is left, a row with no unknown and a nonzero
+    right-hand side is reported as inconsistent; otherwise an unsolved
+    unknown is reported as not integral if a singleton was skipped because
+    its value does not divide, and else by the count of unknowns left.
 
-    A triangular system peels from its singleton rows; x + y = 3, x - y = 1
-    has none, and one cross-multiplied pivot solves it:
+    A triangular system peels from its singleton rows in any row order;
+    x + y = 3, x - y = 1 has none, so it stalls:
 
     >>> _solve_exact([{0: 1, 1: 1, 3: 5}, {1: 2, 3: 4}, {1: 1, 2: -1}], 3)
     [3, 2, 2]
     >>> _solve_exact([{0: 1, 1: 1, 2: 3}, {0: 1, 1: -1, 2: 1}], 2)
-    [2, 1]
+    Traceback (most recent call last):
+    ...
+    qfock.weightlat.CheckFailed: bar fixed-point system leaves 2 of 2 unknowns unsolved
     """
     live = {i: dict(r) for i, r in enumerate(system)}
     holders: defaultdict[int, set[int]] = defaultdict(set)
     for i, row in live.items():
         for k in row:
-            holders[k].add(i)
+            if k != ncols:
+                holders[k].add(i)
     singles = [i for i, row in live.items() if len(row) - (ncols in row) == 1]
     sol: dict[int, int] = {}
-    pivot_rows: list[tuple[int, dict[int, int]]] = []
-    for c in range(ncols):
-        while singles:
-            i = singles.pop()
-            row = live.get(i)
-            if row is None or len(row) - (ncols in row) != 1:
-                continue  # solved already, or emptied by a substitution
-            for k, a in row.items():
-                if k != ncols:
-                    break
-            x, r = divmod(row.get(ncols, 0), a)
-            if r:
-                continue  # left to elimination, so the checks below report it
-            del live[i]
-            sol[k] = x
-            for h in holders.pop(k):
-                row = live.get(h)
-                v = row.pop(k, 0) if row else 0
-                if not v:
-                    continue
-                rhs = row.get(ncols, 0) - v * x
-                if rhs:
-                    row[ncols] = rhs
-                else:
-                    row.pop(ncols, None)
-                if not row:
-                    del live[h]
-                elif len(row) - (ncols in row) == 1:
-                    singles.append(h)
-        ids = [i for i in holders.pop(c, ()) if live.get(i, {}).get(c)]
-        if not ids:
-            continue
-        best = min(ids, key=lambda i: (len(live[i]), i))
-        ids.remove(best)
-        prow = live.pop(best)
-        p = prow[c]
-        for i in ids:
-            row = live[i]
-            v = row[c]
-            combined = {k: a * p for k, a in row.items()}
-            for k, b in prow.items():
-                x = combined.get(k, 0) - v * b
-                if x:
-                    combined[k] = x
-                    holders[k].add(i)
-                else:
-                    combined.pop(k, None)
-            if combined:
-                content = gcd(*combined.values())
-                if content > 1:
-                    combined = {k: x // content for k, x in combined.items()}
-                live[i] = combined
-                if len(combined) - (ncols in combined) == 1:
-                    singles.append(i)
-            else:
-                del live[i]
-        pivot_rows.append((c, prow))
-    # every unknown is now solved or pivoted, so live rows hold none
-    for row in live.values():
-        if row.get(ncols):
-            raise CheckFailed("bar fixed-point system is inconsistent")
-    free = ncols - len(sol) - len(pivot_rows)
-    if free:
-        raise CheckFailed(f"bar fixed-point system has {free} free directions")
-    for c, prow in reversed(pivot_rows):
-        acc = prow.get(ncols, 0)
-        for k, v in prow.items():
-            if k != c and k != ncols:
-                acc -= v * sol[k]
-        x, r = divmod(acc, prow[c])
+    fractional = False
+    while singles:
+        i = singles.pop()
+        row = live.get(i)
+        if row is None or len(row) - (ncols in row) != 1:
+            continue  # solved already, or emptied by a substitution
+        for k, a in row.items():
+            if k != ncols:
+                break
+        x, r = divmod(row.get(ncols, 0), a)
         if r:
-            raise CheckFailed("bar fixed-point solution is not integral")
-        sol[c] = x
+            fractional = True
+            continue
+        sol[k] = x
+        # row i is a holder too: its own substitution empties it
+        for h in holders.pop(k):
+            row = live[h]
+            rhs = row.get(ncols, 0) - row.pop(k) * x
+            if rhs:
+                row[ncols] = rhs
+            else:
+                row.pop(ncols, None)
+            if not row:
+                del live[h]
+            elif len(row) - (ncols in row) == 1:
+                singles.append(h)
+    for row in live.values():
+        if len(row) == 1 and row.get(ncols):
+            raise CheckFailed("bar fixed-point system is inconsistent")
+    left = ncols - len(sol)
+    if left and fractional:
+        raise CheckFailed("bar fixed-point solution is not integral")
+    if left:
+        raise CheckFailed(f"bar fixed-point system leaves {left} of {ncols} unknowns unsolved")
     return [sol[c] for c in range(ncols)]

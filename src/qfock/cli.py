@@ -29,7 +29,7 @@ from .weightlat import (
 
 # sorted(verify.VERIFY_SUITES), spelled out so that building the parser does
 # not import verify: bkl, qsym and char never load it
-VERIFY_SUITE_NAMES = ("bar", "bgg", "canonical", "hecke", "inverse", "qsym")
+VERIFY_SUITE_NAMES = ("bar", "bgg", "canonical", "hecke", "qsym")
 
 
 def parse_shape(text: str) -> Shape:

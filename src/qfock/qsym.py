@@ -138,16 +138,15 @@ def reexpress(v: FockVector, par: Parabolic, basis: str, memo: dict) -> dict:
     for f, c in v.terms.items():
         if not is_antidominant(f, par):
             continue
-        top_len = orbit_data(stabilizer(f, par), par)[2]
-        s = _scale(f, par, basis)
+        # the coefficient of Mtilde_f, y = x s_B(f), is c / q^top
+        y = c.shifted(-orbit_data(stabilizer(f, par), par)[2])
         try:
-            x = div_exact(c, s * LaurentPoly.q_power(top_len))
+            coords[f] = div_exact(y, _scale(f, par, basis))
         except NotDivisible as exc:
             raise CheckFailed(
                 f"orbit coefficient at {f} is not divisible in basis {basis}"
             ) from exc
-        coords[f] = x
-        recon.axpy(_mtilde(f, par, memo), x * s)
+        recon.axpy(_mtilde(f, par, memo), y)
     if recon != v:
         raise CheckFailed(f"vector is not in the symmetrized image for {par}")
     return coords

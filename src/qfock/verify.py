@@ -727,27 +727,12 @@ def verify_bgg(max_size: int, w: Window) -> tuple[bool, list[str]]:
     return not fails, msgs
 
 
-def verify_inverse(max_size: int, w: Window) -> tuple[bool, list[str]]:
-    """The inverse relation between the two canonical matrices, per block of at most 12.
-
-    The sweep runs in the symmetric window of w.
-    """
-    w = _symmetric(w)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        checked, fails = _inverse_relations(max_size, w)
-    msgs = [f"inverse relation: {checked} blocks, shapes up to size {max_size}, window {w}"]
-    msgs.extend(fails)
-    return not fails, msgs
-
-
 VERIFY_SUITES = {
     "hecke": verify_hecke,
     "bar": verify_bar,
     "canonical": verify_canonical,
     "qsym": verify_qsym,
     "bgg": verify_bgg,
-    "inverse": verify_inverse,
 }
 
 

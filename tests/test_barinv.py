@@ -9,10 +9,9 @@ import itertools
 import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qfock.barinv
 from qfock.barinv import BarContext, _solve_exact, bar, bar_context, bar_oracle, pure_bar
 from qfock.fock import FockVector, act, apply_chevalley
 from qfock.hecke import HeckeElement
@@ -448,71 +447,93 @@ class TestBarOracle:
 
 
 class TestSolveExact:
-    """The oracle's integer elimination; rows are {column: value}, rhs at ncols."""
+    """The oracle's integer solve; rows are {column: value}, rhs at ncols."""
 
     def test_unique_integral_solution(self):
-        # 2x + y = 3, x - y = 0, -3z = 6, and a redundant row x + y + z = 0
-        system = [{0: 2, 1: 1, 3: 3}, {0: 1, 1: -1}, {2: -3, 3: 6}, {0: 1, 1: 1, 2: 1}]
+        # -3z = 6, x + 2z = -3, 2x - y + z = -1 peel z, x, y in turn; the
+        # redundant row x + y + z = 0 is emptied on the way
+        system = [
+            {0: 1, 1: 1, 2: 1},
+            {0: 2, 1: -1, 2: 1, 3: -1},
+            {2: -3, 3: 6},
+            {0: 1, 2: 2, 3: -3},
+        ]
         assert _solve_exact(system, 3) == [1, 1, -2]
 
     def test_eliminated_rows_may_vanish(self):
-        # the second row is twice the first and cancels entirely
+        # the second row is twice the first: once y = 2 peels, solving x
+        # from either of them empties the other
         assert _solve_exact([{0: 1, 1: 2, 2: 5}, {0: 2, 1: 4, 2: 10}, {1: 1, 2: 2}], 2) == [1, 2]
+
+    def test_rows_without_unknowns_that_hold_zero(self):
+        # an empty row and 0 = 0 state nothing and are left alone
+        assert _solve_exact([{}, {0: 3, 2: 6}, {2: 0}, {0: 1, 1: 1, 2: 5}], 2) == [2, 3]
 
     def test_inconsistent(self):
         with pytest.raises(CheckFailed, match="bar fixed-point system is inconsistent"):
             _solve_exact([{0: 1, 1: 1}, {0: 1, 1: 2}], 1)
 
     def test_free_directions(self):
-        with pytest.raises(CheckFailed, match="has 1 free directions"):
+        with pytest.raises(CheckFailed, match="system leaves 2 of 2 unknowns unsolved"):
             _solve_exact([{0: 1, 1: 1, 2: 2}], 2)
 
     def test_not_integral(self):
         with pytest.raises(CheckFailed, match="bar fixed-point solution is not integral"):
             _solve_exact([{0: 2, 1: 5}], 1)
 
-    def test_substitution_then_one_cross_multiplied_pivot(self, monkeypatch):
-        # z = 4 peels; x + y + z = 7 and x - y = 1 leave the 2x2 core
-        # x + y = 3, x - y = 1, which takes one pivot, after which y peels.
-        # The shortest-row choice runs once per cross-multiplied pivot.
-        picks = []
+    @pytest.mark.parametrize(
+        "system, ncols, message",
+        [
+            # z = 4 peels; x + y = 3, x - y = 1 fix x and y, but neither
+            # of their rows is ever a singleton
+            (
+                [{2: 1, 3: 4}, {0: 1, 1: 1, 2: 1, 3: 7}, {0: 1, 1: -1, 3: 1}],
+                3,
+                "system leaves 2 of 3 unknowns unsolved",
+            ),
+            # 2x = 1 is skipped, and y + z = 2 never peels
+            ([{0: 2, 3: 1}, {1: 1, 2: 1, 3: 2}], 3, "solution is not integral"),
+            # z = 1 and z = 2 clash, while x + y = 3, x - y = 1 stall
+            (
+                [{0: 1, 1: 1, 3: 3}, {0: 1, 1: -1, 3: 1}, {2: 1, 3: 1}, {2: 1, 3: 2}],
+                3,
+                "system is inconsistent",
+            ),
+        ],
+        ids=["unknowns-left", "not-integral", "inconsistent"],
+    )
+    def test_a_stalled_system(self, system, ncols, message):
+        # inconsistency is reported first, then a skipped fraction, and
+        # only then the count of unknowns left
+        with pytest.raises(CheckFailed, match=f"bar fixed-point {message}"):
+            _solve_exact(system, ncols)
 
-        def counted(*args, **kwargs):
-            picks.append(args)
-            return min(*args, **kwargs)
-
-        monkeypatch.setattr(qfock.barinv, "min", counted, raising=False)
-        system = [{2: 1, 3: 4}, {0: 1, 1: 1, 2: 1, 3: 7}, {0: 1, 1: -1, 3: 1}]
-        assert _solve_exact(system, 3) == [2, 1, 4]
-        assert len(picks) == 1
+    @pytest.mark.parametrize(
+        "system, ncols, left",
+        [
+            ([{0: 1, 3: 2}, {0: 1, 1: 1, 2: 1, 3: 5}], 3, "2 of 3"),
+            ([{0: 1, 2: 2}], 2, "1 of 2"),
+            ([{0: 1, 1: 1, 3: 2}, {0: 1, 1: 1, 2: 2, 3: 4}, {2: 1, 3: 1}], 3, "2 of 3"),
+        ],
+        ids=["substitution-leaves-two", "never-held", "a-repeated-row"],
+    )
+    def test_free_directions_after_substitution(self, system, ncols, left):
+        with pytest.raises(CheckFailed, match=f"leaves {left} unknowns unsolved"):
+            _solve_exact(system, ncols)
 
     @pytest.mark.parametrize(
         "system, ncols",
         [
-            ([{0: 1, 3: 2}, {0: 1, 1: 1, 2: 1, 3: 5}], 3),
-            ([{0: 1, 2: 2}], 2),
-            ([{0: 1, 1: 1, 3: 2}, {0: 1, 1: 1, 2: 2, 3: 4}, {2: 1, 3: 1}], 3),
+            ([{0: 2, 1: 1}, {0: 1, 1: 1}], 1),
+            ([{0: 1, 1: 1}, {0: 2, 1: 1}], 1),
+            ([{0: 2, 2: 1}, {1: 1, 2: 1}, {1: 1, 2: 2}], 2),
         ],
-        ids=["pivot-after-substitution", "never-held", "substitution-leaves-a-tie"],
+        ids=["fraction-then-integer", "integer-then-fraction", "elsewhere"],
     )
-    def test_free_directions_after_substitution(self, system, ncols):
-        with pytest.raises(CheckFailed, match="has 1 free directions"):
-            _solve_exact(system, ncols)
-
-    @pytest.mark.parametrize(
-        "system, ncols, message",
-        [
-            ([{0: 2, 1: 1}, {0: 1, 1: 1}], 1, "system is inconsistent"),
-            ([{0: 1, 1: 1}, {0: 2, 1: 1}], 1, "system is inconsistent"),
-            ([{0: 2, 2: 1}, {1: 1, 2: 1}, {1: 1, 2: 2}], 2, "system is inconsistent"),
-            ([{0: 2, 3: 1}, {1: 1, 2: 1, 3: 2}], 3, "system has 1 free directions"),
-        ],
-        ids=["fraction-then-integer", "integer-then-fraction", "elsewhere", "free"],
-    )
-    def test_a_fractional_singleton_is_reported_last(self, system, ncols, message):
-        # 2x = 1 has no integral solution, but as before an inconsistent or
-        # underdetermined system is reported as such first
-        with pytest.raises(CheckFailed, match=f"bar fixed-point {message}"):
+    def test_a_fractional_singleton_is_reported_last(self, system, ncols):
+        # 2x = 1 has no integral solution, but an inconsistent system is
+        # reported as such first
+        with pytest.raises(CheckFailed, match="bar fixed-point system is inconsistent"):
             _solve_exact(system, ncols)
 
     def test_row_without_unknowns_from_the_start(self):
@@ -520,14 +541,10 @@ class TestSolveExact:
         with pytest.raises(CheckFailed, match="bar fixed-point system is inconsistent"):
             _solve_exact([{1: 3}, {0: 2, 1: 4}], 1)
 
-    def test_bar_systems_need_no_cross_multiplied_pivot(self, monkeypatch):
-        # row (g, j) holds x_{g,j} and unknowns of members above g only, so
-        # every bar system peels top-down; the shortest-row choice of a
-        # cross-multiplied pivot is never reached
-        def forbidden(*args, **kwargs):
-            raise AssertionError("cross-multiplied pivot")
-
-        monkeypatch.setattr(qfock.barinv, "min", forbidden, raising=False)
+    def test_bar_systems_need_no_cross_multiplied_pivot(self):
+        # every bar system peels: row (g, j) holds x_{g,j} with coefficient
+        # +-1 and unknowns of members above g only, so substitution alone
+        # solves it top-down
         solved = 0
         for shape, w in [(Shape(2, 1), Window(-1, 4)), (Shape(3, 1), Window(0, 3))]:
             for order in blocks(shape, w):
@@ -543,21 +560,34 @@ class TestSolveExact:
 
 @st.composite
 def solvable_systems(draw):
-    """A small integer system with one integral solution, its rows in drawn order."""
+    """A small peelable system with one integral solution, its rows shuffled.
+
+    Core row k holds x_k with coefficient +-1 and unknowns above k only;
+    the redundant rows are integer combinations of core rows.
+    """
     ncols = draw(st.integers(1, 3))
     x = draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))
-    coeff = st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols)
+    core = []
+    for k in range(ncols):
+        row = {k: draw(st.sampled_from([1, -1]))}
+        for j in range(k + 1, ncols):
+            row[j] = draw(st.integers(-2, 2))
+        core.append(row)
+    rows = list(core)
+    weights = st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols)
+    for ws in draw(st.lists(weights, max_size=2)):
+        combo: dict[int, int] = {}
+        for w, row in zip(ws, core):
+            for k, a in row.items():
+                combo[k] = combo.get(k, 0) + w * a
+        rows.append(combo)
     system = []
-    for a in draw(st.lists(coeff, min_size=ncols, max_size=ncols + 2)):
-        row = {k: v for k, v in enumerate(a) if v}
-        rhs = sum(v * x[k] for k, v in row.items())
+    for row in draw(st.permutations(rows)):
+        row = {k: a for k, a in row.items() if a}
+        rhs = sum(a * x[k] for k, a in row.items())
         if rhs:
             row[ncols] = rhs
         system.append(row)
-    try:
-        _solve_exact(system, ncols)
-    except CheckFailed:
-        assume(False)
     return system, ncols, x
 
 

@@ -270,11 +270,6 @@ class TestVerifyCommand:
         assert rc == 0
         assert "suite hecke: PASS" in out
 
-    def test_inverse_suite(self, capsys):
-        rc = main(["verify", "--suite", "inverse", "--max-size", "2", "--window=-1..1"])
-        assert rc == 0
-        assert "PASS" in capsys.readouterr().out
-
     @pytest.mark.parametrize("size", ["0", "-1"])
     def test_rejects_empty_sweep(self, capsys, size):
         # a sweep over no shapes checks nothing and must not report PASS
@@ -410,7 +405,7 @@ CLI_TEXT_GOLDENS = {
     "quiver_gl12.txt": "quiver --n 2",
     **{
         f"cli/verify_{suite}.txt": f"verify --suite {suite} --max-size 2"
-        for suite in ("hecke", "bar", "canonical", "qsym", "bgg", "inverse")
+        for suite in ("hecke", "bar", "canonical", "qsym", "bgg")
     },
 }
 
@@ -429,7 +424,7 @@ class TestVerifySuiteNames:
         with pytest.raises(SystemExit):
             main(["verify", "--help"])
         out = capsys.readouterr().out
-        assert "--suite {bar,bgg,canonical,hecke,inverse,qsym}" in out
+        assert "--suite {bar,bgg,canonical,hecke,qsym}" in out
 
 
 class TestArgparseBehavior:

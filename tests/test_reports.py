@@ -34,7 +34,6 @@ from qfock.verify import (
     verify_bgg,
     verify_canonical,
     verify_hecke,
-    verify_inverse,
     verify_qsym,
     verify_symmetrizer,
     whittaker_routes,
@@ -521,10 +520,6 @@ class TestVerifySuites:
         out = capsys.readouterr().out
         assert line in out.splitlines()
         assert out.endswith("suite bgg: FAIL\n")
-
-    def test_inverse(self):
-        ok, msgs = verify_inverse(2, Window(-1, 1))
-        assert ok, msgs
 
     def test_dispatch(self):
         ok, msgs = run_verify("hecke", 2, Window(0, 2))
