@@ -35,12 +35,13 @@ ways:
   tensor solve, pushed through phi and checked against the coefficients
   at g.w0 (or against the coset sums); the dual at a non-antidominant f,
   whose projection must vanish, has only this route;
-- the intrinsic solve (`qsym_canonical_intrinsic`): the solver in N- and
-  Mtilde-coordinates with the bar map transported through expansion and
-  re-expression.  Every basis vector is B_g = s_B(g) Mtilde_g, and one
-  memo per call, g -> Mtilde_g, serves the bar columns and
-  re-expression's reconstruction check; each basis bars its own vector,
-  so the two solves stay independent of each other.
+- the intrinsic solve (`qsym_canonical_intrinsic`): the solver in N
+  coordinates with the bar map transported through expansion and
+  re-expression.  One memo per call, g -> Mtilde_g, serves the bar
+  columns and re-expression's reconstruction check.  Since
+  N_g = [W] Mtilde_g and [W] is bar-invariant, the bar columns, and so
+  the solved coefficients, are the same in Mtilde coordinates; a second
+  solve there would repeat this one.
 
 The routes must agree (the tests and `verify --suite qsym` compare
 them); a failed internal check raises CheckFailed.
@@ -304,28 +305,19 @@ def _image_bar(g: SignedTuple, par: Parabolic, w: Window, basis: str, memo: dict
 
 
 def qsym_canonical_intrinsic(f: SignedTuple, par: Parabolic, w: Window):
-    """Canonical image basis solved inside the image, in both coordinates.
+    """Canonical image basis solved inside the image, in N and Mtilde coordinates.
 
-    Runs the triangular bar solver down the block of f, once
-    in N coordinates and once in Mtilde coordinates, with the bar map
-    computed by expand / bar / re-express.  Each Mtilde_g is expanded once
-    per call into a memo dropped on return; each solve bars its own
-    B_g = s_B(g) Mtilde_g.  Returns the two expansions; their coefficient
-    dictionaries must agree and do so by construction (CheckFailed
-    otherwise).
+    Runs the triangular bar solver once down the block of f, in N
+    coordinates, with the bar map computed by expand / bar / re-express.
+    Each Mtilde_g is expanded once per call into a memo dropped on return.
+    The bar column of N_g in N coordinates is that of Mtilde_g in Mtilde
+    coordinates ([W] is bar-invariant), so the Mtilde solve has the same
+    coefficients.  Returns the N expansion and the same coefficients
+    labelled Mtilde; the image solve and the push-forward are the checks.
     """
     if not is_antidominant(f, par):
         raise ValueError(f"{f} is not antidominant for {par}")
     memo: dict = {}
-    results = []
-    for basis in ("N", "Mtilde"):
-        t = triangular_solve(
-            block(f, w), lambda g: _image_bar(g, par, w, basis, memo), pos_part, f
-        )
-        t = MappingProxyType(t)
-        results.append(QSymExpansion(f, "canonical", basis, par, w, t))
-    if results[0].coefficients != results[1].coefficients:
-        raise CheckFailed(
-            f"intrinsic coefficients differ between N and Mtilde bases at {f}"
-        )
-    return results[0], results[1]
+    t = triangular_solve(block(f, w), lambda g: _image_bar(g, par, w, "N", memo), pos_part, f)
+    nexp = QSymExpansion(f, "canonical", "N", par, w, MappingProxyType(t))
+    return nexp, nexp._replace(basis="Mtilde")

@@ -4,10 +4,11 @@ The verify_* sweeps re-run the defining identities of the other modules
 over small exhaustive ranges; they are shared between the test suite and
 the `verify` command.  Each takes (max_size, w), the command's --max-size
 and --window, and derives the windows it runs in from w; its other bounds
-(block caps, the oracle's degree, group orders) are fixed.  Ringel
-duality, graded reciprocity, the Whittaker two-route comparison and the
-decategorification square check the report layer against a second route,
-and the quiver presentation backs the `quiver` command.
+(block caps, the oracle's degree, group orders) are fixed.  Graded
+reciprocity (which carries Ringel duality, exactly in q), the Whittaker
+two-route comparison and the graded decategorification square check the
+report layer against a second route, and the quiver presentation backs
+the `quiver` command.
 
 The command line imports this module only for `verify` and `quiver`, so
 that `bkl`, `qsym` and `char` never load it.
@@ -26,6 +27,7 @@ from .canonical import (
     canonical,
     dual_canonical,
     dual_inverse_column,
+    inverse_column,
     inverse_relation_check,
     tensor_canonical,
     tensor_dual_canonical,
@@ -77,30 +79,6 @@ def ringel_twist(f: SignedTuple, par: Parabolic, w: Window) -> SignedTuple:
     return t
 
 
-def duality_routes(par: Parabolic, anti: list[SignedTuple], w: Window) -> list[tuple]:
-    """Standard multiplicities in the quotient's tiltings on anti-dominant members of one block.
-
-    Returns (f_l, f_m, lhs, rhs) for every ordered pair from anti.  The
-    left value is the symmetrized canonical coefficient of column f_l at
-    f_m, at q = 1.  The right value goes through Ringel duality: the same
-    number is a projective-to-Verma multiplicity at the negated weights
-    twisted by the longest parabolic element, which BGG reciprocity turns
-    into the ordinary composition multiplicity [M_{f_m'} : L_{f_l'}] (a
-    prime for the twist), and 0 when the twisted weights differ.  Each
-    column is read once.  Raises WindowEscape when a twist leaves w.
-    """
-    twisted = {g: ringel_twist(g, par, w) for g in anti}
-    tilting = {f_l: qsym_canonical(f_l, par, w) for f_l in anti}
-    verma = {f_m: verma_column(twisted[f_m], w) for f_m in anti}
-    rows = []
-    for f_l in anti:
-        for f_m in anti:
-            lhs = tilting[f_l].coeff(f_m).at_one()
-            same = weight(twisted[f_l]) == weight(twisted[f_m])
-            rows.append((f_l, f_m, lhs, verma[f_m].get(twisted[f_l], 0) if same else 0))
-    return rows
-
-
 def graded_reciprocity(par: Parabolic, anti: list[SignedTuple], w: Window) -> list[tuple]:
     """Graded BGG reciprocity on anti-dominant members of one block, at least one.
 
@@ -109,8 +87,11 @@ def graded_reciprocity(par: Parabolic, anti: list[SignedTuple], w: Window) -> li
     quotient, inverts the graded simple-to-Verma matrix of the whole
     ordinary block; the right value is the symmetrized canonical
     coefficient at the negated weights twisted by the longest parabolic
-    element.  Reciprocity is lhs == rhs entrywise.  Raises WindowEscape
-    when a twist leaves w.
+    element.  Reciprocity is lhs == rhs entrywise.  With the twist undone
+    on both tuples, the right value is the quotient's tilting-to-standard
+    multiplicity, so at q = 1 this is Ringel duality's comparison with the
+    ordinary composition multiplicities.  Raises WindowEscape when a twist
+    leaves w.
     """
     order = block(anti[0], w)
     twisted = {g: ringel_twist(g, par, w) for g in anti}
@@ -145,29 +126,31 @@ def whittaker_routes(par: Parabolic, anti: list[SignedTuple], w: Window) -> list
 
 
 def commuting_square_check(par: Parabolic, w: Window) -> tuple[bool, list[str]]:
-    """Projecting then decategorifying equals decategorifying then projecting.
+    """Projecting then decategorifying equals decategorifying then projecting, graded.
 
-    For every monomial in every block of the parabolic's shape in the
-    window: expand the Verma
-    class into simples (inverse of the dual canonical matrix at q = 1),
-    discard the non-anti-dominant ones, push the survivors into the
-    quotient, and compare with the direct projection of the monomial,
-    which is the unit coordinate at its anti-dominant representative.
+    For every monomial M_f in every block of the parabolic's shape in the
+    window: expand it in the dual canonical basis, M_f = sum_h x_{h,f} L_h
+    (a column of the inverse dual canonical matrix), push the anti-dominant
+    L_h into the quotient (qsym_dual_canonical; the others project to
+    zero), and compare with the direct projection q^{-len(tau)} Ntilde_{f tau},
+    f tau the anti-dominant representative of f.  Exact in q.
     """
     fails: list[str] = []
     n_blocks = 0
+    dual_column = lambda h: dual_canonical(h, w).coefficients
     for order in blocks(par.shape, w):
         n_blocks += 1
         anti = [g for g in order if is_antidominant(g, par)]
         bcols = {h: qsym_dual_canonical(h, par, w) for h in anti}
         for fo in order:
-            f0, _, _ = antidominant_rep(fo, par)
-            column = verma_column(fo, w)
+            f0, _, ltau = antidominant_rep(fo, par)
+            x = inverse_column(order, dual_column, fo)
             for g0 in anti:
                 got = sum(
-                    bcols[h].coeff(g0).at_one() * column.get(h, 0) for h in anti
+                    (xh * bcols[h].coeff(g0) for h, xh in x.items() if h in bcols),
+                    LaurentPoly.zero(),
                 )
-                want = 1 if g0 == f0 else 0
+                want = LaurentPoly.q_power(-ltau) if g0 == f0 else LaurentPoly.zero()
                 if got != want:
                     fails.append(
                         f"square breaks at monomial {fo}, coordinate {g0}: "
@@ -629,13 +612,14 @@ def verify_qsym(max_size: int, w: Window) -> tuple[bool, list[str]]:
 
 
 def verify_bgg(max_size: int, w: Window) -> tuple[bool, list[str]]:
-    """The commuting square, the two-route checks and block facts on shapes of size <= max_size.
+    """The graded square, the two-route checks and block facts on shapes of size <= max_size.
 
     Everything but the block facts runs in the symmetric window of w.  On
-    every block of at most 14 members of each duality case, the tilting
-    multiplicities by Ringel duality, graded reciprocity and the Whittaker
-    standard-to-simple multiplicities are each compared between their two
-    routes and counted in pairs.
+    every block of at most 14 members of each duality case, graded
+    reciprocity (the quotient's tilting multiplicities through Ringel
+    duality, exactly in q) and the Whittaker standard-to-simple
+    multiplicities are each compared between their two routes and counted
+    in pairs.
     """
     w = _symmetric(w)
 
@@ -670,7 +654,7 @@ def verify_bgg(max_size: int, w: Window) -> tuple[bool, list[str]]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         for par in duality_cases:
-            rows = {"duality two-route": [], "graded reciprocity": [], "Whittaker two-route": []}
+            rows = {"graded reciprocity": [], "Whittaker two-route": []}
             for order in _blocks_in(par.shape, w, 14):
                 inside = []
                 for g in order:
@@ -682,7 +666,6 @@ def verify_bgg(max_size: int, w: Window) -> tuple[bool, list[str]]:
                         inside.append(g)
                 if not inside:
                     continue
-                rows["duality two-route"] += duality_routes(par, inside, w)
                 rows["graded reciprocity"] += graded_reciprocity(par, inside, w)
                 rows["Whittaker two-route"] += whittaker_routes(par, inside, w)
             for check, found in rows.items():

@@ -78,10 +78,10 @@ def test_acceptance_5_qsym(capsys):
 
 
 def test_acceptance_6_bgg(capsys):
-    """Evaluation square at q = 1 on seven shape/parabolic cases, the
-    two-route tilting multiplicity equality on width-5 windows, and the
-    one-boson block facts: typical standards simple, atypical standards of
-    length 2, flag lengths equal to orbit sizes."""
+    """Graded decategorification square on seven shape/parabolic cases,
+    graded reciprocity and the Whittaker two-route equality on width-5
+    windows, and the one-boson block facts: typical standards simple,
+    atypical standards of length 2, flag lengths equal to orbit sizes."""
     t0 = time.perf_counter()
     ok, msgs = verify_bgg(4, Window(0, 4))
     _verdict(capsys, 6, "decategorification suite", ok, time.perf_counter() - t0, 60, msgs)

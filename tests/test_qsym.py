@@ -28,6 +28,7 @@ from qfock.qsym import (
     qsym_dual_canonical_push,
     reexpress,
 )
+from qfock.verify import verify_qsym
 from qfock.weightlat import (
     CheckFailed,
     Parabolic,
@@ -487,7 +488,7 @@ class TestIntrinsic:
                     assert tm.coefficients == push.coefficients
 
     def test_expands_each_tuple_once(self, monkeypatch):
-        """One act per distinct anti-dominant tuple the solve reaches, over both bases."""
+        """One act per distinct anti-dominant tuple the solve reaches."""
         par, w = Parabolic(Shape(2, 2), {1}), Window(-1, 2)
         f = T(2, 2, 1, 2, 2, 1)
         real, expanded = qfock.qsym.act, []
@@ -511,13 +512,17 @@ class TestIntrinsic:
         members = [g for g in block(f, w) if is_antidominant(g, par)]
         memo = {}
         for g in members:
+            cols = {}
             for basis in ("N", "Mtilde"):
                 fresh = _image_bar(g, par, w, basis, {})
                 assert _image_bar(g, par, w, basis, memo) == fresh, (g, basis)
+                cols[basis] = fresh
+            # N_g = [W] Mtilde_g with [W] bar-invariant: one solve serves both bases
+            assert cols["N"] == cols["Mtilde"], g
         assert set(memo) == set(members)
 
-    def test_bars_each_solved_tuple_once_per_basis(self, monkeypatch):
-        """The N and Mtilde solves bar their own vectors, so they check each other."""
+    def test_bars_each_solved_tuple_once(self, monkeypatch):
+        """One solve, in N coordinates: each solved tuple's vector is barred once."""
         par, w = Parabolic(Shape(2, 2), {1}), Window(-1, 2)
         f = T(2, 2, 1, 2, 2, 1)
         real_bar, real_image_bar = BarContext.bar, qfock.qsym._image_bar
@@ -536,11 +541,23 @@ class TestIntrinsic:
         monkeypatch.setattr(BarContext, "bar", counting_bar)
         monkeypatch.setattr(qfock.qsym, "_image_bar", recording_image_bar)
         qsym_canonical_intrinsic(f, par, w)
-        per_basis = {b: [g for basis, g in solved if basis == b] for b in ("N", "Mtilde")}
-        assert len(per_basis["N"]) > 1 and per_basis["N"] == per_basis["Mtilde"]
+        assert len(solved) > 1 and {basis for basis, _ in solved} == {"N"}
         assert len(solved) == len(set(solved))
         assert barred == Counter(g for _, g in solved)
-        assert set(barred.values()) == {2}
+        assert set(barred.values()) == {1}
+
+    def test_a_scale_that_is_not_bar_invariant_fails_verify(self, monkeypatch):
+        """q [W] for N is not bar-invariant; verify_qsym reports the intrinsic route."""
+        real_scale = qfock.qsym._scale
+
+        def planted(f, par, basis):
+            s = real_scale(f, par, basis)
+            return s * LaurentPoly.q_power(1) if basis == "N" else s
+
+        monkeypatch.setattr(qfock.qsym, "_scale", planted)
+        ok, msgs = verify_qsym(3, Window(1, 2))
+        assert not ok and msgs[1:]
+        assert all(m.startswith("intrinsic") for m in msgs[1:]), msgs
 
     def test_planted_wrong_expansion_fails_the_check(self):
         par = Parabolic(Shape(2, 0), {1})

@@ -27,8 +27,8 @@ from qfock.reports import (
 from qfock.verify import (
     QuiverPresentation,
     commuting_square_check,
-    duality_routes,
     graded_reciprocity,
+    ringel_twist,
     run_verify,
     verify_bar,
     verify_bgg,
@@ -287,13 +287,16 @@ class TestDeltaFlagLength:
 
 
 class TestTiltingDeltaMult:
-    """Standard multiplicities in the quotient's tiltings, both routes: duality_routes rows."""
+    """Standard multiplicities in the quotient's tiltings: graded_reciprocity rows at q = 1."""
 
     @staticmethod
     def pair(f_l, f_m, par, w):
-        rows = duality_routes(par, list(dict.fromkeys([f_l, f_m])), w)
-        [row] = [r for r in rows if r[:2] == (f_l, f_m)]
-        return row[2:]
+        # the coefficient of tilting column f_l at f_m is the canonical side
+        # of the graded row at the Ringel twists (f_m', f_l')
+        twisted = {g: ringel_twist(g, par, w) for g in (f_l, f_m)}
+        rows = graded_reciprocity(par, list(dict.fromkeys(twisted.values())), w)
+        [row] = [r for r in rows if r[:2] == (twisted[f_m], twisted[f_l])]
+        return tuple(c.at_one() for c in row[2:])
 
     def test_diagonal(self):
         par = Parabolic.full(Shape(1, 1))
@@ -303,27 +306,22 @@ class TestTiltingDeltaMult:
         par = Parabolic.full(Shape(1, 1))
         assert self.pair(T("3|3"), T("2|2"), par, Window(-3, 3)) == (1, 1)
 
-    def test_typical_unequal_pair(self):
-        # the twisted weights differ, so the Ringel route is 0 by rule
-        par = Parabolic.full(Shape(1, 1))
-        assert self.pair(T("1|3"), T("3|3"), par, Window(-3, 3)) == (0, 0)
-
     def test_window_escape(self):
         par = Parabolic.full(Shape(1, 1))
         with pytest.raises(WindowEscape):
-            duality_routes(par, [T("3|3"), T("2|2")], Window(0, 3))
+            graded_reciprocity(par, [T("3|3"), T("2|2")], Window(0, 3))
 
     def test_rejects_nondominant(self):
         par = Parabolic.full(Shape(1, 2))
         with pytest.raises(ValueError, match="not antidominant"):
-            duality_routes(par, [T("1|0,2"), T("1|2,0")], Window(-2, 2))
+            graded_reciprocity(par, [T("1|0,2"), T("1|2,0")], Window(-2, 2))
 
     def test_reads_each_column_once(self, monkeypatch):
-        # one image solve and one Verma column per member, not one per pair
+        # one image solve and one inverse dual column per member, not one per pair
         par, w = Parabolic(Shape(2, 1), frozenset({1})), Window(-1, 1)
         anti = [g for g in block(T("0,0|0"), w) if is_antidominant(g, par)]
-        calls = {"image_solve": 0, "verma_column": 0}
-        for module, name in ((qfock.qsym, "image_solve"), (qfock.verify, "verma_column")):
+        calls = {"image_solve": 0, "dual_inverse_column": 0}
+        for module, name in ((qfock.qsym, "image_solve"), (qfock.verify, "dual_inverse_column")):
             def counted(*args, _fn=getattr(module, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
@@ -331,10 +329,10 @@ class TestTiltingDeltaMult:
             monkeypatch.setattr(module, name, counted)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            rows = duality_routes(par, anti, w)
+            rows = graded_reciprocity(par, anti, w)
         assert len(anti) == 3 and len(rows) == 9
         assert all(lhs == rhs for _, _, lhs, rhs in rows)
-        assert calls == {"image_solve": 3, "verma_column": 3}
+        assert calls == {"image_solve": 3, "dual_inverse_column": 3}
 
     def test_table_row(self):
         sh = Shape(1, 1)
@@ -405,6 +403,29 @@ class TestCommutingSquare:
         par = Parabolic(shape, frozenset(gens))
         ok, msgs = commuting_square_check(par, Window(0, 2))
         assert ok, msgs
+
+    def test_a_grading_error_breaks_the_square(self, monkeypatch):
+        """q^2 on every off-diagonal image dual coefficient is invisible at q = 1 only."""
+        real = qfock.verify.qsym_dual_canonical
+
+        def planted(f, par, w):
+            exp = real(f, par, w)
+            raised = {
+                g: c if g == f else c * LaurentPoly.q_power(2)
+                for g, c in exp.coefficients.items()
+            }
+            return exp._replace(coefficients=MappingProxyType(raised))
+
+        par, w = Parabolic(Shape(2, 1), frozenset({1})), Window(-2, 2)
+        at_one = lambda exp: {g: c.at_one() for g, c in exp.coefficients.items()}
+        anti = [g for g in window_tuples(par.shape, w) if is_antidominant(g, par)]
+        assert all(at_one(planted(h, par, w)) == at_one(real(h, par, w)) for h in anti)
+        assert any(planted(h, par, w) != real(h, par, w) for h in anti)
+        monkeypatch.setattr(qfock.verify, "qsym_dual_canonical", planted)
+        ok, msgs = commuting_square_check(par, w)
+        assert not ok
+        assert len(msgs) == 1 + 36
+        assert all(m.startswith("square breaks at monomial") for m in msgs[1:])
 
 
 class TestQuiver:
