@@ -15,8 +15,8 @@ inside W.  All three are one per-orbit scale of Mtilde:
 so coordinates change basis by c s_from(f) / s_to(f).  Mtilde_f is
 supported on the W-orbit of f and its bottom monomial M_f carries the
 unit q^top (top the length of the longest minimal coset representative),
-so a vector of the image is re-expressed per orbit by one exact division
-by s_B(f) q^top.
+so a vector of the image is re-expressed in Mtilde coordinates by one
+shift by q^-top per orbit.
 
 The map phi(M_f) = q^{-len(tau)} Ntilde_{f tau} (tau the minimal sorter
 of f) projects the whole tensor space onto the image; it is v S in
@@ -39,9 +39,8 @@ ways:
   coordinates with the bar map transported through expansion and
   re-expression.  One memo per call, g -> Mtilde_g, serves the bar
   columns and re-expression's reconstruction check.  Since
-  N_g = [W] Mtilde_g and [W] is bar-invariant, the bar columns, and so
-  the solved coefficients, are the same in Mtilde coordinates; a second
-  solve there would repeat this one.
+  N_g = [W] Mtilde_g and [W] is bar-invariant, the Mtilde coordinates
+  of bar(Mtilde_g) are the N coordinates of bar(N_g): nothing is scaled.
 
 The routes must agree (the tests and `verify --suite qsym` compare
 them); a failed internal check raises CheckFailed.
@@ -111,7 +110,7 @@ def ntilde_expand(f: SignedTuple, par: Parabolic) -> FockVector:
 
 def mtilde_expand(f: SignedTuple, par: Parabolic) -> FockVector:
     """Mtilde_f = Ntilde_f / [W_f]; integral by the orbit closed form."""
-    stab_q = _scale(f, par, "Ntilde")
+    stab_q = orbit_data(stabilizer(f, par), par)[0]
     big = ntilde_expand(f, par)
     return FockVector(f.shape, {g: div_exact(c, stab_q) for g, c in big.terms.items()})
 
@@ -127,26 +126,20 @@ def _mtilde(f: SignedTuple, par: Parabolic, memo: dict) -> FockVector:
 # vectors of the image in coordinates
 
 
-def reexpress(v: FockVector, par: Parabolic, basis: str, memo: dict) -> dict:
-    """Coordinates of a tensor-space vector that lies in the image.
+def reexpress(v: FockVector, par: Parabolic, memo: dict) -> dict:
+    """Mtilde coordinates of a tensor-space vector that lies in the image.
 
-    Reads one exact division per orbit off the bottom monomial, then
-    checks that the reconstruction sum x_f s_B(f) Mtilde_f, with Mtilde_f
-    taken from memo (see _mtilde), is v on the nose (CheckFailed if not).
+    The coefficient of Mtilde_f is the one of its bottom monomial M_f
+    shifted by q^-top, one shift per orbit.  The reconstruction sum
+    y_f Mtilde_f, with Mtilde_f taken from memo (see _mtilde), must be v
+    on the nose (CheckFailed if not).
     """
     coords: dict[SignedTuple, LaurentPoly] = {}
     recon = FockVector.zero(v.shape)
     for f, c in v.terms.items():
         if not is_antidominant(f, par):
             continue
-        # the coefficient of Mtilde_f, y = x s_B(f), is c / q^top
-        y = c.shifted(-orbit_data(stabilizer(f, par), par)[2])
-        try:
-            coords[f] = div_exact(y, _scale(f, par, basis))
-        except NotDivisible as exc:
-            raise CheckFailed(
-                f"orbit coefficient at {f} is not divisible in basis {basis}"
-            ) from exc
+        coords[f] = y = c.shifted(-orbit_data(stabilizer(f, par), par)[2])
         recon.axpy(_mtilde(f, par, memo), y)
     if recon != v:
         raise CheckFailed(f"vector is not in the symmetrized image for {par}")
@@ -297,27 +290,28 @@ def qsym_dual_canonical_push(f: SignedTuple, par: Parabolic, w: Window) -> QSymE
     return QSymExpansion(f, "dual", "Ntilde", par, w, MappingProxyType(push))
 
 
-def _image_bar(g: SignedTuple, par: Parabolic, w: Window, basis: str, memo: dict) -> dict:
-    """Coordinates of bar applied to B_g = s_B(g) Mtilde_g, Mtilde_g from memo."""
-    expanded = _mtilde(g, par, memo).scaled(_scale(g, par, basis))
-    barred = bar_context(g.shape, w).bar(expanded)
-    return reexpress(barred, par, basis, memo)
+def _image_bar(g: SignedTuple, par: Parabolic, w: Window, memo: dict) -> dict:
+    """Mtilde coordinates of bar(Mtilde_g), Mtilde_g from memo.
+
+    They are also the N coordinates of bar(N_g): N_g = [W] Mtilde_g and
+    [W] is bar-invariant.
+    """
+    return reexpress(bar_context(g.shape, w).bar(_mtilde(g, par, memo)), par, memo)
 
 
 def qsym_canonical_intrinsic(f: SignedTuple, par: Parabolic, w: Window):
     """Canonical image basis solved inside the image, in N and Mtilde coordinates.
 
     Runs the triangular bar solver once down the block of f, in N
-    coordinates, with the bar map computed by expand / bar / re-express.
-    Each Mtilde_g is expanded once per call into a memo dropped on return.
-    The bar column of N_g in N coordinates is that of Mtilde_g in Mtilde
-    coordinates ([W] is bar-invariant), so the Mtilde solve has the same
-    coefficients.  Returns the N expansion and the same coefficients
-    labelled Mtilde; the image solve and the push-forward are the checks.
+    coordinates, with the bar map computed by expand / bar / re-express
+    (see _image_bar).  Each Mtilde_g is expanded once per call into a memo
+    dropped on return.  Returns the N expansion and its base change to
+    Mtilde, whose coefficients are [W] times the N ones; the image solve
+    and the push-forward are the checks.
     """
     if not is_antidominant(f, par):
         raise ValueError(f"{f} is not antidominant for {par}")
     memo: dict = {}
-    t = triangular_solve(block(f, w), lambda g: _image_bar(g, par, w, "N", memo), pos_part, f)
+    t = triangular_solve(block(f, w), lambda g: _image_bar(g, par, w, memo), pos_part, f)
     nexp = QSymExpansion(f, "canonical", "N", par, w, MappingProxyType(t))
-    return nexp, nexp._replace(basis="Mtilde")
+    return nexp, base_change(nexp, "Mtilde")

@@ -36,7 +36,6 @@ from .fock import FockVector, act, apply_chevalley
 from .hecke import HeckeElement, symmetrizer
 from .laurent import QINV_MINUS_Q, LaurentPoly, q_fact
 from .qsym import (
-    ntilde_expand,
     qsym_canonical,
     qsym_canonical_intrinsic,
     qsym_canonical_push,
@@ -342,13 +341,26 @@ def verify_hecke(max_size: int, w: Window) -> tuple[bool, list[str]]:
     return not fails and closed_ok, msgs + closed
 
 
+def _symmetrized_monomial(f: SignedTuple, par: Parabolic) -> FockVector:
+    """M_f S by the orbit closed form, without the Hecke action.
+
+    With f = f0.tau (f0 anti-dominant, tau its minimal sorter), M_f S is
+    q^-len(tau) [W_f0] sum_x q^(top - len(x)) M_{f0 x}, x over the minimal
+    coset representatives of the stabilizer W_f0 in W, top the longest.
+    """
+    f0, _, ltau = antidominant_rep(f, par)
+    sub = stabilizer(f0, par)
+    reps = coset_reps(sub, par)
+    stab_q, top = group_qfactorial(sub), reps[-1][1]
+    terms = {f0.act(x): stab_q * LaurentPoly.q_power(top - lx - ltau) for x, lx in reps}
+    return FockVector(f.shape, terms)
+
+
 def verify_symmetrizer(max_size: int, w: Window) -> tuple[bool, list[str]]:
     """Closed form of a monomial times the full symmetrizer, plus [k]! sums up to [5]!.
 
-    Anti-dominant monomials expand as the stabilizer q-factorial times the
-    shifted sum over coset representatives; everything else reduces to its
-    sorted form with a q-power.  The sweep runs in the first four letters
-    of w.
+    The closed form is _symmetrized_monomial; the sweep runs in the first
+    four letters of w.
     """
     w = _shrink(w, 4)
     fails: list[str] = []
@@ -356,17 +368,7 @@ def verify_symmetrizer(max_size: int, w: Window) -> tuple[bool, list[str]]:
     for shape in _shapes_up_to(max_size):
         par = Parabolic.full(shape)
         for f in window_tuples(shape, w):
-            got = act(FockVector.monomial(f), symmetrizer(par))
-            f0, _, ltau = antidominant_rep(f, par)
-            stab_q = group_qfactorial(stabilizer(f0, par))
-            reps = coset_reps(stabilizer(f0, par), par)
-            top = reps[-1][1]
-            want = FockVector.zero(shape)
-            for tau, ltau2 in reps:
-                c = stab_q * LaurentPoly.q_power(top - ltau2)
-                want.add_term(f0.act(tau), c)
-            want = want.scaled(LaurentPoly.q_power(-ltau))
-            if got != want:
+            if act(FockVector.monomial(f), symmetrizer(par)) != _symmetrized_monomial(f, par):
                 fails.append(f"symmetrizer closed form fails at {f} in {w}")
             checked += 1
     for k in range(1, 6):
@@ -538,13 +540,13 @@ def verify_qsym(max_size: int, w: Window) -> tuple[bool, list[str]]:
     """Push-forward identities of the symmetrized space.
 
     Every parabolic with a generator and of order at most 4, on shapes of
-    size at most max_size, is swept in w.  The projection formula is
-    checked at every tuple; the canonical-basis identities (which run
-    triangular solves) at every block: the image solve against the
-    push-forward for both bases at every anti-dominant member, the
-    vanishing projection at every other member, and the intrinsic solve at
-    the top of each block.  Raises ValueError when no parabolic qualifies,
-    so that a sweep over nothing never passes.
+    size at most max_size, is swept in w.  The projection formula (M_f S
+    against _symmetrized_monomial) is checked at every tuple; the
+    canonical-basis identities (which run triangular solves) at every
+    block: the image solve against the push-forward for both bases at every
+    anti-dominant member, the vanishing projection at every other member,
+    and the intrinsic solve at the top of each block.  Raises ValueError
+    when no parabolic qualifies, so that a sweep over nothing never passes.
     """
     cases = [
         par
@@ -558,10 +560,7 @@ def verify_qsym(max_size: int, w: Window) -> tuple[bool, list[str]]:
     checked = 0
     for par in cases:
         for f in window_tuples(par.shape, w):
-            got = act(FockVector.monomial(f), symmetrizer(par))
-            f0, _, ltau = antidominant_rep(f, par)
-            want = ntilde_expand(f0, par).scaled(LaurentPoly.q_power(-ltau))
-            if got != want:
+            if act(FockVector.monomial(f), symmetrizer(par)) != _symmetrized_monomial(f, par):
                 fails.append(f"projection formula fails at {f}, {par}")
             checked += 1
     routes = (

@@ -68,6 +68,17 @@ EXPANDERS = {
     "Mtilde": mtilde_expand,
     "N": lambda f, par: ntilde_expand(f, par).scaled(n_ratio(f, par)),
 }
+# s_B(f) in B_f = s_B(f) Mtilde_f, from the q-factorials of the groups
+SCALES = {
+    "Ntilde": lambda f, par: group_qfactorial(stabilizer(f, par)),
+    "Mtilde": lambda f, par: ONE,
+    "N": lambda f, par: group_qfactorial(par),
+}
+
+
+def in_basis(coords, par, basis):
+    """Mtilde coordinates, as reexpress returns them, rewritten in basis."""
+    return {f: div_exact(c, SCALES[basis](f, par)) for f, c in coords.items()}
 
 
 def expand(terms, par, basis="Ntilde"):
@@ -166,7 +177,7 @@ class TestExpansions:
             for f in members:
                 base_change(qsym_canonical(f, par, w), "Ntilde")
                 qsym_dual_canonical_push(f, par, w)
-                reexpress(mtilde_expand(f, par), par, "Mtilde", {})
+                reexpress(mtilde_expand(f, par), par, {})
         stabs = {stabilizer(f, par) for f in members}
         assert orbit_data.cache_info().currsize == len(stabs) < len(members)
         _, reps, _, _ = orbit_data(stabilizer(members[0], par), par)
@@ -306,7 +317,7 @@ class TestReexpress:
         par = Parabolic(Shape(2, 1), {1})
         for f in (T(2, 1, 1, 2, 5), T(2, 1, 1, 1, 5)):
             for basis, expander in EXPANDERS.items():
-                assert reexpress(expander(f, par), par, basis, {}) == {f: ONE}
+                assert reexpress(expander(f, par), par, {}) == {f: SCALES[basis](f, par)}
 
     def test_linear_combination(self):
         par = Parabolic(Shape(2, 0), {1})
@@ -314,24 +325,19 @@ class TestReexpress:
         v = ntilde_expand(f, par).scaled(Q) + ntilde_expand(g, par).scaled(
             P({0: 2})
         )
-        assert reexpress(v, par, "Ntilde", {}) == {f: Q, g: P({0: 2})}
+        # Ntilde_f = Mtilde_f (trivial stabilizer), Ntilde_g = [2] Mtilde_g
+        assert reexpress(v, par, {}) == {f: Q, g: P({-1: 2, 1: 2})}
 
     def test_vector_outside_image(self):
         par = Parabolic(Shape(2, 0), {1})
         with pytest.raises(CheckFailed, match="not in the symmetrized image"):
-            reexpress(M(2, 0, 2, 1), par, "Ntilde", {})
-
-    def test_non_divisible_orbit_coefficient(self):
-        par = Parabolic(Shape(2, 0), {1})
-        with pytest.raises(CheckFailed, match="is not divisible in basis") as info:
-            reexpress(M(2, 0, 1, 1), par, "Ntilde", {})
-        assert isinstance(info.value.__cause__, NotDivisible)
+            reexpress(M(2, 0, 2, 1), par, {})
 
     def test_round_trip_through_phi(self):
         par = Parabolic(Shape(2, 2), {1, 3})
         v = M(2, 2, 2, 1, 1, 2) + M(2, 2, 1, 2, 2, 1).scaled(P({2: 3}))
         img = project(v.terms, par)
-        assert reexpress(expand(img, par), par, "Ntilde", {}) == img
+        assert in_basis(reexpress(expand(img, par), par, {}), par, "Ntilde") == img
 
 
 class TestQsymCanonical:
@@ -377,7 +383,8 @@ class TestQsymCanonical:
             warnings.simplefilter("ignore", TruncationWarning)
             exp = qsym_canonical(T(2, 2, 1, 2, 2, 1), par, Window(1, 2))
         assert exp.basis == "N"
-        assert reexpress(expand(exp.coefficients, par, "N"), par, "N", {}) == exp.coefficients
+        coords = reexpress(expand(exp.coefficients, par, "N"), par, {})
+        assert in_basis(coords, par, "N") == exp.coefficients
 
     @pytest.mark.parametrize(
         "shape, w, count",
@@ -461,7 +468,8 @@ class TestIntrinsic:
         par = Parabolic(Shape(2, 0), {1})
         tn, tm = qsym_canonical_intrinsic(T(2, 0, 1, 2), par, Window(1, 2))
         assert tn.coefficients == {T(2, 0, 1, 2): ONE}
-        assert tm.coefficients == tn.coefficients
+        # N_f = [2] Mtilde_f
+        assert tm.coefficients == {T(2, 0, 1, 2): P({-1: 1, 1: 1})}
         assert (tn.basis, tm.basis) == ("N", "Mtilde")
 
     def test_agrees_with_push_forward(self):
@@ -485,7 +493,8 @@ class TestIntrinsic:
                     tn, tm = qsym_canonical_intrinsic(f, par, w)
                     push = qsym_canonical_push(f, par, w)
                     assert tn.coefficients == push.coefficients
-                    assert tm.coefficients == push.coefficients
+                    assert tm == base_change(push, "Mtilde")
+                    assert in_basis(tm.coefficients, par, "N") == push.coefficients
 
     def test_expands_each_tuple_once(self, monkeypatch):
         """One act per distinct anti-dominant tuple the solve reaches."""
@@ -512,13 +521,11 @@ class TestIntrinsic:
         members = [g for g in block(f, w) if is_antidominant(g, par)]
         memo = {}
         for g in members:
-            cols = {}
-            for basis in ("N", "Mtilde"):
-                fresh = _image_bar(g, par, w, basis, {})
-                assert _image_bar(g, par, w, basis, memo) == fresh, (g, basis)
-                cols[basis] = fresh
-            # N_g = [W] Mtilde_g with [W] bar-invariant: one solve serves both bases
-            assert cols["N"] == cols["Mtilde"], g
+            fresh = _image_bar(g, par, w, {})
+            assert _image_bar(g, par, w, memo) == fresh, g
+            # the Mtilde column of bar(Mtilde_g) is the N column of bar(N_g),
+            # with N_g built from Ntilde_g and the index, not from Mtilde_g
+            assert expand(fresh, par, "N") == bar(EXPANDERS["N"](g, par), w), g
         assert set(memo) == set(members)
 
     def test_bars_each_solved_tuple_once(self, monkeypatch):
@@ -534,30 +541,27 @@ class TestIntrinsic:
             barred[g] += 1
             return real_bar(ctx, v)
 
-        def recording_image_bar(g, par, w, basis, memo):
-            solved.append((basis, g))
-            return real_image_bar(g, par, w, basis, memo)
+        def recording_image_bar(g, par, w, memo):
+            solved.append(g)
+            return real_image_bar(g, par, w, memo)
 
         monkeypatch.setattr(BarContext, "bar", counting_bar)
         monkeypatch.setattr(qfock.qsym, "_image_bar", recording_image_bar)
         qsym_canonical_intrinsic(f, par, w)
-        assert len(solved) > 1 and {basis for basis, _ in solved} == {"N"}
+        assert len(solved) > 1
         assert len(solved) == len(set(solved))
-        assert barred == Counter(g for _, g in solved)
+        assert barred == Counter(solved)
         assert set(barred.values()) == {1}
 
-    def test_a_scale_that_is_not_bar_invariant_fails_verify(self, monkeypatch):
-        """q [W] for N is not bar-invariant; verify_qsym reports the intrinsic route."""
-        real_scale = qfock.qsym._scale
-
-        def planted(f, par, basis):
-            s = real_scale(f, par, basis)
-            return s * LaurentPoly.q_power(1) if basis == "N" else s
-
-        monkeypatch.setattr(qfock.qsym, "_scale", planted)
+    def test_a_scaled_mtilde_fails_verify(self, monkeypatch):
+        """q Mtilde_f fails re-expression's reconstruction; only the intrinsic rows fail."""
+        real = qfock.qsym.mtilde_expand
+        monkeypatch.setattr(
+            qfock.qsym, "mtilde_expand", lambda f, par: real(f, par).scaled(Q)
+        )
         ok, msgs = verify_qsym(3, Window(1, 2))
         assert not ok and msgs[1:]
-        assert all(m.startswith("intrinsic") for m in msgs[1:]), msgs
+        assert all(m.startswith("intrinsic solve fails at") for m in msgs[1:]), msgs
 
     def test_planted_wrong_expansion_fails_the_check(self):
         par = Parabolic(Shape(2, 0), {1})
@@ -565,9 +569,9 @@ class TestIntrinsic:
         wrong = mtilde_expand(f, par) + M(2, 0, 2, 1)
         for basis, expander in EXPANDERS.items():
             v = expander(f, par)
-            assert reexpress(v, par, basis, {}) == {f: ONE}
+            assert in_basis(reexpress(v, par, {}), par, basis) == {f: ONE}
             with pytest.raises(CheckFailed, match="not in the symmetrized image"):
-                reexpress(v, par, basis, {f: wrong})
+                reexpress(v, par, {f: wrong})
 
 
 SMALL_CASES = [
@@ -678,18 +682,22 @@ class TestImageSolve:
 def certify_image_bar(par, w):
     """The failures of bar(Ntilde_g) = phi(bar(M_g)) and its N form on par's image in w.
 
-    The reference is `_image_bar`: expand the basis vector, bar every orbit
-    member, re-express.  In N coordinates the column is
-    n_ratio(g) phi(bar(M_g)), divided at h by n_ratio(h).
+    The reference is `_image_bar`: expand Mtilde_g, bar every orbit member,
+    re-express in Mtilde coordinates y.  Since Ntilde_g = [W_g] Mtilde_g
+    and N_g = [W] Mtilde_g with bar-invariant scales, the Ntilde column of
+    bar(Ntilde_g) is [W_g] y_h / [W_h], and the N column of bar(N_g),
+    n_ratio(g) phi(bar(M_g)) divided at h by n_ratio(h), is y itself.
     """
     ctx = bar_context(par.shape, w)
     fails, memo = [], {}
     for g in anti_members(par, w):
         col = project(ctx.bar_monomial(g).terms, par)
-        if col != _image_bar(g, par, w, "Ntilde", memo):
+        y = _image_bar(g, par, w, memo)
+        stab_g = SCALES["Ntilde"](g, par)
+        if col != {h: div_exact(c * stab_g, SCALES["Ntilde"](h, par)) for h, c in y.items()}:
             fails.append(f"Ntilde column differs at {g}")
         ncol = {h: div_exact(c * n_ratio(g, par), n_ratio(h, par)) for h, c in col.items()}
-        if ncol != _image_bar(g, par, w, "N", memo):
+        if ncol != y:
             fails.append(f"N column differs at {g}")
     return fails
 
@@ -724,7 +732,7 @@ class TestBarTriangularity:
                 if not is_antidominant(f, par):
                     continue
                 for basis, expander in EXPANDERS.items():
-                    coords = reexpress(bar(expander(f, par), w), par, basis, {})
+                    coords = in_basis(reexpress(bar(expander(f, par), w), par, {}), par, basis)
                     assert coords[f] == ONE
                     for g in coords:
                         assert is_antidominant(g, par)

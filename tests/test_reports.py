@@ -511,6 +511,21 @@ class TestVerifySuites:
         ok, msgs = verify_qsym(3, Window(0, 2))
         assert ok, msgs
 
+    def test_qsym_projection_rows_fail_a_doubled_symmetrizer(self, monkeypatch):
+        """Each projection row compares M_f S with the orbit closed form.
+
+        Against q^-len(tau) M_f0 S, itself computed with the symmetrizer, a
+        doubled S would cancel and every row would pass.
+        """
+        real = qfock.verify.symmetrizer
+        doubled = lambda par: real(par).scaled(2)
+        monkeypatch.setattr(qfock.verify, "symmetrizer", doubled)
+        monkeypatch.setattr(qfock.qsym, "symmetrizer", doubled)
+        ok, msgs = verify_qsym(2, Window(0, 4))
+        assert not ok
+        # every one of the 50 projection rows of the max-size-2 golden
+        assert sum(m.startswith("projection formula fails at") for m in msgs) == 50
+
     def test_bgg(self):
         ok, msgs = verify_bgg(4, Window(-1, 1))
         assert ok, msgs

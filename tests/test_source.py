@@ -4,10 +4,14 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import qfock
 from qfock.weightlat import Parabolic, Shape, SignedTuple, Window
@@ -308,6 +312,27 @@ def test_benchmark_trace_points_exist():
     for modname, cls, meth, _, _ in tracer.METHODS:
         klass = getattr(importlib.import_module(modname), cls)
         assert callable(vars(klass).get(meth)), f"{cls}.{meth} is not defined on {cls}"
+
+
+@pytest.mark.parametrize("workload", ["sweep", "ladder"])
+def test_benchmark_traced_run_passes(workload):
+    """The benchmark's traced run exits 0, with every op agreeing and no problem.
+
+    It runs the workload once untraced and once traced: every op is checked
+    against the reference digests, the sweep's cross-checks run, and every
+    per-layer count the workload moves must be nonzero.  A trace point that
+    exists but is never called passes test_benchmark_trace_points_exist and
+    fails here.  Writes only under perfbench/out/.
+    """
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload]
+    cmd += ["--seed", "1", "--seconds", "0", "--trace", "1"]
+    proc = subprocess.run(
+        cmd, cwd=TRACER.parent.parent, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, (proc.stdout[-2000:], proc.stderr[-2000:])
+    detail, result = map(json.loads, proc.stdout.splitlines()[-2:])
+    assert result["failed"] == 0 and detail["problems"] == [], detail
 
 
 def _resolves(module: str, name: str) -> bool:
