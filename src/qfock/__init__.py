@@ -5,7 +5,7 @@ The package computes, over Z[q, q^-1] with no floating point:
 - the standard monomial, canonical and dual canonical bases of the mixed
   tensor space spanned by signed tuples (laurent, weightlat, fock, barinv,
   canonical);
-- the type A Hecke-algebra action and q-symmetrizers (hecke);
+- the type A Hecke-algebra action (fock) and q-symmetrizers (hecke);
 - the q-symmetrized quotient space with its three distinguished bases and
   the symmetrization map (qsym);
 - character and multiplicity tables that specialize the above at q = 1

@@ -26,9 +26,9 @@ recursing into itself, one stack frame per window letter, so one
 component costs one new column per (monomial, c, d) instead of 2^(d-c)
 recursive calls; the one-step T_{c,c+1}, a single E_c, is recomputed
 rather than stored.  The normalization is pinned by two executable facts,
-covered by tests: bar agrees with the Hecke-transport bar on single-sector
-shapes, and bar(M_f) - M_f is supported strictly below f in the Bruhat
-order.
+covered by tests: bar agrees with the Hecke-transport bar (`pure_bar`)
+on single-sector shapes, and bar(M_f) - M_f is supported strictly below f
+in the Bruhat order.
 
 The window keeps the dual-side corrections finite.  Letters created by the
 recursion stay inside the window by construction; the involution, however,
@@ -48,8 +48,7 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import lru_cache
 
-from .fock import FockVector, act, apply_chevalley
-from .hecke import HeckeElement
+from .fock import FockVector, act_gen, apply_chevalley
 from .laurent import MINUS_QINV, Q_MINUS_QINV, LaurentPoly
 from .weightlat import (
     CheckFailed,
@@ -62,6 +61,7 @@ from .weightlat import (
     block,
     bruhat_leq,
     perm_inv,
+    reduced_word,
 )
 
 _UNSEEN = object()
@@ -171,9 +171,11 @@ def bar(v: FockVector, window: Window) -> FockVector:
 def pure_bar(v: FockVector) -> FockVector:
     """Bar involution of a single-sector vector, by Hecke transport.
 
-    Writes each monomial as M_{f0} H_tau with f0 antidominant (which bar
-    fixes) and tau a minimal coset representative, then conjugates H_tau.
-    Independent of the transfer construction; used to pin its conventions.
+    Writes each monomial as M_{f0} H_sigma with f0 antidominant (which bar
+    fixes) and sigma the inverse of its minimal sorter, so that its bar is
+    M_{f0} bar(H_sigma): act_gen applies bar(H_i) = H_i + (q - q^-1) along
+    a reduced word of sigma.  Independent of the transfer construction;
+    used to pin its conventions.
     """
     shape = v.shape
     if shape.m and shape.n:
@@ -183,8 +185,10 @@ def pure_bar(v: FockVector) -> FockVector:
     for f, c in v.terms.items():
         f0, tau, _ = antidominant_rep(f, par)
         # f0 = f.act(tau), so f = f0.act(sigma) with sigma the inverse
-        h = HeckeElement.basis(shape, perm_inv(tau)).bar()
-        out.axpy(act(FockVector.monomial(f0), h), c.bar())
+        cur = FockVector.monomial(f0).scaled(c.bar())
+        for i in reduced_word(perm_inv(tau)):
+            cur = act_gen(cur, i).axpy(cur, Q_MINUS_QINV)
+        out.axpy(cur)
     return out
 
 

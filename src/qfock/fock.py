@@ -30,7 +30,10 @@ they increase in the covariant sector or decrease in the dual sector, and
     M_f H_i = q^-1 M_f                        f = f s_i,
     M_f H_i = M_{f s_i} + (q^-1 - q) M_f      f > f s_i.
 
-The two actions commute; tests pin this down.
+act_gen is the only implementation of this rule: the Hecke algebra has
+no multiplication of its own, and verify_hecke checks the quadratic,
+braid and commuting relations on act_gen itself.  The two actions
+commute; tests pin this down.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ def act_gen(v: FockVector, i: int) -> FockVector:
 
 
 def act(v: FockVector, h) -> FockVector:
-    """Right action of a Hecke element (see hecke.HeckeElement)."""
+    """Right action of a Hecke element: act_gen along a reduced word of each H_sigma."""
     if v.shape != h.shape:
         raise ValueError("shape mismatch between vector and Hecke element")
     total = FockVector.zero(v.shape)

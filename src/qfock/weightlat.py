@@ -188,11 +188,6 @@ def apply_s(a: tuple[int, ...], i: int) -> tuple[int, ...]:
     return tuple(lst)
 
 
-def is_right_ascent(a: tuple[int, ...], i: int) -> bool:
-    """l(a * s_i) > l(a), for the 1-based label i."""
-    return a[i - 1] < a[i]
-
-
 def reduced_word(a: tuple[int, ...]) -> tuple[int, ...]:
     """A reduced word (s_{j_1}, ..., s_{j_r}) for a, as 1-based labels.
 

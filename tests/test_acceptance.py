@@ -32,9 +32,10 @@ def _verdict(capsys, num, label, ok, elapsed, budget, msgs):
 
 
 def test_acceptance_1_hecke(capsys):
-    """Quadratic, braid, symmetrizer bar-fixedness and absorption, all
-    parabolics on shapes of size up to 4, plus random product checks, and
-    the symmetrizer closed form in 0..3."""
+    """Quadratic, braid and commuting relations on the Hecke action at every
+    monomial of size up to 4 in 0..2; symmetrizer bar-fixedness, square and
+    absorption for all parabolics at the regular anti-dominant monomial;
+    and the symmetrizer closed form in 0..3."""
     t0 = time.perf_counter()
     ok, msgs = verify_hecke(4, Window(0, 4))
     _verdict(capsys, 1, "hecke algebra suite", ok, time.perf_counter() - t0, 5, msgs)

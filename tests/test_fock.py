@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qfock.barinv import bar
 from qfock.fock import FockVector, act, act_gen, apply_chevalley
-from qfock.hecke import HeckeElement, symmetrizer
+from qfock.hecke import symmetrizer
 from qfock.laurent import LaurentPoly, div_exact, q_fact, q_int
 from qfock.weightlat import (
     Parabolic,
@@ -59,24 +59,6 @@ def monomials(draw, shapes=SHAPES):
         draw(st.integers(-2, 3)) for _ in range(shape.size)
     )
     return SignedTuple(shape, entries)
-
-
-@st.composite
-def vectors(draw):
-    shape = draw(st.sampled_from(SHAPES))
-    k = draw(st.integers(1, 3))
-    v = FockVector.zero(shape)
-    for _ in range(k):
-        entries = tuple(draw(st.integers(-2, 3)) for _ in range(shape.size))
-        c = LaurentPoly(
-            draw(
-                st.dictionaries(
-                    st.integers(-3, 3), st.integers(-4, 4), min_size=1, max_size=3
-                )
-            )
-        )
-        v = v + FockVector(shape, {SignedTuple(shape, entries): c})
-    return v
 
 
 class TestVectorArithmetic:
@@ -360,19 +342,6 @@ class TestHeckeAction:
         lhs = act_gen(act_gen(v, i), i)
         rhs = v + act_gen(v, i).scaled(P({-1: 1, 1: -1}))
         assert lhs == rhs
-
-    @settings(max_examples=30, deadline=None)
-    @given(vectors())
-    def test_module_associativity(self, v):
-        shape = v.shape
-        gens = [i for i in range(1, shape.size) if i != shape.m]
-        if not gens:
-            return
-        x = HeckeElement.generator(shape, gens[0])
-        y = HeckeElement.generator(shape, gens[-1]) + HeckeElement.unit(shape).scaled(
-            P({2: 1})
-        )
-        assert act(v, x * y) == act(act(v, x), y)
 
     @settings(max_examples=60, deadline=None)
     @given(monomials([Shape(2, 0), Shape(0, 2), Shape(2, 1), Shape(1, 2)]), st.integers(-2, 2))

@@ -1,3 +1,4 @@
+import inspect
 import json
 import warnings
 from pathlib import Path
@@ -5,10 +6,12 @@ from types import MappingProxyType
 
 import pytest
 
+import qfock.fock
 import qfock.qsym
 import qfock.verify
 from qfock.canonical import TruncationWarning
 from qfock.cli import main
+from qfock.hecke import HeckeElement
 from qfock.laurent import LaurentPoly
 from qfock.qsym import qsym_canonical
 from qfock.reports import (
@@ -46,6 +49,8 @@ from qfock.weightlat import (
     WindowEscape,
     block,
     is_antidominant,
+    longest_element,
+    par_elements,
     tuple_to_weight,
     weight_to_tuple,
     window_tuples,
@@ -463,6 +468,47 @@ class TestVerifySuites:
     def test_hecke(self):
         ok, msgs = verify_hecke(3, Window(0, 3))
         assert ok, msgs
+
+    @pytest.mark.parametrize(
+        "old,new,flagged",
+        [("c.shifted(-1)", "c.shifted(1)", 72), ("c * QINV_MINUS_Q", "c * -QINV_MINUS_Q", 132)],
+        ids=["tie", "descent"],
+    )
+    def test_hecke_relation_rows_fail_a_planted_act_gen(self, monkeypatch, old, new, flagged):
+        """act_gen with one coefficient of its rule flipped, q^-1 to q.
+
+        The tie plant scales a tied pair by q; the descent plant adds
+        (q - q^-1) M_f at a descent.  The relation rows run on act_gen
+        itself, so they catch both, not only the symmetrizer closed form.
+        """
+        source = inspect.getsource(qfock.fock.act_gen)
+        assert source.count(old) == 1
+        scope = dict(vars(qfock.fock))
+        exec(source.replace(old, new), scope)
+        monkeypatch.setattr(qfock.fock, "act_gen", scope["act_gen"])
+        # set, not replaced: a verify that reaches act_gen only through
+        # fock.act binds no name of its own
+        monkeypatch.setattr(qfock.verify, "act_gen", scope["act_gen"], raising=False)
+        ok, msgs = verify_hecke(3, Window(0, 3))
+        assert not ok
+        relation = ("quadratic relation fails", "braid relation fails", "commuting relation fails")
+        assert sum(m.startswith(relation) for m in msgs) == flagged
+
+    def test_hecke_symmetrizer_rows_fail_inverted_exponents(self, monkeypatch):
+        """sum_sigma q^{l(sigma) - l(w0)} H_sigma is neither bar-fixed nor absorbing."""
+
+        def inverted(par):
+            _, l0 = longest_element(par)
+            terms = {p: LaurentPoly.q_power(l - l0) for p, l in par_elements(par).items()}
+            return HeckeElement(par.shape, terms)
+
+        monkeypatch.setattr(qfock.verify, "symmetrizer", inverted)
+        ok, msgs = verify_hecke(3, Window(0, 3))
+        assert not ok
+        # bar-fixedness and the square fail at each of the 10 parabolics with
+        # a generator, absorption at 18 of their elements
+        for row, count in [("not bar-fixed", 10), ("square", 10), ("absorption", 18)]:
+            assert sum(m.startswith(f"symmetrizer {row}") for m in msgs) == count, row
 
     def test_symmetrizer(self):
         ok, msgs = verify_symmetrizer(3, Window(1, 3))

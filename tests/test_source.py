@@ -116,6 +116,21 @@ def test_weights_enter_only_through_the_cli():
     assert found == {"weightlat.py", "cli.py"}, sorted(found)
 
 
+def test_one_hecke_generator_rule():
+    """fock.act_gen is the only implementation of the Hecke generator rule.
+
+    QINV_MINUS_Q, the (q^-1 - q) M_f term at a descent, is named by laurent
+    (its definition), fock (act_gen) and verify (the quadratic relation
+    row); a second copy of the rule would have to name it too.
+    """
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if "QINV_MINUS_Q" in _referenced_names(node):
+                found.add(path.name)
+    assert found == {"laurent.py", "fock.py", "verify.py"}, sorted(found)
+
+
 def test_solvers_do_not_read_the_bruhat_order():
     """The solvers walk block order; no down-set is built.
 
