@@ -30,6 +30,12 @@ covered by tests: bar agrees with the Hecke-transport bar (`pure_bar`)
 on single-sector shapes, and bar(M_f) - M_f is supported strictly below f
 in the Bruhat order.
 
+`project` is phi, right multiplication by the symmetrizer of a parabolic,
+in the image's Ntilde coordinates.  bar commutes with the Hecke action
+and the symmetrizer is bar-fixed, so project(bar(M_g)) is bar(Ntilde_g);
+`BarContext.image_column` keeps one read-only copy per (g, parabolic)
+beside the bar column it projects.
+
 The window keeps the dual-side corrections finite.  Letters created by the
 recursion stay inside the window by construction; the involution, however,
 only holds exactly for coefficients of tuples inside the window.
@@ -47,6 +53,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
+from types import MappingProxyType
 
 from .fock import FockVector, act_gen, apply_chevalley
 from .laurent import MINUS_QINV, Q_MINUS_QINV, LaurentPoly
@@ -60,6 +67,7 @@ from .weightlat import (
     antidominant_rep,
     block,
     bruhat_leq,
+    height,
     perm_inv,
     reduced_word,
 )
@@ -75,6 +83,27 @@ def _append(v: FockVector, b: int, out_shape: Shape) -> FockVector:
     return res
 
 
+def project(terms: dict, par: Parabolic) -> dict:
+    """phi(v) in Ntilde coordinates, for v the sum of terms[f] M_f.
+
+    phi is right multiplication by the symmetrizer of par, onto its image:
+    M_f goes to q^-l(tau) Ntilde_{f.tau}, where f.tau is the anti-dominant
+    member of f's orbit and tau the minimal sorter.  Returns a fresh dict
+    without zeros.
+    """
+    out: dict = {}
+    for f, c in terms.items():
+        f0, _, ltau = antidominant_rep(f, par)
+        if ltau:
+            c = c.shifted(-ltau)
+        s = out[f0] + c if f0 in out else c
+        if s:
+            out[f0] = s
+        else:
+            out.pop(f0, None)
+    return out
+
+
 class BarContext:
     """Bar involution for one shape inside one window, with memo tables."""
 
@@ -83,6 +112,7 @@ class BarContext:
         self.window = window
         self._memo: dict[tuple[int, ...], FockVector] = {}
         self._transfer_memo: dict[tuple, FockVector | None] = {}
+        self._image_memo: dict[tuple, MappingProxyType] = {}
 
     # -- transfer components -------------------------------------------
 
@@ -150,6 +180,18 @@ class BarContext:
             self._memo[entries] = got
         return got
 
+    def image_column(self, g: SignedTuple, par: Parabolic) -> MappingProxyType:
+        """project(bar(M_g), par), read-only: the bar column of Ntilde_g in the image.
+
+        Memoized per (g, par) beside the bar columns, so clearing
+        bar_context drops it with them.
+        """
+        got = self._image_memo.get((g, par))
+        if got is None:
+            got = MappingProxyType(project(self.bar_monomial(g).terms, par))
+            self._image_memo[g, par] = got
+        return got
+
     def bar(self, v: FockVector) -> FockVector:
         """Anti-linear extension of bar_monomial."""
         out = FockVector.zero(self.shape)
@@ -199,31 +241,41 @@ def pure_bar(v: FockVector) -> FockVector:
 def bar_oracle(f: SignedTuple, window: Window, max_degree: int, mode: str) -> FockVector:
     """The unique bar-fixed M_f + sum of strictly lower terms, by linear solve.
 
-    Unknowns are the integer coefficients of q^j (canonical mode, j >= 1) or
-    q^-j (dual mode) in each lower coefficient; bar(v) = v becomes an
+    Unknowns are the integer coefficients of q^j (canonical mode) or q^-j
+    (dual mode) in each lower coefficient at g, for
+    1 <= j <= min(max_degree, height(f) - height(g)); bar(v) = v becomes an
     integer system with one row per (tuple, q-power), built in one pass:
     each row opens with its right-hand side -(bar(M_f) - M_f) at column
     ncols, and each unknown writes its shifted bar column into the rows.
-    Raises CheckFailed when the system is inconsistent, as when bar(M_f)
-    is not M_f plus strictly lower terms or max_degree is too small, or
-    when substitution leaves an unknown unsolved.
+
+    The height bound is a tested conjecture, not a theorem: every
+    canonical and dual coefficient computed so far has degree at most
+    height(f) - height(g) (`verify --suite canonical` counts them).  It
+    cannot give a wrong answer: the bar-fixed element is unique, so a
+    restricted system either returns it or is inconsistent.  max_degree
+    only caps it further.  Raises CheckFailed when the system is
+    inconsistent, as when bar(M_f) is not M_f plus strictly lower terms or
+    a degree bound is too small, or when substitution leaves an unknown
+    unsolved.
     """
     if mode not in ("canonical", "dual"):
         raise ValueError(f"unknown mode {mode!r}")
     sign = 1 if mode == "canonical" else -1
     ctx = bar_context(f.shape, window)
     below = [g for g in block(f, window) if g != f and bruhat_leq(g, f)]
+    top = height(f)
+    degrees = [min(max_degree, top - height(g)) for g in below]
     rows: dict[tuple[SignedTuple, int], dict[int, int]] = {}
-    ncols = len(below) * max_degree
+    ncols = sum(degrees)
     for h, c in (ctx.bar_monomial(f) - FockVector.monomial(f)).terms.items():
         for e, a in c.c.items():
             rows[h, e] = {ncols: -a}
     # unknown (g, j) contributes bar(M_g) q^-j - q^j M_g: entry a at
     # (h, e - j) for each a q^e in bar(M_g) at h, and -1 at (g, j)
     unknowns = []
-    for g in below:
+    for g, degree in zip(below, degrees):
         column = ctx.bar_monomial(g).terms.items()
-        for j in range(sign, sign * (max_degree + 1), sign):
+        for j in range(sign, sign * (degree + 1), sign):
             idx = len(unknowns)
             unknowns.append((g, j))
             for h, c in column:

@@ -13,7 +13,8 @@ half of the coefficient ring.  A member that no solved bar column reaches
 is skipped, so no Bruhat comparison is needed.  Each step checks that d_g
 is antisymmetric under bar and raises CheckFailed if not (the bar map is
 broken).  The same solver, `triangular_solve`, also runs inside the
-symmetrized image of a parabolic (`image_solve`, shared with qsym).
+symmetrized image of a parabolic (`image_solve`, cached and shared with
+qsym, reading each projected bar column from its BarContext).
 `canonical` takes that image route whenever f tops a nontrivial parabolic
 orbit, and the tensor solve otherwise; `tensor_canonical` always solves in
 the tensor space.  `dual_canonical` runs the tensor solve only at members
@@ -212,25 +213,6 @@ def reaches_floor(target: SignedTuple, support, w: Window, keep=None) -> bool:
 # the symmetrized image of a parabolic W, as far as the solvers need it
 
 
-def project(terms: dict, par: Parabolic) -> dict:
-    """phi(v) in Ntilde coordinates, for v the sum of terms[f] M_f.
-
-    M_f goes to q^-l(tau) Ntilde_{f.tau}, where f.tau is the anti-dominant
-    member of f's orbit and tau the minimal sorter.
-    """
-    out: dict = {}
-    for f, c in terms.items():
-        f0, _, ltau = antidominant_rep(f, par)
-        if ltau:
-            c = c.shifted(-ltau)
-        s = out[f0] + c if f0 in out else c
-        if s:
-            out[f0] = s
-        else:
-            out.pop(f0, None)
-    return out
-
-
 @lru_cache(maxsize=None)
 def orbit_data(sub: Parabolic, par: Parabolic) -> tuple:
     """([W_f], reps, top, n_ratio) for an orbit whose stabilizer in par is sub.
@@ -251,24 +233,28 @@ def n_ratio(f: SignedTuple, par: Parabolic) -> LaurentPoly:
     return orbit_data(stabilizer(f, par), par)[3]
 
 
-def image_solve(target: SignedTuple, par: Parabolic, w: Window, mode: str) -> dict:
-    """The (dual) canonical image column through an anti-dominant target.
+@lru_cache(maxsize=None)
+def image_solve(target: SignedTuple, par: Parabolic, w: Window, mode: str) -> MappingProxyType:
+    """The (dual) canonical image column through an anti-dominant target, read-only.
 
     Solved over block(target, w).  The bar column of Ntilde_g is
-    project(bar(M_g)): phi is right multiplication by the bar-fixed
-    symmetrizer, and bar commutes with the Hecke action.  project lands
-    at or below each tuple on an anti-dominant one, so only anti-dominant
-    indices are solved.  The canonical column is solved for
-    N_g = n_ratio(g) Ntilde_g (n_ratio is bar-invariant), the dual one for
-    Ntilde_g.  The one core of qsym's image solve and of canonical's
-    orbit-top route; it never warns.
+    project(bar(M_g)) (BarContext.image_column, built once per g and
+    parabolic): phi is right multiplication by the bar-fixed symmetrizer,
+    and bar commutes with the Hecke action.  project lands at or below
+    each tuple on an anti-dominant one, so only anti-dominant indices are
+    solved.  The canonical column is solved for N_g = n_ratio(g) Ntilde_g
+    (n_ratio is bar-invariant), the dual one for Ntilde_g.  The one core
+    of qsym's image solve and of canonical's orbit-top route, cached per
+    (target, par, w, mode) so that both read one solve; it never warns.
     """
     ctx = bar_context(target.shape, w)
     order = block(target, w)
-    column = lambda g: project(ctx.bar_monomial(g).terms, par)
+    column = lambda g: ctx.image_column(g, par)
     if mode == "dual":
-        return triangular_solve(order, column, neg_part, target)
-    return triangular_solve(order, column, pos_part, target, lambda g: n_ratio(g, par))
+        t = triangular_solve(order, column, neg_part, target)
+    else:
+        t = triangular_solve(order, column, pos_part, target, lambda g: n_ratio(g, par))
+    return MappingProxyType(t)
 
 
 def top_parabolic(f: SignedTuple) -> Parabolic:

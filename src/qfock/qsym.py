@@ -20,7 +20,7 @@ shift by q^-top per orbit.
 
 The map phi(M_f) = q^{-len(tau)} Ntilde_{f tau} (tau the minimal sorter
 of f) projects the whole tensor space onto the image; it is v S in
-Ntilde coordinates (`canonical.project`).  Since S is bar-fixed and bar
+Ntilde coordinates (`barinv.project`).  Since S is bar-fixed and bar
 commutes with the Hecke action, bar(Ntilde_g) = phi(bar(M_g)).  A column
 of a canonical basis is one read-only QSymExpansion, which `base_change`
 rewrites in another of the three bases.  Canonical bases come out three
@@ -28,8 +28,11 @@ ways:
 
 - the image solve (the default, `qsym_canonical` and
   `qsym_dual_canonical`, both for antidominant f only):
-  `canonical.image_solve` down the block of f, one projected tensor bar
-  column per solved index, every one of them antidominant;
+  `canonical.image_solve` down the block of f, cached per target,
+  parabolic, window and mode and shared with canonical's orbit-top
+  route; it reads one projected tensor bar column per solved index, every
+  one of them antidominant, each built once per parabolic
+  (`BarContext.image_column`);
 - the push-forward (`qsym_canonical_push`, `qsym_dual_canonical_push`):
   the ordinary (dual) canonical element through f.w0 (or f), from the
   tensor solve, pushed through phi and checked against the coefficients
@@ -52,7 +55,7 @@ import warnings
 from collections import namedtuple
 from types import MappingProxyType
 
-from .barinv import bar_context
+from .barinv import bar_context, project
 from .canonical import (
     TruncationWarning,
     dual_canonical,
@@ -60,7 +63,6 @@ from .canonical import (
     json_rows,
     n_ratio,
     orbit_data,
-    project,
     reaches_floor,
     tensor_canonical,
     triangular_solve,
@@ -187,10 +189,10 @@ def base_change(exp: QSymExpansion, to: str) -> QSymExpansion:
     return exp._replace(basis=to, coefficients=MappingProxyType(out))
 
 
-def _image_solve(f: SignedTuple, par: Parabolic, w: Window, mode: str) -> dict:
-    """The (dual) canonical image column through f, solved in block order.
+def _image_solve(f: SignedTuple, par: Parabolic, w: Window, mode: str) -> MappingProxyType:
+    """The (dual) canonical image column through f, solved in block order; read-only.
 
-    canonical.image_solve does the solve.  Warns with a TruncationWarning
+    canonical.image_solve does the solve, once per (f, par, w, mode).  Warns with a TruncationWarning
     when the canonical support reaches the bottom of the anti-dominant
     members of the block and a lower window floor would add one below f.
     """
@@ -213,7 +215,7 @@ def _image_solve(f: SignedTuple, par: Parabolic, w: Window, mode: str) -> dict:
 def qsym_canonical(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpansion:
     """Canonical basis of the image, in N coordinates, solved inside the image."""
     t = _image_solve(f, par, w, "canonical")
-    return QSymExpansion(f, "canonical", "N", par, w, MappingProxyType(t))
+    return QSymExpansion(f, "canonical", "N", par, w, t)
 
 
 def qsym_dual_canonical(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpansion:
@@ -223,7 +225,7 @@ def qsym_dual_canonical(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpans
     projection phi(L_f) vanishes, which qsym_dual_canonical_push checks.
     """
     t = _image_solve(f, par, w, "dual")
-    return QSymExpansion(f, "dual", "Ntilde", par, w, MappingProxyType(t))
+    return QSymExpansion(f, "dual", "Ntilde", par, w, t)
 
 
 def qsym_canonical_push(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpansion:

@@ -4,7 +4,8 @@ The verify_* sweeps re-run the defining identities of the other modules
 over small exhaustive ranges; they are shared between the test suite and
 the `verify` command.  Each takes (max_size, w), the command's --max-size
 and --window, and derives the windows it runs in from w; its other bounds
-(block caps, the oracle's degree, group orders) are fixed.  The Hecke
+(block caps, group orders) are fixed; the oracle's degrees come from
+the block's heights.  The Hecke
 algebra has no product of its own, so verify_hecke checks its relations
 on fock.act_gen, the action the solvers run.  Graded
 reciprocity (which carries Ringel duality, exactly in q), the Whittaker
@@ -57,6 +58,7 @@ from .weightlat import (
     bruhat_leq,
     coset_reps,
     group_qfactorial,
+    height,
     is_antidominant,
     is_typical,
     longest_element,
@@ -468,24 +470,42 @@ def verify_canonical(max_size: int, w: Window) -> tuple[bool, list[str]]:
     not 1 or whose other coefficients leave 1/q Z[1/q], so the dual rows
     are bar-fixedness and the oracle.
     The oracle sweep runs on every block of at most 12 members in the first
-    four letters of w, to degree 8; the inverse relations run in the
-    symmetric window of w.
+    four letters of w, its degrees bounded by height alone; the inverse
+    relations run in the symmetric window of w.  The height-bound line
+    counts, over every column visited, the entries g != f whose degree
+    max_exp(t_{g,f}) (dual: -min_exp(l_{g,f})) equals height(f) - height(g),
+    and those over it, each of which also fails; the bound is a tested
+    conjecture, which bar_oracle sizes its unknowns by.
     """
     sym_w = _symmetric(w)
     w = _shrink(w, 4)
     fails: list[str] = []
     checked = 0
+    bounded: set = set()
+    excess: list[int] = []  # degree minus height gap, per entry below a diagonal
 
     def same_route(f: SignedTuple, w: Window) -> None:
-        if canonical(f, w) != tensor_canonical(f, w):
+        texp, lexp = canonical(f, w), dual_canonical(f, w)
+        if texp != tensor_canonical(f, w):
             fails.append(f"canonical route disagrees with the tensor solve at {f}")
-        if dual_canonical(f, w) != tensor_dual_canonical(f, w):
+        if lexp != tensor_dual_canonical(f, w):
             fails.append(f"dual canonical recursion disagrees with the tensor solve at {f}")
+        if (f, w) in bounded:
+            return
+        bounded.add((f, w))
+        for exp in (texp, lexp):
+            for g, c in exp.coefficients.items():
+                if g != f:
+                    d = c.max_exp() if exp.mode == "canonical" else -c.min_exp()
+                    excess.append(d - height(f) + height(g))
+                    if excess[-1] > 0:
+                        fails.append(f"{exp.mode} coefficient at {g} of {f} exceeds the height bound")
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         for shape in _shapes_up_to(max_size):
             for order in _blocks_in(shape, w, 12):
+                bottom = height(order[0])
                 for f in order:
                     texp = canonical(f, w)
                     same_route(f, w)
@@ -499,13 +519,13 @@ def verify_canonical(max_size: int, w: Window) -> tuple[bool, list[str]]:
                             fails.append(f"canonical correction not in qZ[q] at {f}: {g}")
                         if any(a < 0 for a in c.c.values()):
                             fails.append(f"canonical coefficient not in N[q] at {f}: {g}")
-                    if bar_oracle(f, w, 8, "canonical") != tv:
+                    if bar_oracle(f, w, height(f) - bottom, "canonical") != tv:
                         fails.append(f"canonical disagrees with the oracle at {f}")
                     lexp = dual_canonical(f, w)
                     lv = lexp.vector()
                     if bar(lv, w) != lv:
                         fails.append(f"dual canonical element not bar-fixed at {f}")
-                    if bar_oracle(f, w, 8, "dual") != lv:
+                    if bar_oracle(f, w, height(f) - bottom, "dual") != lv:
                         fails.append(f"dual canonical disagrees with the oracle at {f}")
                     checked += 1
         shape = Shape(1, 1)
@@ -531,7 +551,12 @@ def verify_canonical(max_size: int, w: Window) -> tuple[bool, list[str]]:
             for order in _blocks_in(shape, sym_w, 12):
                 for f in order:
                     same_route(f, sym_w)
-    msgs = [f"canonical bases: {checked} elements checked, windows {w} and {sym_w}"]
+    msgs = [
+        f"canonical bases: {checked} elements checked, windows {w} and {sym_w}",
+        f"height bound: {len(bounded)} columns of each basis, {len(excess)} entries "
+        f"below the diagonal, {excess.count(0)} at the bound, "
+        f"{sum(e > 0 for e in excess)} over it",
+    ]
     msgs.extend(fails)
     return not fails, msgs
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qfock.barinv
 from qfock.barinv import BarContext, _solve_exact, bar, bar_context, bar_oracle, pure_bar
 from qfock.fock import FockVector, act_gen, apply_chevalley
 from qfock.laurent import LaurentPoly
@@ -421,6 +422,25 @@ class TestBarOracle:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             bar_oracle(T(1, 1, 2, 2), Window(0, 2), 1, mode="positive")
+
+    def test_unknowns_are_bounded_by_height(self, monkeypatch):
+        # below 2|2 sit 1|1 and 0|0, one and two steps of height down; the
+        # dual chain reaches q^-2 at 0|0, so a large max_degree adds no
+        # unknown, and a height bound one short is inconsistent, never wrong
+        f, w = T(1, 1, 2, 2), Window(0, 2)
+        honest_solve, honest_height = qfock.barinv._solve_exact, qfock.barinv.height
+        sizes = []
+
+        def counted(system, ncols):
+            sizes.append(ncols)
+            return honest_solve(system, ncols)
+
+        monkeypatch.setattr(qfock.barinv, "_solve_exact", counted)
+        assert bar_oracle(f, w, 100, mode="dual") == bar_oracle(f, w, 3, mode="dual")
+        assert sizes == [3, 3]
+        monkeypatch.setattr(qfock.barinv, "height", lambda g: honest_height(g) - (g == f))
+        with pytest.raises(CheckFailed, match="bar fixed-point system is inconsistent"):
+            bar_oracle(f, w, 100, mode="dual")
 
     @pytest.mark.parametrize("extra", [1, -1, P({1: 1})], ids=["2", "0", "1+q"])
     def test_planted_coefficient_at_the_target_fails(self, monkeypatch, extra):

@@ -27,7 +27,12 @@ from qfock.canonical import (
 from qfock.cli import main
 from qfock.fock import FockVector
 from qfock.laurent import LaurentPoly, NotAntisymmetric, NotDivisible, neg_part, pos_part
-from qfock.qsym import qsym_dual_canonical, qsym_dual_canonical_push
+from qfock.qsym import (
+    qsym_canonical,
+    qsym_canonical_push,
+    qsym_dual_canonical,
+    qsym_dual_canonical_push,
+)
 from qfock.weightlat import (
     CheckFailed,
     Parabolic,
@@ -39,6 +44,7 @@ from qfock.weightlat import (
     block,
     blocks,
     bruhat_leq,
+    height,
     is_antidominant,
     window_tuples,
 )
@@ -155,6 +161,19 @@ class TestDefiningProperties:
                     got = dual_canonical(f, w).vector()
                     assert got == bar_oracle(f, w, 6, mode="dual"), f
 
+    @pytest.mark.parametrize("mode", ["canonical", "dual"])
+    def test_oracle_sized_by_height_beyond_degree_8(self, mode):
+        # 256 members: at degree 8 this system is inconsistent; bounded by
+        # height alone it returns both bases
+        f, w = T(3, 3, 3, 2, 1, 1, 2, 3), Window(0, 3)
+        degree = height(f) - height(block(f, w)[0])
+        with pytest.raises(CheckFailed, match="inconsistent"):
+            bar_oracle(f, w, 8, mode)
+        solver = canonical if mode == "canonical" else dual_canonical
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            assert bar_oracle(f, w, degree, mode) == solver(f, w).vector()
+
     def test_window_stability(self):
         # a wider window keeps each in-window coefficient of an untruncated column
         shapes = [Shape(1, 1), Shape(2, 1), Shape(1, 2), Shape(2, 2), Shape(3, 1), Shape(1, 3)]
@@ -211,8 +230,10 @@ class TestOrbitTopRoute:
 
     @pytest.fixture
     def fresh(self):
+        # a cached image solve would build no bar column at all
         def clear():
             bar_context.cache_clear()
+            image_solve.cache_clear()
             qfock.canonical._canonical.cache_clear()
 
         clear()
@@ -640,3 +661,36 @@ class TestCachedBarColumnsStayIntact:
         for memo, was in zip(memos, before):
             now = self.snapshot(memo)
             assert {k: now[k] for k in was} == was
+
+
+class TestImageMemos:
+    """Projected bar columns and image columns are built once and read-only."""
+
+    def test_cached_columns_are_read_only(self):
+        f, par, w = T(2, 2, 0, 1, 2, 1), Parabolic(Shape(2, 2), {1, 3}), Window(0, 2)
+        for mode in ("canonical", "dual"):
+            t = image_solve(f, par, w, mode)
+            assert t is image_solve(f, par, w, mode)
+            with pytest.raises(TypeError):
+                t[f] = LaurentPoly.zero()
+        ctx = bar_context(f.shape, w)
+        col = ctx.image_column(f, par)
+        assert col is ctx.image_column(f, par)
+        with pytest.raises(TypeError):
+            col[f] = LaurentPoly.zero()
+
+    def test_orbit_top_and_qsym_share_one_solve(self):
+        f, w = T(2, 2, 2, 1, 1, 2), Window(0, 2)
+        par = top_parabolic(f)
+        g = antidominant_rep(f, par)[0]
+        assert par.generators and g != f
+        image_solve.cache_clear()
+        qfock.canonical._canonical.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            exp = canonical(f, w)
+            image = qsym_canonical(g, par, w)
+            info = image_solve.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
+            assert exp == tensor_canonical(f, w)
+            assert image.coefficients == qsym_canonical_push(g, par, w).coefficients

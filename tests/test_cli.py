@@ -8,7 +8,8 @@ import pytest
 import qfock.cli
 import qfock.qsym
 import qfock.verify
-from qfock.barinv import BarContext
+from qfock.barinv import BarContext, bar_context
+from qfock.canonical import image_solve
 from qfock.cli import main, parse_parabolic, parse_shape, parse_window
 from qfock.fock import FockVector
 from qfock.laurent import LaurentPoly, NotDivisible
@@ -158,7 +159,19 @@ class TestQsym:
         assert rc == 2
         assert capsys.readouterr().err.startswith("identity verification failed: ")
 
-    def test_failed_image_solve_exits_2(self, capsys, monkeypatch):
+    @pytest.fixture
+    def fresh_image_memos(self):
+        # a solve or projected column cached before the plant would hide it,
+        # and one projected from the planted column must not outlive it
+        def clear():
+            bar_context.cache_clear()
+            image_solve.cache_clear()
+
+        clear()
+        yield
+        clear()
+
+    def test_failed_image_solve_exits_2(self, capsys, monkeypatch, fresh_image_memos):
         # a bar column with an extra q at 1,3,2 is no longer an involution:
         # the difference there stops being bar-antisymmetric
         honest = BarContext.bar_monomial

@@ -9,8 +9,8 @@ import pytest
 
 import qfock.canonical
 import qfock.qsym
-from qfock.barinv import BarContext, bar, bar_context
-from qfock.canonical import TruncationWarning, canonical, dual_canonical, orbit_data, project
+from qfock.barinv import BarContext, bar, bar_context, project
+from qfock.canonical import TruncationWarning, canonical, dual_canonical, orbit_data
 from qfock.fock import FockVector, act, act_gen, apply_chevalley
 from qfock.hecke import HeckeElement, symmetrizer
 from qfock.laurent import LaurentPoly, NotDivisible, div_exact
@@ -239,7 +239,7 @@ class TestBaseChange:
 
 
 class TestPhiZeta:
-    """phi_zeta, the projection onto the image in Ntilde coordinates (canonical.project)."""
+    """phi_zeta, the projection onto the image in Ntilde coordinates (barinv.project)."""
 
     def test_antidominant_is_fixed(self):
         par = Parabolic(Shape(2, 1), {1})

@@ -534,7 +534,7 @@ class TestVerifySuites:
         monkeypatch.setattr(qfock.verify, "tensor_canonical", flipped)
         ok, msgs = verify_canonical(2, Window(0, 2))
         assert not ok
-        assert msgs[1:] == ["canonical route disagrees with the tensor solve at 2,1|"]
+        assert msgs[2:] == ["canonical route disagrees with the tensor solve at 2,1|"]
 
     def test_canonical_flags_a_dual_route_mismatch(self, monkeypatch):
         # a tensor dual solve that drops one coefficient at one target
@@ -551,7 +551,31 @@ class TestVerifySuites:
         monkeypatch.setattr(qfock.verify, "tensor_dual_canonical", dropped)
         ok, msgs = verify_canonical(2, Window(0, 2))
         assert not ok
-        assert msgs[1:] == ["dual canonical recursion disagrees with the tensor solve at 2,1|"]
+        assert msgs[2:] == ["dual canonical recursion disagrees with the tensor solve at 2,1|"]
+
+    def test_canonical_counts_entries_over_the_height_bound(self, monkeypatch):
+        # q^2 times every off-diagonal canonical coefficient lifts each
+        # canonical entry at the bound over it
+        honest = qfock.verify.canonical
+
+        def shifted(f, w):
+            exp = honest(f, w)
+            coeffs = {g: c if g == f else c.shifted(2) for g, c in exp.coefficients.items()}
+            return exp._replace(coefficients=MappingProxyType(coeffs))
+
+        def over_bound(msgs):
+            assert msgs[1].startswith("height bound: ") and msgs[1].endswith(" over it")
+            return int(msgs[1].split(", ")[-1].split()[0])
+
+        ok, msgs = verify_canonical(2, Window(0, 2))
+        assert ok and over_bound(msgs) == 0, msgs
+        monkeypatch.setattr(qfock.verify, "canonical", shifted)
+        ok, msgs = verify_canonical(2, Window(0, 2))
+        over = over_bound(msgs)
+        assert not ok and over > 0
+        rows = [m for m in msgs if m.endswith("exceeds the height bound")]
+        assert len(rows) == over
+        assert all(m.startswith("canonical coefficient at ") for m in rows)
 
     def test_qsym(self):
         ok, msgs = verify_qsym(3, Window(0, 2))

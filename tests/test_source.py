@@ -192,6 +192,32 @@ def test_bar_oracle_is_independent_of_the_solvers():
     assert not found, found
 
 
+def test_intrinsic_route_reads_no_image_memo():
+    """The intrinsic solve stays a second computation of the image column.
+
+    No top-level qsym definition that qsym_canonical_intrinsic, _image_bar
+    or reexpress reaches by name, at any depth, names the cached image
+    solve or the projected bar columns it reads.
+    """
+    forbidden = {"image_solve", "image_column"}
+    path = PACKAGE / "qsym.py"
+    tree = ast.parse(path.read_text(), str(path))
+    defs = {
+        top.name: set().union(*map(_referenced_names, ast.walk(top)))
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+    }
+    found, checked, todo = [], set(), ["qsym_canonical_intrinsic", "_image_bar", "reexpress"]
+    while todo:
+        name = todo.pop()
+        if name not in checked:
+            checked.add(name)
+            found += [f"{name} names {n}" for n in sorted(defs[name] & forbidden)]
+            todo += sorted(defs[name] & defs.keys())
+    assert {"qsym_canonical_intrinsic", "_image_bar", "reexpress", "_mtilde"} <= checked, checked
+    assert not found, found
+
+
 def test_dual_recursion_reads_no_bar_column():
     """The recursion, the tensor solve and the oracle stay three routes.
 
