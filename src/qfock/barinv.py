@@ -32,9 +32,9 @@ in the Bruhat order.
 
 `project` is phi, right multiplication by the symmetrizer of a parabolic,
 in the image's Ntilde coordinates.  bar commutes with the Hecke action
-and the symmetrizer is bar-fixed, so project(bar(M_g)) is bar(Ntilde_g);
-`BarContext.image_column` keeps one read-only copy per (g, parabolic)
-beside the bar column it projects.
+and the symmetrizer is bar-fixed, so project(bar(M_g)) is bar(Ntilde_g).
+`BarContext.image_column` stores each column once: the bar column itself
+at the trivial parabolic, else only its projection per (g, parabolic).
 
 The window keeps the dual-side corrections finite.  Letters created by the
 recursion stay inside the window by construction; the involution, however,
@@ -183,13 +183,19 @@ class BarContext:
     def image_column(self, g: SignedTuple, par: Parabolic) -> MappingProxyType:
         """project(bar(M_g), par), read-only: the bar column of Ntilde_g in the image.
 
-        Memoized per (g, par) beside the bar columns, so clearing
-        bar_context drops it with them.
+        The stored bar column itself at the trivial parabolic.  Elsewhere
+        memoized per (g, par) beside the bar columns, so clearing bar_context
+        drops it, and the bar column is kept only if it was stored before.
         """
+        if not par.generators:
+            return MappingProxyType(self.bar_monomial(g).terms)
         got = self._image_memo.get((g, par))
         if got is None:
+            kept = g.entries in self._memo
             got = MappingProxyType(project(self.bar_monomial(g).terms, par))
             self._image_memo[g, par] = got
+            if not kept:
+                del self._memo[g.entries]
         return got
 
     def bar(self, v: FockVector) -> FockVector:

@@ -12,15 +12,15 @@ must be killed by t_{gf} - bar(t_{gf}), which pins t_{gf} inside the chosen
 half of the coefficient ring.  A member that no solved bar column reaches
 is skipped, so no Bruhat comparison is needed.  Each step checks that d_g
 is antisymmetric under bar and raises CheckFailed if not (the bar map is
-broken).  The same solver, `triangular_solve`, also runs inside the
-symmetrized image of a parabolic (`image_solve`, cached and shared with
-qsym, reading each projected bar column from its BarContext).
-`canonical` takes that image route whenever f tops a nontrivial parabolic
-orbit, and the tensor solve otherwise; `tensor_canonical` always solves in
-the tensor space.  `dual_canonical` runs the tensor solve only at members
-with no sector descent and reaches every other member by the
-Kazhdan-Lusztig recursion over the right Hecke action; the tensor dual
-solve stays as its second route, `tensor_dual_canonical`.
+broken).  Every column is one cached `image_solve`: `triangular_solve`
+inside the symmetrized image of a parabolic, shared with qsym, reading
+each projected bar column from its BarContext; at the trivial parabolic
+it is the tensor solve.  `canonical` solves at the parabolic f tops and
+expands over the orbits; `tensor_canonical` solves at the trivial one.
+`dual_canonical` runs the tensor solve only at members with no sector
+descent and reaches every other member by the Kazhdan-Lusztig recursion
+over the right Hecke action; the tensor dual solve stays as its second
+route, `tensor_dual_canonical`.
 
 Dual canonical supports legitimately run into the window floor (their full
 expansions are infinite).  Canonical supports should not; a canonical
@@ -175,16 +175,6 @@ def inverse_column(order, column, f) -> dict:
     return x
 
 
-@lru_cache(maxsize=None)
-def _solve(f: SignedTuple, w: Window, mode: str) -> BasisExpansion:
-    """The tensor solve: triangular_solve over block(f, w) with tensor bar columns."""
-    ctx = bar_context(f.shape, w)
-    part = pos_part if mode == "canonical" else neg_part
-    t = triangular_solve(block(f, w), lambda g: ctx.bar_monomial(g).terms, part, f)
-    truncated = mode == "canonical" and reaches_floor(f, t.keys(), w)
-    return BasisExpansion(f, mode, w, MappingProxyType(t), truncated)
-
-
 def reaches_floor(target: SignedTuple, support, w: Window, keep=None) -> bool:
     """Whether support reaches the bottom of target's block and a lower floor grows it.
 
@@ -243,9 +233,10 @@ def image_solve(target: SignedTuple, par: Parabolic, w: Window, mode: str) -> Ma
     and bar commutes with the Hecke action.  project lands at or below
     each tuple on an anti-dominant one, so only anti-dominant indices are
     solved.  The canonical column is solved for N_g = n_ratio(g) Ntilde_g
-    (n_ratio is bar-invariant), the dual one for Ntilde_g.  The one core
-    of qsym's image solve and of canonical's orbit-top route, cached per
-    (target, par, w, mode) so that both read one solve; it never warns.
+    (n_ratio is bar-invariant), the dual one for Ntilde_g; at the trivial
+    parabolic this is the tensor solve.  It solves every column of
+    canonical and qsym's image, cached per (target, par, w, mode); it
+    never warns.
     """
     ctx = bar_context(target.shape, w)
     order = block(target, w)
@@ -267,16 +258,13 @@ def top_parabolic(f: SignedTuple) -> Parabolic:
 
 
 @lru_cache(maxsize=None)
-def _canonical(f: SignedTuple, w: Window) -> BasisExpansion:
-    """T_f by the route that J(f) picks; see canonical."""
-    par = top_parabolic(f)
-    if not par.generators:
-        return _solve(f, w, "canonical")
+def _canonical(f: SignedTuple, par: Parabolic, w: Window) -> BasisExpansion:
+    """T_f from the image column of par through the bottom of f's orbit; see canonical."""
     t = {}
     for b, c in image_solve(antidominant_rep(f, par)[0], par, w, "canonical").items():
         _, reps, top, _ = orbit_data(stabilizer(b, par), par)
         for x, lx in reps:
-            t[b.act(x)] = c.shifted(top - lx)
+            t[b.act(x)] = c if lx == top else c.shifted(top - lx)
     truncated = reaches_floor(f, t.keys(), w)
     return BasisExpansion(f, "canonical", w, MappingProxyType(t), truncated)
 
@@ -295,10 +283,10 @@ def _warned(exp: BasisExpansion) -> BasisExpansion:
 def canonical(f: SignedTuple, w: Window) -> BasisExpansion:
     """The canonical basis element T_f through f, coefficients in qZ[q].
 
-    The route is chosen by f alone.  If J(f) = top_parabolic(f) is
-    trivial, the tensor solve runs over block(f, w).  Otherwise f tops its
-    W_J-orbit, whose bottom g is anti-dominant, and the q-symmetrizer
-    carries T_f onto the image's canonical element through g: with
+    The parabolic is chosen by f alone: f tops its orbit under
+    J(f) = top_parabolic(f), whose bottom g is anti-dominant, and the
+    q-symmetrizer carries T_f onto the image's canonical element through
+    g.  (When J(f) is trivial, g = f and this is the tensor solve.)  With
     Mtilde_b = sum_x q^(top(b) - l(x)) M_{b.x} over the minimal coset reps
     x, the vector sum_b t^N_{b,g} Mtilde_b of the image column (N
     coordinates, image_solve) is bar-fixed, is 1 at M_f and lies in qZ[q]
@@ -306,18 +294,18 @@ def canonical(f: SignedTuple, w: Window) -> BasisExpansion:
 
         t_{b.x,f} = t^N_{b,g} q^(top(b) - l(x)).
 
-    Only anti-dominant bar columns are built.  Both routes flag truncation
-    by the same rule on the tensor support.
+    Only the bar columns at anti-dominant tuples are read.  The truncation
+    flag is one rule on the tensor support, whatever J(f) is.
 
     Warns with a TruncationWarning on every call whose expansion is
     truncated, cached or not.
     """
-    return _warned(_canonical(f, w))
+    return _warned(_canonical(f, top_parabolic(f), w))
 
 
 def tensor_canonical(f: SignedTuple, w: Window) -> BasisExpansion:
     """T_f by the tensor solve at every f: the second route, warning as canonical does."""
-    return _warned(_solve(f, w, "canonical"))
+    return _warned(_canonical(f, Parabolic.trivial(f.shape), w))
 
 
 def _falls(x: int, y: int, i: int, m: int) -> bool:
@@ -369,7 +357,7 @@ def _dual(f: SignedTuple, w: Window) -> BasisExpansion:
     """L_f by the Kazhdan-Lusztig recursion; see dual_canonical."""
     i = sector_descent(f)
     if i is None:
-        return _checked(_solve(f, w, "dual"))
+        return _checked(tensor_dual_canonical(f, w))
     prev = _dual(SignedTuple(f.shape, apply_s(f.entries, i)), w).vector()
     v = act_gen(prev, i).axpy(prev, MINUS_QINV)
     order = block(f, w)
@@ -402,7 +390,8 @@ def dual_canonical(f: SignedTuple, w: Window) -> BasisExpansion:
 
 def tensor_dual_canonical(f: SignedTuple, w: Window) -> BasisExpansion:
     """L_f by the tensor solve at every f: the second route to dual_canonical."""
-    return _solve(f, w, "dual")
+    t = image_solve(f, Parabolic.trivial(f.shape), w, "dual")
+    return BasisExpansion(f, "dual", w, t, False)
 
 
 def dual_inverse_column(order: tuple[SignedTuple, ...], f: SignedTuple, w: Window) -> dict:

@@ -29,15 +29,15 @@ ways:
 - the image solve (the default, `qsym_canonical` and
   `qsym_dual_canonical`, both for antidominant f only):
   `canonical.image_solve` down the block of f, cached per target,
-  parabolic, window and mode and shared with canonical's orbit-top
-  route; it reads one projected tensor bar column per solved index, every
-  one of them antidominant, each built once per parabolic
-  (`BarContext.image_column`);
+  parabolic, window and mode and shared with every solve in canonical;
+  it reads one projected tensor bar column per solved index, every one
+  of them antidominant, each stored once per parabolic in place of the
+  bar column (`BarContext.image_column`);
 - the push-forward (`qsym_canonical_push`, `qsym_dual_canonical_push`):
-  the ordinary (dual) canonical element through f.w0 (or f), from the
-  tensor solve, pushed through phi and checked against the coefficients
-  at g.w0 (or against the coset sums); the dual at a non-antidominant f,
-  whose projection must vanish, has only this route;
+  the ordinary (dual) canonical element through f.w0 (or f), solved at
+  the trivial parabolic, pushed through phi and checked against the
+  coefficients at g.w0 (or against the coset sums); the dual at a
+  non-antidominant f, whose projection must vanish, has only this route;
 - the intrinsic solve (`qsym_canonical_intrinsic`): the solver in N
   coordinates with the bar map transported through expansion and
   re-expression.  One memo per call, g -> Mtilde_g, serves the bar
@@ -192,9 +192,9 @@ def base_change(exp: QSymExpansion, to: str) -> QSymExpansion:
 def _image_solve(f: SignedTuple, par: Parabolic, w: Window, mode: str) -> MappingProxyType:
     """The (dual) canonical image column through f, solved in block order; read-only.
 
-    canonical.image_solve does the solve, once per (f, par, w, mode).  Warns with a TruncationWarning
-    when the canonical support reaches the bottom of the anti-dominant
-    members of the block and a lower window floor would add one below f.
+    image_solve does the solve, once per (f, par, w, mode).  Warns with a
+    TruncationWarning when the canonical support reaches the bottom of the
+    block's anti-dominant members and a lower floor would add one below f.
     """
     if not is_antidominant(f, par):
         raise ValueError(f"{f} is not antidominant for {par}")
@@ -233,8 +233,8 @@ def qsym_canonical_push(f: SignedTuple, par: Parabolic, w: Window) -> QSymExpans
 
     Computes the ordinary canonical element through f.w0 (w0 the longest
     element of the parabolic) by the tensor solve, never by canonical's
-    image route, projects it, and checks that the resulting coefficient at
-    g is the ordinary one at g.w0, or raises CheckFailed.
+    orbit-top route, projects it, and checks that the resulting coefficient
+    at g is the ordinary one at g.w0, or raises CheckFailed.
     """
     if not is_antidominant(f, par):
         raise ValueError(f"{f} is not antidominant for {par}")

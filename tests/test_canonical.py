@@ -247,11 +247,31 @@ class TestOrbitTopRoute:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             exp = canonical(f, w)
-        size = f.shape.size
-        full = [SignedTuple(f.shape, e) for e in bar_context(f.shape, w)._memo if len(e) == size]
-        assert antidominant_rep(f, par)[0] in full
-        assert all(is_antidominant(g, par) for g in full)
-        assert len(full) < len(exp.coefficients)
+        built = [g for g, p in bar_context(f.shape, w)._image_memo if p == par]
+        assert antidominant_rep(f, par)[0] in built
+        assert all(is_antidominant(g, par) for g in built)
+        assert len(built) < len(exp.coefficients)
+
+
+class TestTensorSolve:
+    """The tensor solve, the image solve at the trivial parabolic, against a plain solve."""
+
+    CASES = [
+        (Shape(2, 1), Window(-1, 3)),
+        (Shape(3, 2), Window(0, 3)),
+        (Shape(2, 2), Window(-1, 3)),
+    ]
+
+    @pytest.mark.parametrize("shape, w", CASES, ids=str)
+    def test_agrees_with_the_plain_triangular_solve(self, shape, w):
+        ctx = bar_context(shape, w)
+        column = lambda g: ctx.bar_monomial(g).terms
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            for f in window_tuples(shape, w):
+                for solver, part in ((tensor_canonical, pos_part), (tensor_dual_canonical, neg_part)):
+                    want = triangular_solve(block(f, w), column, part, f)
+                    assert dict(solver(f, w).coefficients) == want, (f, part)
 
 
 def ref_down_set(f, w, keep=None):
@@ -319,7 +339,7 @@ class TestFloorFlag:
 
     def test_dual_solves_make_no_bruhat_comparison(self):
         w = Window(-1, 3)
-        qfock.canonical._solve.cache_clear()
+        image_solve.cache_clear()
         qfock.canonical._dual.cache_clear()
         before = bruhat_leq.cache_info()
         for f in window_tuples(Shape(2, 2), w):
@@ -433,14 +453,14 @@ class TestDualRecursion:
 
     def test_a_base_column_out_of_degree_raises(self, fresh, monkeypatch):
         f, g, w = T(2, 0, 1, 2), T(2, 0, 0, 1), Window(0, 2)
-        honest = qfock.canonical._solve
+        honest = qfock.canonical.tensor_dual_canonical
 
-        def shifted(h, w, mode):
-            exp = honest(h, w, mode)
+        def shifted(h, w):
+            exp = honest(h, w)
             coeffs = {**exp.coefficients, g: P({0: 1})}
             return exp._replace(coefficients=MappingProxyType(coeffs))
 
-        monkeypatch.setattr(qfock.canonical, "_solve", shifted)
+        monkeypatch.setattr(qfock.canonical, "tensor_dual_canonical", shifted)
         with pytest.raises(CheckFailed, match=r"coefficient at 0,1\| of 1,2\| is 1"):
             dual_canonical(f, w)
 
@@ -667,17 +687,34 @@ class TestImageMemos:
     """Projected bar columns and image columns are built once and read-only."""
 
     def test_cached_columns_are_read_only(self):
-        f, par, w = T(2, 2, 0, 1, 2, 1), Parabolic(Shape(2, 2), {1, 3}), Window(0, 2)
-        for mode in ("canonical", "dual"):
-            t = image_solve(f, par, w, mode)
-            assert t is image_solve(f, par, w, mode)
-            with pytest.raises(TypeError):
-                t[f] = LaurentPoly.zero()
+        f, w = T(2, 2, 0, 1, 2, 1), Window(0, 2)
         ctx = bar_context(f.shape, w)
-        col = ctx.image_column(f, par)
-        assert col is ctx.image_column(f, par)
-        with pytest.raises(TypeError):
-            col[f] = LaurentPoly.zero()
+        for par in (Parabolic(Shape(2, 2), {1, 3}), Parabolic.trivial(Shape(2, 2))):
+            for mode in ("canonical", "dual"):
+                t = image_solve(f, par, w, mode)
+                assert t is image_solve(f, par, w, mode)
+                with pytest.raises(TypeError):
+                    t[f] = LaurentPoly.zero()
+            col = ctx.image_column(f, par)
+            with pytest.raises(TypeError):
+                col[f] = LaurentPoly.zero()
+            if par.generators:
+                assert col is ctx.image_column(f, par)
+            else:
+                # the stored bar column itself, with no copy in the image memo
+                assert col == ctx.bar_monomial(f).terms
+        assert all(p.generators for _, p in ctx._image_memo)
+
+    def test_image_solve_keeps_no_full_length_bar_column(self):
+        f, par, w = T(2, 2, 0, 1, 2, 1), Parabolic(Shape(2, 2), {1, 3}), Window(0, 2)
+        bar_context.cache_clear()
+        image_solve.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            exp = qsym_canonical(f, par, w)
+        ctx = bar_context(f.shape, w)
+        assert len(exp.coefficients) > 1 and ctx._image_memo
+        assert all(len(e) < f.shape.size for e in ctx._memo)
 
     def test_orbit_top_and_qsym_share_one_solve(self):
         f, w = T(2, 2, 2, 1, 1, 2), Window(0, 2)

@@ -628,23 +628,26 @@ class TestImageSolve:
             qsym_canonical_push(*cases[0])
 
     def test_push_forward_survives_a_broken_image_core(self, monkeypatch):
-        # the push-forward calls the tensor solve, so it answers while the
-        # core shared by qsym's image solve and canonical's route is broken
+        # the push-forward solves at the trivial parabolic, so it answers
+        # while the projected columns, which only qsym's image solve and
+        # canonical's orbit-top route read, are broken
         par, w = Parabolic(Shape(2, 2), {1, 3}), Window(0, 2)
         f = T(2, 2, 0, 1, 2, 1)
         top = f.act(longest_element(par)[0])
+        honest = BarContext.image_column
 
-        def broken(*args):
-            raise CheckFailed("image core broken")
+        def broken(ctx, g, p):
+            if p.generators:
+                raise CheckFailed("image core broken")
+            return honest(ctx, g, p)
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             want = qsym_canonical(f, par, w).coefficients
-            monkeypatch.setattr(qfock.canonical, "image_solve", broken)
-            monkeypatch.setattr(qfock.qsym, "image_solve", broken)
+            monkeypatch.setattr(BarContext, "image_column", broken)
             # nothing may come from a cache: both routes solve afresh
             qfock.canonical._canonical.cache_clear()
-            qfock.canonical._solve.cache_clear()
+            qfock.canonical.image_solve.cache_clear()
             with pytest.raises(CheckFailed, match="image core broken"):
                 canonical(top, w)
             with pytest.raises(CheckFailed, match="image core broken"):

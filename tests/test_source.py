@@ -223,7 +223,7 @@ def test_dual_recursion_reads_no_bar_column():
 
     The recursion step of canonical (_dual and the checks it runs) names
     none of the bar map, the solvers or the oracle: only the descent-free
-    base, through _solve, reads bar columns.
+    base, through tensor_dual_canonical, reads bar columns.
     """
     forbidden = {"bar_context", "triangular_solve", "image_solve", "bar_oracle"}
     step = {"_dual", "sector_descent", "_falls", "_in_kernel", "_checked"}
@@ -236,9 +236,28 @@ def test_dual_recursion_reads_no_bar_column():
             names = set().union(*map(_referenced_names, ast.walk(top)))
             found += [f"{top.name} names {name}" for name in sorted(names & forbidden)]
             if top.name == "_dual":
-                assert {"act_gen", "_solve"} <= names
+                assert {"act_gen", "tensor_dual_canonical"} <= names
     assert checked == step, checked
     assert not found, found
+
+
+def test_one_solve_layer():
+    """Every solve of a bar-fixed column runs through canonical.image_solve.
+
+    The tensor solve is image_solve at the trivial parabolic, so the only
+    package definitions that name triangular_solve are image_solve and
+    the intrinsic route, qsym_canonical_intrinsic, which stays a second
+    computation.  A second solver would have to name it too.
+    """
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            where = getattr(top, "name", top.lineno)
+            if isinstance(top, (ast.Import, ast.ImportFrom)) or where == "triangular_solve":
+                continue
+            if "triangular_solve" in set().union(*map(_referenced_names, ast.walk(top))):
+                found.add(f"{path.stem}.{where}")
+    assert found == {"canonical.image_solve", "qsym.qsym_canonical_intrinsic"}, sorted(found)
 
 
 def test_every_top_level_definition_is_reached():
